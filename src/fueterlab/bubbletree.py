@@ -587,12 +587,15 @@ def slice_select(seq: ConcentratingSequence, ell, grid_n=9, x1_extent=0.4,
     f = seq.f_of_x1(ell, mesh)
     Mf = hl_maximal(ScalarGrid(f, ax[1] - ax[0])).values
     admissible = []
+    lor = None
     for i in range(grid_n):
         for j in range(grid_n):
             if Mf[i, j] > maximal_threshold:
                 continue
             x1 = mesh[i, j]
-            lor = _slice_lorentz(seq.slice_map(ell, x1), np.zeros(2), r_out)
+            # every slice of an X1-invariant sequence is the same map
+            if lor is None or not seq.x1_invariant:
+                lor = _slice_lorentz(seq.slice_map(ell, x1), np.zeros(2), r_out)
             if lor <= lorentz_bound:
                 admissible.append((Mf[i, j], lor, x1))
     if not admissible:

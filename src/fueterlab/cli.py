@@ -3,17 +3,14 @@ deterministic report emission (JSON for structured results, CSV for radius
 sweeps, FLD1 for fields).
 
 Reports embed the effective config and a format version; a fixed seed gives
-byte-identical output.  FUETERLAB_THREADS caps the worker pool used by the
-batched suites.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
@@ -28,7 +25,7 @@ from .fields import (
     triholomorphic_kernel,
 )
 from .monotone import ratio_profile
-from .norms import ScalarGrid, hl_maximal, lorentz_21, lorentz_2inf
+from .norms import ScalarGrid, hl_maximal, lorentz_21, lorentz_2inf, weak_l1_excess
 from .poisson import NonContractionError, default_problem, fixed_point_solve
 from .quat import StructureTriple
 
@@ -53,15 +50,6 @@ class RunConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.m not in (1, 2):
             raise ValueError("m must be 1 or 2")
-
-
-def max_threads() -> int:
-    raw = os.environ.get("FUETERLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else max(1, os.cpu_count() or 1)
 
 
 def _load_config(args) -> RunConfig:
@@ -164,32 +152,21 @@ def cmd_norms(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     N = cfg.grid
     h = 1.0 / N
-    threads = max_threads()
 
-    def one_field(seed):
-        local = np.random.default_rng(seed)
+    excess, ordered = [], []
+    for seed in rng.integers(0, 1 << 31, size=args.fields):
+        local = np.random.default_rng(int(seed))
         f = ScalarGrid(np.abs(local.normal(size=(N, N))), h)
-        M = hl_maximal(f).values
-        worst = 0.0
-        for v in np.unique(np.round(M, 12)):
-            meas = float(np.sum(M >= v) * f.cell)
-            worst = max(worst, meas * v - 25.0 * f.l1())
+        excess.append(weak_l1_excess(f, hl_maximal(f)))
         g = ScalarGrid(local.normal(size=(N, N)), h)
-        l2 = g.l2()
-        ordered = lorentz_2inf(g) <= l2 + 1e-12 <= lorentz_21(g) + 1e-12
-        return worst, bool(ordered)
-
-    seeds = [int(s) for s in rng.integers(0, 1 << 31, size=args.fields)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one_field, seeds))
-    weak_worst = max(r[0] for r in results)
+        ordered.append(lorentz_2inf(g) <= g.l2() + 1e-12 <= lorentz_21(g) + 1e-12)
+    weak_worst = max(excess)
     payload = {
         "config": asdict(cfg),
         "fields_tested": args.fields,
         "weak_l1_worst_excess": weak_worst,
         "weak_l1_ok": bool(weak_worst <= 1e-9),
-        "lorentz_ordering_ok": all(r[1] for r in results),
-        "threads": threads,
+        "lorentz_ordering_ok": all(ordered),
     }
     ok = payload["weak_l1_ok"] and payload["lorentz_ordering_ok"]
     return _emit(payload, args, 0 if ok else 1)

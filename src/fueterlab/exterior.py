@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "KForm",
-    "zero_form",
     "scalar_form",
     "basis_form",
     "form_from_matrix",
@@ -129,10 +128,6 @@ class KForm:
     def __repr__(self):
         nz = sum(1 for c in self.coeffs if c != 0.0)
         return f"KForm(n={self.n}, k={self.k}, {nz} nonzero coefficients)"
-
-
-def zero_form(n: int, k: int) -> KForm:
-    return KForm(n, k)
 
 
 def scalar_form(n: int, value: float) -> KForm:

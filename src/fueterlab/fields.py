@@ -162,7 +162,7 @@ class GridField:
             return self._values[i]
         c = self.axis_coords()
         rest = np.meshgrid(*([c] * (self.dim - 1)), indexing="ij")
-        pts = np.stack([np.full(rest[0].shape, c[i])] + rest, axis=-1)
+        pts = np.stack([np.full(rest[0].shape, c[i])] + list(rest), axis=-1)
         return np.asarray(self._fn(pts), dtype=float)
 
     def _interpolate(self, pts):
@@ -632,14 +632,6 @@ def _z_value(pts, ell):
     out[..., 0] = -pts[..., ell]
     out[..., ell] = -pts[..., 0]
     return out
-
-
-def _z_grad(ell):
-    """d z_l / d x_a as constant quaternions, a = 0..3."""
-    g = [np.zeros(4) for _ in range(4)]
-    g[0] = -_UNITS[ell]
-    g[ell] = -_UNITS[0].copy()
-    return g
 
 
 class FueterPolynomialMap:

@@ -376,9 +376,6 @@ class EpsRegularityReport:
     bound: float = 0.0
     violations: int = 0
 
-    def flagged_nodes(self):
-        return [f[0] for f in self.flagged]
-
 
 def eps_regularity_scan(u: GridField, eps0: float, r: float, stride=None,
                         constant=EPS_REG_GRADIENT_C) -> EpsRegularityReport:

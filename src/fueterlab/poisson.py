@@ -137,25 +137,52 @@ def _coef(arr, ij, shape):
     return c if np.ndim(c) else np.full(shape, float(c))
 
 
-def _rhs(w, P: PerturbedProblem):
+def _rhs_operator(P: PerturbedProblem):
+    """w -> RHS(w) of the cutoff equation.  The terms that depend on P alone
+    are built here, once; each call rolls w once per axis and direction and
+    shares those rolls among all its differences."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
     sq = P.sqrt_g if P.sqrt_g is not None else 1.0
-    out = laplacian_grid(chi, h) * w
-    for a in range(d):
-        out += _d1(chi, a, h) * _d1(w, a, h)
-    for i in range(d):
-        for j in range(d):
-            mu_ij = _coef(P.mu, (i, j), w.shape)
-            if np.any(mu_ij):
-                out -= chi * mu_ij * _d2(w, i, j, h)
+    lap_chi = laplacian_grid(chi, h)
+    d1_chi = [_d1(chi, a, h) for a in range(d)]
+    chi_mu = {}
+    for i, j in np.ndindex(d, d):
+        mu_ij = _coef(P.mu, (i, j), chi.shape)
+        if np.any(mu_ij):
+            # a symmetric mu shares one product per pair, to hold less memory
+            twin = chi_mu.get((j, i))
+            same = twin is not None and np.array_equal(mu_ij, _coef(P.mu, (j, i), chi.shape))
+            chi_mu[i, j] = twin if same else chi * mu_ij
+    chi_tau = []
     for j in range(d):
-        tau_j = _coef(P.tau, (j,), w.shape)
+        tau_j = _coef(P.tau, (j,), chi.shape)
         if np.any(tau_j):
-            out -= chi * tau_j * _d1(w, j, h)
-    out += chi * sq * P.f.values
-    return out
+            chi_tau.append((j, chi * tau_j))
+    source = chi * sq * P.f.values
+
+    def rhs(w):
+        # the differences below are _d1 and _d2 written out on shared rolls
+        fwd = [np.roll(w, -1, axis=a) for a in range(d)]
+        bwd = [np.roll(w, +1, axis=a) for a in range(d)]
+        out = lap_chi * w
+        for a in range(d):
+            out += d1_chi[a] * ((fwd[a] - bwd[a]) / (2.0 * h))
+        for (i, j), c in chi_mu.items():
+            if i == j:
+                d2w = (fwd[i] - 2.0 * w + bwd[i]) / h**2
+            else:
+                d2w = (np.roll(fwd[i], -1, axis=j) - np.roll(fwd[i], +1, axis=j)
+                       - np.roll(bwd[i], -1, axis=j) + np.roll(bwd[i], +1, axis=j)
+                       ) / (4.0 * h**2)
+            out -= c * d2w
+        for j, c in chi_tau:
+            out -= c * ((fwd[j] - bwd[j]) / (2.0 * h))
+        out += source
+        return out
+
+    return rhs
 
 
 def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
@@ -164,7 +191,7 @@ def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
     central)."""
     if w.values.shape != P.f.values.shape:
         raise ValueError("iterate must live on the problem grid")
-    return poisson_solve(P.f.like(_rhs(w.values, P)))
+    return poisson_solve(P.f.like(_rhs_operator(P)(w.values)))
 
 
 def _w11(v, h):
@@ -190,12 +217,11 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
     prev_diff = None
     ratios = []
     flat_count = 0
-    diffs = []
     h1_tail = None
+    rhs = _rhs_operator(P)
     for it in range(1, max_iter + 1):
-        v_next = contraction_step(P.f.like(v), P).values
+        v_next = poisson_solve(P.f.like(rhs(v))).values
         diff = _w11(v_next - v, h)
-        diffs.append(diff)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
             ratios.append(ratio)
@@ -211,7 +237,7 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
         if diff < tol:
             # residual of the cutoff equation, in the L1 metric matching the
             # W^{1,1} convergence norm; keep sweeping until it clears 10 tol
-            res_field = laplacian_grid(v, h) - _centered(_rhs(v, P))
+            res_field = laplacian_grid(v, h) - _centered(rhs(v))
             residual = float(np.abs(res_field).sum() * h**v.ndim)
             if residual >= 10.0 * tol and it < max_iter:
                 continue

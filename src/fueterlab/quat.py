@@ -43,9 +43,6 @@ class Quaternion:
     def as_array(self):
         return np.array([self.w, self.x, self.y, self.z])
 
-    def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def norm(self):
         return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
 

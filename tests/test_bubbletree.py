@@ -22,7 +22,9 @@ from fueterlab.bubbletree import (
     slice_select,
     synth_sequence,
 )
-from fueterlab.bubbletree import _annulus_energy, _disk_energy
+from fueterlab import bubbletree
+from fueterlab.bubbletree import SliceChoice, _annulus_energy, _disk_energy, _slice_lorentz
+from fueterlab.norms import ScalarGrid, hl_maximal
 from fueterlab.quat import SphereStructure, StructureTriple
 
 ABC = tuple(np.array((0.6, -0.48, 0.64)) / np.linalg.norm((0.6, -0.48, 0.64)))
@@ -152,21 +154,69 @@ def test_off_sigma_point_has_no_defect():
 # slice selection
 
 
-def test_slice_select_invariant_sequence():
+def _slice_select_every_slice(seq, ell, grid_n=9, x1_extent=0.4,
+                              maximal_threshold=0.05, lorentz_bound=60.0, r_out=0.25):
+    """slice_select with the Lorentz norm evaluated on every candidate slice,
+    invariant or not: the reference for the shared-slice shortcut.  Returns
+    the choice and the number of candidates."""
+    ax = np.linspace(-x1_extent, x1_extent, grid_n)
+    mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    Mf = hl_maximal(ScalarGrid(seq.f_of_x1(ell, mesh), ax[1] - ax[0])).values
+    candidates = [(Mf[i, j], mesh[i, j]) for i in range(grid_n) for j in range(grid_n)
+                  if Mf[i, j] <= maximal_threshold]
+    admissible = []
+    for m, x1 in candidates:
+        lor = _slice_lorentz(seq.slice_map(ell, x1), np.zeros(2), r_out)
+        if lor <= lorentz_bound:
+            admissible.append((m, lor, x1))
+    admissible.sort(key=lambda t: (t[0], t[1], float(np.linalg.norm(t[2]))))
+    best = admissible[0]
+    return SliceChoice(best[2], len(admissible) / float(grid_n * grid_n),
+                       float(best[0]), float(best[1])), len(candidates)
+
+
+def _count_slice_lorentz(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].x1)
+        return _slice_lorentz(*args, **kwargs)
+
+    monkeypatch.setattr(bubbletree, "_slice_lorentz", counted)
+    return calls
+
+
+def _assert_same_choice(a, b):
+    assert np.array_equal(a.x1, b.x1)
+    assert (a.admissible_fraction, a.maximal_value, a.lorentz_value) == (
+        b.admissible_fraction, b.maximal_value, b.lorentz_value)
+
+
+def test_slice_select_invariant_sequence(monkeypatch):
     seq = one_bubble()
+    want, candidates = _slice_select_every_slice(seq, 8)
+    assert candidates == 81
+    calls = _count_slice_lorentz(monkeypatch)
     choice = slice_select(seq, 8)
+    assert len(calls) == 1  # one slice stands for all 81
+    _assert_same_choice(choice, want)
     assert choice.admissible_fraction == 1.0
     assert choice.maximal_value == 0.0
 
 
-def test_slice_select_avoids_noise():
+def test_slice_select_avoids_noise(monkeypatch):
     seq = synth_sequence(
         [(1.0, ABC, (0.0, 0.0), 2.0, 1.0)],
         noise={"center_x1": (0.25, 0.25), "radius": 0.12, "amplitude": 3.0,
                "x2_scale": 0.08},
         seed=3,
     )
+    want, candidates = _slice_select_every_slice(seq, 8, grid_n=11)
+    calls = _count_slice_lorentz(monkeypatch)
     choice = slice_select(seq, 8, grid_n=11)
+    assert len(calls) == candidates
+    assert len({tuple(x1) for x1 in calls}) == candidates
+    _assert_same_choice(choice, want)
     assert np.linalg.norm(choice.x1 - np.array([0.25, 0.25])) > 0.12
     assert 0 < choice.admissible_fraction < 1.0
     assert choice.maximal_value <= 0.05

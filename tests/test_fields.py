@@ -168,6 +168,17 @@ def test_fueter_fields_are_triholomorphic_pointwise():
         assert np.max(np.abs(lap)) < 1e-4 * max(1.0, np.max(np.abs(poly.value(x))))
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_expanded_value_matches_product_form(degree):
+    rng = np.random.default_rng(10 + degree)
+    poly = standard_triholomorphic_field(seed=degree, degree=degree)
+    pts = rng.uniform(-1.0, 1.0, size=(6, 40, 4))
+    want = poly.value_direct(pts)
+    got = poly.value(pts)
+    assert got.shape == want.shape == (6, 40, 4)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_jacobian_matches_finite_differences():
     poly = standard_triholomorphic_field(seed=7, degree=4)
     rng = np.random.default_rng(7)
@@ -199,6 +210,16 @@ def test_dirichlet_energy_affine():
     const = GridField.from_function(lambda p: np.ones(p.shape), 1, 1, 9, L=0.5,
                                     materialize=True)
     assert dirichlet_energy(const) == 0.0
+
+
+def test_dirichlet_energy_function_backed_matches_materialized():
+    poly = standard_triholomorphic_field(seed=2, degree=4)
+    streamed = GridField.from_function(poly, 1, 1, 9, domain="box", L=0.5)
+    dense = GridField.from_function(poly, 1, 1, 9, domain="box", L=0.5, materialize=True)
+    assert np.array_equal(streamed.slab(4), dense.slab(4))
+    want = dirichlet_energy(dense)
+    assert want > 0.0
+    assert dirichlet_energy(streamed) == want
 
 
 def test_dirichlet_energy_bubble_scale_invariance():

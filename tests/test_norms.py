@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fueterlab.norms as norms
 from fueterlab.norms import (
     DUALITY_K,
     INTERP_K2,
@@ -16,7 +17,9 @@ from fueterlab.norms import (
     lorentz_2inf,
     lorentz_interpolation_check,
     weak_l1_check,
+    weak_l1_excess,
 )
+from fueterlab.norms import _ball_kernel_fft, _maximal_radii, _periodic_conv
 
 N2, H2 = 64, 1.0 / 64
 N4, H4 = 8, 1.0 / 8
@@ -101,6 +104,43 @@ def test_weak_l1_at_every_level_2d_and_4d():
         for v in np.unique(np.round(M, 12)):
             meas = float(np.sum(M >= v) * f4.cell)
             assert meas * v <= 5**4 * f4.l1() + 1e-9
+
+
+def test_maximal_matches_per_radius_convolutions_bitwise():
+    rng = np.random.default_rng(5)
+    for f in (grid2(rng.normal(size=(N2, N2))), ScalarGrid(rng.normal(size=(N4,) * 4), H4)):
+        g = np.abs(f.values)
+        want = np.full(g.shape, -np.inf)
+        for r in _maximal_radii(f):
+            kf, count = _ball_kernel_fft(g.shape, f.h, float(r))
+            np.maximum(want, _periodic_conv(g, kf) / count, out=want)
+        assert np.array_equal(hl_maximal(f).values, np.maximum(want, 0.0))
+
+
+def _weak_l1_excess_by_level(f):
+    """One pass per level over the whole grid: the reference for weak_l1_excess."""
+    M = hl_maximal(f).values
+    worst = 0.0
+    for v in np.unique(np.round(M, 12)):
+        meas = float(np.sum(M >= v) * f.cell)
+        worst = max(worst, meas * v - norms.VITALI_CONSTANT_BASE**f.d * f.l1())
+    return worst
+
+
+@pytest.mark.parametrize("base", [5, 0.5, 0.0])
+def test_weak_l1_excess_matches_per_level_sweep(monkeypatch, base):
+    # below the true constant 5 the bound fails and the excess is positive,
+    # so the comparison covers the level sweep, not just the clamp at 0
+    monkeypatch.setattr(norms, "VITALI_CONSTANT_BASE", base)
+    rng = np.random.default_rng(6)
+    fields = [grid2(np.abs(rng.normal(size=(N2, N2)))) for _ in range(4)]
+    fields += [ScalarGrid(np.abs(rng.normal(size=(N4,) * 4)), H4) for _ in range(2)]
+    spike = np.zeros((N2, N2))  # Mf of a point mass ties at many cells
+    spike[3, 5] = 1.0 / H2**2
+    fields.append(grid2(spike))
+    excess = [weak_l1_excess(f, hl_maximal(f)) for f in fields]
+    assert excess == [_weak_l1_excess_by_level(f) for f in fields]
+    assert (max(excess) > 0.0) == (base < 5)
 
 
 def test_weak_l1_check_api_and_point_mass_scaling():

@@ -16,6 +16,7 @@ from fueterlab.poisson import (
     radial_cutoff,
     w21_norm,
 )
+from fueterlab.poisson import _coef, _d1, _d2, _rhs_operator
 
 
 def test_poisson_solve_zero_and_eigenmode():
@@ -60,6 +61,53 @@ def test_contraction_step_unperturbed_is_inverse_laplacian():
     P0 = PerturbedProblem(chi, np.zeros((4, 4)), np.zeros(4),
                           ScalarGrid(np.zeros(shape), h))
     assert np.all(contraction_step(w0, P0).values == 0.0)
+
+
+def _rhs_reference(w, P):
+    """The cutoff-equation right-hand side term by term, every P-only term
+    rebuilt on each call."""
+    h = P.f.h
+    d = P.f.d
+    chi = P.chi
+    sq = P.sqrt_g if P.sqrt_g is not None else 1.0
+    out = laplacian_grid(chi, h) * w
+    for a in range(d):
+        out += _d1(chi, a, h) * _d1(w, a, h)
+    for i in range(d):
+        for j in range(d):
+            mu_ij = _coef(P.mu, (i, j), w.shape)
+            if np.any(mu_ij):
+                out -= chi * mu_ij * _d2(w, i, j, h)
+    for j in range(d):
+        tau_j = _coef(P.tau, (j,), w.shape)
+        if np.any(tau_j):
+            out -= chi * tau_j * _d1(w, j, h)
+    out += chi * sq * P.f.values
+    return out
+
+
+@pytest.mark.parametrize("make", ["default", "manufactured", "constant", "sqrt_g"])
+def test_rhs_operator_matches_reference_bitwise(make):
+    rng = np.random.default_rng(4)
+    if make == "default":
+        P = default_problem(N=12, magnitude=0.05, seed=3)
+    elif make == "manufactured":
+        P, _ = manufactured_problem(N=12, magnitude=0.05, seed=1)
+    else:
+        N, h = 10, 1.0 / 10
+        shape = (N,) * 4
+        mu = np.diag([0.05, 0.0, 0.03, 0.0])
+        mu[0, 2] = mu[2, 0] = 0.01  # a symmetric pair and an asymmetric one
+        mu[1, 3], mu[3, 1] = 0.02, -0.02
+        P = PerturbedProblem(radial_cutoff(shape, h, 0.3, 0.47), mu,
+                             np.array([0.0, 0.02, 0.0, -0.01]),
+                             ScalarGrid(rng.normal(size=shape), h),
+                             sqrt_g=(1.0 + 0.1 * rng.random(shape)
+                                     if make == "sqrt_g" else None))
+    rhs = _rhs_operator(P)
+    for _ in range(3):
+        w = rng.normal(size=P.f.values.shape)
+        assert np.array_equal(rhs(w), _rhs_reference(w, P))
 
 
 def test_fixed_point_zero_source_one_iteration():
