@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stencil
 from .norms import ScalarGrid, hl_maximal, lorentz_21
 from .quat import SphereStructure, StructureTriple
 
@@ -215,7 +216,7 @@ class _Noise:
         for a in range(2):
             e = np.zeros(2)
             e[a] = h
-            out = out + ((self.eta(x1 + e) - self.eta(x1 - e)) / (2 * h)) ** 2
+            out = out + stencil.first(self.eta(x1 + e), self.eta(x1 - e), h) ** 2
         return out
 
     def psi(self, x2):
@@ -409,39 +410,35 @@ def synth_sequence(bubble_specs, base=None, n=1, cutoff_radius=0.3, noise=None,
 # 2-D quadrature on slices
 
 
-def _disk_energy(sl: _SliceMap, center, r, rmin=None, nrad=700, nang=24,
-                 weight=None):
-    """Integral of |grad u|^2 (optionally radially weighted) over B_r(center)
-    by log-radial x angular quadrature."""
-    center = np.asarray(center, dtype=float)
-    if rmin is None:
-        scales = [b.scale(sl.ell) for b in sl.seq.bubbles] or [r]
-        rmin = max(1e-14, min(min(scales) * 1e-4, r * 1e-6))
+def _log_polar(center, rmin, r, nrad, nang):
+    """Log-radial x angular samples of rmin <= |X2 - center| <= r:
+    (t = log radius, radius, points of shape (nrad, nang, 2))."""
     t = np.linspace(np.log(rmin), np.log(r), nrad)
     rad = np.exp(t)
     ang = np.linspace(0.0, 2.0 * np.pi, nang, endpoint=False)
-    pts = center + rad[:, None, None] * np.stack(
+    pts = np.asarray(center, dtype=float) + rad[:, None, None] * np.stack(
         [np.cos(ang), np.sin(ang)], axis=-1
     )[None]
+    return t, rad, pts
+
+
+def _disk_energy(sl: _SliceMap, center, r, rmin=None, nrad=700, nang=24,
+                 weight=None):
+    """Integral of |grad u|^2 (optionally radially weighted) over B_r(center),
+    or over the annulus rmin <= |X2 - center| <= r, by log-radial x angular
+    quadrature."""
+    if rmin is None:
+        scales = [b.scale(sl.ell) for b in sl.seq.bubbles] or [r]
+        rmin = max(1e-14, min(min(scales) * 1e-4, r * 1e-6))
+    if not rmin < r:
+        raise ValueError("need rmin < r")
+    t, rad, pts = _log_polar(center, rmin, r, nrad, nang)
     dens = sl.grad_sq(pts)
     if weight is not None:
         dens = dens * weight(rad)[:, None]
     ang_mean = dens.mean(axis=1)
     integrand = ang_mean * rad * rad * 2.0 * np.pi  # d(log r) measure
     return float(np.trapezoid(integrand, t))
-
-
-def _annulus_energy(sl: _SliceMap, center, r_in, r_out, nrad=500, nang=24):
-    if not r_in < r_out:
-        raise ValueError("need r_in < r_out")
-    t = np.linspace(np.log(r_in), np.log(r_out), nrad)
-    rad = np.exp(t)
-    ang = np.linspace(0.0, 2.0 * np.pi, nang, endpoint=False)
-    pts = np.asarray(center, dtype=float) + rad[:, None, None] * np.stack(
-        [np.cos(ang), np.sin(ang)], axis=-1
-    )[None]
-    dens = sl.grad_sq(pts).mean(axis=1)
-    return float(np.trapezoid(dens * rad * rad * 2.0 * np.pi, t))
 
 
 def _x1_ball_volume(m):
@@ -566,13 +563,8 @@ def _slice_lorentz(sl: _SliceMap, center, r_out, nrad=400, nang=24):
     with their cell measures."""
     scales = [b.scale(sl.ell) for b in sl.seq.bubbles] or [r_out]
     rmin = max(1e-14, min(scales) * 1e-3)
-    t = np.linspace(np.log(rmin), np.log(r_out), nrad)
-    rad = np.exp(t)
+    t, rad, pts = _log_polar(center, rmin, r_out, nrad, nang)
     dt = t[1] - t[0]
-    ang = np.linspace(0.0, 2.0 * np.pi, nang, endpoint=False)
-    pts = np.asarray(center, dtype=float) + rad[:, None, None] * np.stack(
-        [np.cos(ang), np.sin(ang)], axis=-1
-    )[None]
     g = np.sqrt(sl.grad_sq(pts))
     meas = np.broadcast_to((rad * rad * dt)[:, None] * (2 * np.pi / nang), g.shape)
     return lorentz_21(g, weights=meas)
@@ -755,7 +747,7 @@ def _median_energy_radius(sl, center, r_lo, r_hi, total, nprobe=200):
     rads = np.exp(np.linspace(np.log(max(r_lo, 1e-14)), np.log(r_hi), nprobe))
     acc = 0.0
     for k in range(1, len(rads)):
-        acc += _annulus_energy(sl, center, rads[k - 1], rads[k], nrad=24, nang=16)
+        acc += _disk_energy(sl, center, rads[k], rmin=rads[k - 1], nrad=24, nang=16)
         if acc >= total / 2.0:
             return float(rads[k])
     return float(rads[-1])
@@ -808,6 +800,22 @@ def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
                            converged)
 
 
+def _paraboloid_step(f, step):
+    """Move from the middle of a 3x3 stencil of values f[i, j] at offsets
+    ((i - 1) step, (j - 1) step) to the vertex of the quadratic model
+    f = a + b.x + x^T C x / 2 that the stencil differences define; None when
+    the model's Hessian is singular."""
+    grad = np.array([stencil.first(f[2, 1], f[0, 1], step),
+                     stencil.first(f[1, 2], f[1, 0], step)])
+    hxx = stencil.second(f[2, 1], f[1, 1], f[0, 1], step)
+    hyy = stencil.second(f[1, 2], f[1, 1], f[1, 0], step)
+    hxy = stencil.mixed(f[2, 2], f[2, 0], f[0, 2], f[0, 0], step)
+    try:
+        return -np.linalg.solve(np.array([[hxx, hxy], [hxy, hyy]]), grad)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _refine_center(sl: _SliceMap, c0, scale, rounds=3):
     """Sharpen the bubble center by fitting a paraboloid to the energy density
     on a shrinking 3x3 stencil; the density peak is smooth and near-quadratic
@@ -817,17 +825,8 @@ def _refine_center(sl: _SliceMap, c0, scale, rounds=3):
     for _ in range(rounds):
         ax = np.array([-step, 0.0, step])
         pts = c + np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-        f = sl.grad_sq(pts)
-        # quadratic model f = a + b.x + x^T C x / 2 on the stencil
-        gx = (f[2, 1] - f[0, 1]) / (2 * step)
-        gy = (f[1, 2] - f[1, 0]) / (2 * step)
-        hxx = (f[2, 1] - 2 * f[1, 1] + f[0, 1]) / step**2
-        hyy = (f[1, 2] - 2 * f[1, 1] + f[1, 0]) / step**2
-        hxy = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / (4 * step**2)
-        H = np.array([[hxx, hxy], [hxy, hyy]])
-        try:
-            move = -np.linalg.solve(H, np.array([gx, gy]))
-        except np.linalg.LinAlgError:
+        move = _paraboloid_step(sl.grad_sq(pts), step)
+        if move is None:
             break
         move = np.clip(move, -step, step)
         c = c + move
@@ -838,7 +837,7 @@ def _refine_center(sl: _SliceMap, c0, scale, rounds=3):
 def _probe_jet(sl: _SliceMap, center, h):
     cols = []
     for e in (np.array([h, 0.0]), np.array([0.0, h])):
-        cols.append((sl.value(center + e) - sl.value(center - e)) / (2 * h))
+        cols.append(stencil.first(sl.value(center + e), sl.value(center - e), h))
     return np.stack(cols, axis=1)
 
 
@@ -870,15 +869,8 @@ def _center_structure(sl: _SliceMap, center, probe_scale, S_tar=None):
                 vals[i, jj] = residual_sq(center + np.array([dx, dy]))
         if not np.all(np.isfinite(vals)):
             break
-        gx = (vals[2, 1] - vals[0, 1]) / (2 * step)
-        gy = (vals[1, 2] - vals[1, 0]) / (2 * step)
-        hxx = (vals[2, 1] - 2 * vals[1, 1] + vals[0, 1]) / step**2
-        hyy = (vals[1, 2] - 2 * vals[1, 1] + vals[1, 0]) / step**2
-        hxy = (vals[2, 2] - vals[2, 0] - vals[0, 2] + vals[0, 0]) / (4 * step**2)
-        H = np.array([[hxx, hxy], [hxy, hyy]])
-        try:
-            move = -np.linalg.solve(H, np.array([gx, gy]))
-        except np.linalg.LinAlgError:
+        move = _paraboloid_step(vals, step)
+        if move is None:
             break
         move = np.clip(move, -2 * step, 2 * step)
         center = center + move
@@ -930,10 +922,9 @@ class NeckView:
 
     def grad_sq_samples(self):
         """|grad_(t,theta) W|^2 at interior t-samples by central differences."""
-        Wt = (self.W[2:] - self.W[:-2]) / (2 * self.dt)
-        Wth = (np.roll(self.W, -1, axis=1) - np.roll(self.W, 1, axis=1)) / (
-            2 * self.dtheta
-        )
+        # t is an interval axis (trimmed by the stencil), theta a periodic one
+        Wt = stencil.d1(self.W, 0, self.dt, False, ndim=1)
+        Wth = stencil.d1(self.W, 1, self.dtheta, True)
         return np.sum(Wt**2, axis=-1) + np.sum(Wth[1:-1] ** 2, axis=-1)
 
     def cylinder_energy(self, t_lo=None, t_hi=None):
@@ -1163,7 +1154,7 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
             lo = max(math.exp(-(p["t_right"] + 0.5)), inner)
             if not lo < hi:
                 continue
-            E_seg = _annulus_energy(sl, x2c, lo, hi)
+            E_seg = _disk_energy(sl, x2c, hi, rmin=lo, nrad=500)
             med = _median_energy_radius(sl, x2c, lo, hi, E_seg)
             bubbles.append(ExtractedBubble(x2c.copy(), math.exp(-(p["t"] + 0.5)),
                                            med, float(E_seg), hi, True))
@@ -1186,7 +1177,7 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
     for k, b in enumerate(bubbles):
         lo = mus[0] * 1e-5 if k == 0 else cuts[k - 1][1]
         hi = cuts[k][0] if k < S - 1 else outer_cut
-        b.energy = _annulus_energy(sl, x2c, lo, hi)
+        b.energy = _disk_energy(sl, x2c, hi, rmin=lo, nrad=500)
 
     base_disk = _disk_energy(seq.base_slice_map(), x2c, config.r_out)
     total_disk = _disk_energy(sl, x2c, config.r_out)
@@ -1202,9 +1193,9 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
         b = bubbles[k]
         parent = idx_of.get(k + 1, 0)
         if k < S - 1:
-            neck_energy = _annulus_energy(sl, x2c, cuts[k][0], cuts[k][1])
+            neck_energy = _disk_energy(sl, x2c, cuts[k][1], rmin=cuts[k][0], nrad=500)
         else:
-            neck_energy = _annulus_energy(sl, x2c, outer_cut, config.r_out)
+            neck_energy = _disk_energy(sl, x2c, config.r_out, rmin=outer_cut, nrad=500)
         nodes.append(TreeNode(kind="neck", center=b.center.copy(),
                               energy=float(neck_energy), parent=parent,
                               depth=b.depth))

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import stencil
+
 __all__ = [
     "KForm",
     "scalar_form",
@@ -271,7 +273,7 @@ def _d_eval(field, x, vectors, h):
         fm = field(x - h * vt)
         vp = fp.evaluate(rest) if rest else float(fp.coeffs[0])
         vm = fm.evaluate(rest) if rest else float(fm.coeffs[0])
-        tot += ((-1) ** t) * (vp - vm) / (2.0 * h)
+        tot += ((-1) ** t) * stencil.first(vp, vm, h)
     return tot
 
 

@@ -1,5 +1,5 @@
 """Discretized maps u: grid in R^{4m} -> R^{4n}: differentials, the
-quaternionic del-bar residual, the pointwise energy identity, Jacobian-form
+quaternionic del-bar residual, the pointwise energy identity, the
 Laplacian, pullback closedness, domain variations, and a heat-flow generator.
 
 Grids are either dense (values stored per node) or function-backed (values
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stencil
 from .exterior import KForm, basis_form, index_tuples, wedge, wedge_power
 from .quat import ONE, QI, QJ, QK, StructureTriple, kaehler_form, quat_mul_array
 
@@ -26,7 +27,6 @@ __all__ = [
     "energy_identity_defect",
     "energy_identity_defects",
     "laplacian_direct",
-    "laplacian_jacobian_form",
     "pullback_closedness_defect",
     "domain_variation_derivative",
     "heat_flow_step",
@@ -78,6 +78,9 @@ class GridField:
             values = np.asarray(values, dtype=float)
             if values.shape != shape + (4 * self.n,):
                 raise ValueError(f"values must have shape {shape + (4 * self.n,)}")
+            # min and max propagate NaN and reach any infinity, with no temporary
+            if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+                raise ValueError("field values must be finite")
             self._values = values
         elif fn is None:
             raise ValueError("provide values or fn")
@@ -242,7 +245,7 @@ def differential(u: GridField, node) -> Jet:
         raise ValueError(f"node {node} too close to the box boundary for the stencil")
     cols = []
     for a in range(u.dim):
-        cols.append((_neighbor(u, node, a, +1) - _neighbor(u, node, a, -1)) / (2.0 * u.h))
+        cols.append(stencil.first(_neighbor(u, node, a, +1), _neighbor(u, node, a, -1), u.h))
     return Jet(node, np.stack(cols, axis=1))
 
 
@@ -367,36 +370,33 @@ def triholomorphic_kernel(S_dom, S_tar, tol=1e-10):
 
 def _du_squared_slabs(u):
     """Yield (i0, |du|^2 over the interior of slab i0), streaming three slabs
-    at a time so the full field is never materialized.
-
-    On a box the rolled neighbors are wrong only on the outermost layer of
-    each remaining axis, which the 2h interior margin excludes anyway.
-    """
+    at a time so the full field is never materialized."""
     N = u.shape[0]
     margin = u.interior_margin()
     d = u.dim
-    i_range = range(N) if u.domain == "torus" else range(margin, N - margin)
+    periodic = u.domain == "torus"
+    i_range = range(N) if periodic else range(margin, N - margin)
+    # the in-slab differences cover the 1-interior of a box slab
+    core = tuple(slice(None) if periodic else slice(1, N - 1) for _ in range(d - 1))
     inner = tuple(
-        slice(None) if u.domain == "torus" else slice(margin, N - margin)
+        slice(None) if periodic else slice(margin - 1, N - margin - 1)
         for _ in range(d - 1)
     )
     cache = {}
 
     def get(i):
-        key = i % N if u.domain == "torus" else i
+        key = i % N if periodic else i
         if key not in cache:
             cache[key] = u.slab(key)
         return cache[key]
 
     for i in i_range:
         sm, s0, sp = get(i - 1), get(i), get(i + 1)
-        acc = np.sum(((sp - sm) / (2 * u.h)) ** 2, axis=-1)
-        for a in range(1, d):
-            plus = np.roll(s0, -1, axis=a - 1)
-            minus = np.roll(s0, +1, axis=a - 1)
-            acc += np.sum(((plus - minus) / (2 * u.h)) ** 2, axis=-1)
+        acc = np.sum(stencil.first(sp[core], sm[core], u.h) ** 2, axis=-1)
+        for a in range(d - 1):
+            acc += np.sum(stencil.d1(s0, a, u.h, periodic, d - 1) ** 2, axis=-1)
         yield i, acc[inner]
-        cache.pop((i - 1) % N if u.domain == "torus" else i - 1, None)
+        cache.pop((i - 1) % N if periodic else i - 1, None)
 
 
 def dirichlet_energy(u: GridField) -> float:
@@ -415,48 +415,7 @@ def laplacian_direct(u: GridField, node) -> np.ndarray:
     c = _node_value(u, node)
     out = np.zeros(u.target_dim)
     for a in range(u.dim):
-        out += (_neighbor(u, node, a, +1) - 2 * c + _neighbor(u, node, a, -1)) / u.h**2
-    return out
-
-
-def laplacian_jacobian_form(u: GridField, node, S_dom, S_tar) -> np.ndarray:
-    """The Laplacian rewritten as a sum of 2x2 Jacobians d_a(psi) d_s(phi) -
-    d_s(psi) d_a(phi), with psi built from the structure coefficients composed
-    with u and phi the components of u.  All derivatives central.
-
-    For flat structures psi is constant along the grid, so the Jacobian terms
-    are evaluated to exact zeros; agreement with laplacian_direct on
-    triholomorphic fields then expresses flat-target harmonicity.
-    """
-    node = tuple(int(i) for i in node)
-    if u.domain == "box" and not u.is_interior(node, margin=2):
-        raise ValueError("jacobian form needs a 2h-interior node")
-    d = u.dim
-    dn = u.target_dim
-
-    def u_at(offsets):
-        nd = list(node)
-        for ax, st in offsets:
-            nd[ax] += st
-            if u.domain == "torus":
-                nd[ax] %= u.shape[0]
-        return _node_value(u, nd)
-
-    out = np.zeros(dn)
-    for Sd, St in zip(S_dom.mats(), S_tar.mats()):
-        for s in range(d):
-            for a in range(s + 1, d):
-                coeff = Sd[s, a]
-                if coeff == 0.0:
-                    continue
-                # psi at the four stencil nodes (structure coefficients composed
-                # with u; constant for flat structures): shape (4n, 4n)
-                psi = {off: coeff * St for off in (("a", +1), ("a", -1), ("s", +1), ("s", -1))}
-                dpsi_da = (psi[("a", +1)] - psi[("a", -1)]) / (2 * u.h)
-                dpsi_ds = (psi[("s", +1)] - psi[("s", -1)]) / (2 * u.h)
-                du_ds = (u_at([(s, +1)]) - u_at([(s, -1)])) / (2 * u.h)
-                du_da = (u_at([(a, +1)]) - u_at([(a, -1)])) / (2 * u.h)
-                out += dpsi_da @ du_ds - dpsi_ds @ du_da
+        out += stencil.second(_neighbor(u, node, a, +1), c, _neighbor(u, node, a, -1), u.h)
     return out
 
 
@@ -475,17 +434,9 @@ def pullback_closedness_defect(u: GridField, Omega: KForm) -> float:
     if u.domain == "torus":
         # wrap-pad two layers so the box slicing below covers every cell
         vals = np.pad(vals, [(2, 2)] * d + [(0, 0)], mode="wrap")
-    N = vals.shape[0]
 
     # du at every 1-interior node, then the pullback 2-form G_{ab} = (du^T W du)_{ab}
-    sl_in = tuple(slice(1, N - 1) for _ in range(d))
-    du = np.empty(vals[sl_in].shape[:-1] + (u.target_dim, d))
-    for a in range(d):
-        up = [slice(1, N - 1)] * d
-        dn_ = [slice(1, N - 1)] * d
-        up[a] = slice(2, N)
-        dn_[a] = slice(0, N - 2)
-        du[..., a] = (vals[tuple(up)] - vals[tuple(dn_)]) / (2 * h)
+    du = np.stack([stencil.d1(vals, a, h, False, d) for a in range(d)], axis=-1)
     G = np.einsum("...ia,ij,...jb->...ab", du, W, du)
 
     M = G.shape[0]
@@ -549,7 +500,7 @@ def domain_variation_derivative(u: GridField, X, t=None) -> float:
         resampled = u.evaluate(moved)
         return dirichlet_energy(u.with_values(resampled))
 
-    return (energy_at(t) - energy_at(-t)) / (2.0 * t)
+    return stencil.first(energy_at(t), energy_at(-t), t)
 
 
 def heat_flow_step(u: GridField, dt: float) -> GridField:
@@ -561,24 +512,11 @@ def heat_flow_step(u: GridField, dt: float) -> GridField:
     if dt > u.h**2 / (8.0 * u.m) * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds the stability bound h^2/(8m)")
     vals = u.values
-    d = u.dim
-    lap = np.zeros_like(vals)
-    if u.domain == "torus":
-        for a in range(d):
-            lap += (np.roll(vals, -1, axis=a) - 2 * vals + np.roll(vals, +1, axis=a)) / u.h**2
-        new = vals + dt * lap
-    else:
-        N = u.shape[0]
-        inner = tuple(slice(1, N - 1) for _ in range(d))
-        lap_in = np.zeros(vals[inner].shape)
-        for a in range(d):
-            up = [slice(1, N - 1)] * d
-            dn_ = [slice(1, N - 1)] * d
-            up[a] = slice(2, N)
-            dn_[a] = slice(0, N - 2)
-            lap_in += (vals[tuple(up)] - 2 * vals[inner] + vals[tuple(dn_)]) / u.h**2
-        new = vals.copy()
-        new[inner] = vals[inner] + dt * lap_in
+    periodic = u.domain == "torus"
+    # a box keeps its boundary layer fixed
+    inner = tuple(slice(None) if periodic else slice(1, -1) for _ in range(u.dim))
+    new = vals.copy()
+    new[inner] = vals[inner] + dt * stencil.laplacian(vals, u.h, periodic, u.dim)
     return u.with_values(new)
 
 
@@ -608,7 +546,9 @@ def load_fld1(path) -> GridField:
     L = float(kv["L"])
     shape = tuple(int(s) for s in kv["dims"].split(","))
     count = int(np.prod(shape)) * 4 * n
-    values = np.frombuffer(payload, dtype="<f8", count=count).reshape(shape + (4 * n,))
+    if len(payload) != 8 * count:
+        raise ValueError(f"payload has {len(payload)} bytes, header dims need {8 * count}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape + (4 * n,))
     g = GridField(m, n, domain, L, shape, values=values.copy())
     if abs(g.h - float(kv["h"])) > 1e-12 * max(1.0, g.h):
         raise ValueError("header spacing inconsistent with L and dims")

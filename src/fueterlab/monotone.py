@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stencil
 from .fields import GridField, _identity_tables
 from .quat import StructureTriple
 
@@ -158,10 +159,10 @@ class _BallPass:
             bm, b0, bp = block(i - 1), block(i), block(i + 1)
             g0 = idx0[sel]
             du = np.empty((len(sel), tdim, d))
-            du[:, :, 0] = (bp[g0] - bm[g0]) / (2 * h)
+            du[:, :, 0] = stencil.first(bp[g0], bm[g0], h)
             for a in range(d - 1):
                 gp, gm = idx_shift[a]
-                du[:, :, 1 + a] = (b0[gp[sel]] - b0[gm[sel]]) / (2 * h)
+                du[:, :, 1 + a] = stencil.first(b0[gp[sel]], b0[gm[sel]], h)
             rho = np.sqrt(rho_sq[sel])
 
             pts = np.empty((len(sel), d))
@@ -424,15 +425,9 @@ def _sup_gradient(u: GridField, center, r):
     else:
         mesh = np.meshgrid(*[coords[ext[a]] for a in range(d)], indexing="ij")
         vals = np.asarray(u._fn(np.stack(mesh, axis=-1)), dtype=float)
-    core = tuple(slice(1, vals.shape[a] - 1) for a in range(d))
     du_sq = 0.0
     for a in range(d):
-        slp = list(core)
-        slm = list(core)
-        slp[a] = slice(2, vals.shape[a])
-        slm[a] = slice(0, vals.shape[a] - 2)
-        diff = (vals[tuple(slp)] - vals[tuple(slm)]) / (2 * h)
-        du_sq = du_sq + np.sum(diff**2, axis=-1)
+        du_sq = du_sq + np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1)
     mesh = np.meshgrid(*[coords[lo[a] : hi[a]] for a in range(d)], indexing="ij")
     rho_sq = sum((mesh[a] - center[a]) ** 2 for a in range(d))
     inside = rho_sq <= r * r

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import stencil
+
 __all__ = [
     "ScalarGrid",
     "hl_maximal",
@@ -286,8 +288,7 @@ def _grad_magnitude(values, h):
         vals = vals[..., None]
     acc = 0.0
     for a in range(2):
-        diff = (np.roll(vals, -1, axis=a) - np.roll(vals, +1, axis=a)) / (2 * h)
-        acc = acc + np.sum(diff**2, axis=-1)
+        acc = acc + np.sum(stencil.d1(vals, a, h, True) ** 2, axis=-1)
     return np.sqrt(acc)
 
 
@@ -307,15 +308,8 @@ def jacobian_hardy_bound(psi: ScalarGrid, phi: ScalarGrid):
         raise ValueError("grids must match")
     if psi.d != 2:
         raise ValueError("jacobian bound implemented for 2-D grids")
-    h = psi.h
-
-    def grad(v):
-        return [
-            (np.roll(v, -1, axis=a) - np.roll(v, +1, axis=a)) / (2 * h) for a in range(2)
-        ]
-
-    gp = grad(psi.values)
-    gq = grad(phi.values)
+    gp = [stencil.d1(psi.values, a, psi.h, True) for a in range(2)]
+    gq = [stencil.d1(phi.values, a, psi.h, True) for a in range(2)]
     J = gp[0] * gq[1] - gp[1] * gq[0]
     h1 = h1_norm(psi.like(J))
     norm_p = np.sqrt(np.sum(gp[0] ** 2 + gp[1] ** 2) * psi.cell)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stencil
 from .fields import GridField
 from .norms import ScalarGrid, h1_norm
 
@@ -68,27 +69,6 @@ def poisson_solve(f: ScalarGrid) -> ScalarGrid:
     return f.like(v)
 
 
-def _d1(v, a, h):
-    return (np.roll(v, -1, axis=a) - np.roll(v, +1, axis=a)) / (2.0 * h)
-
-
-def _d2(v, a, b, h):
-    if a == b:
-        return (np.roll(v, -1, axis=a) - 2.0 * v + np.roll(v, +1, axis=a)) / h**2
-    vpp = np.roll(np.roll(v, -1, axis=a), -1, axis=b)
-    vpm = np.roll(np.roll(v, -1, axis=a), +1, axis=b)
-    vmp = np.roll(np.roll(v, +1, axis=a), -1, axis=b)
-    vmm = np.roll(np.roll(v, +1, axis=a), +1, axis=b)
-    return (vpp - vpm - vmp + vmm) / (4.0 * h**2)
-
-
-def laplacian_grid(v, h):
-    out = 0.0
-    for a in range(v.ndim):
-        out = out + _d2(v, a, a, h)
-    return out
-
-
 @dataclass
 class PerturbedProblem:
     """Cutoff chi, small coefficients mu^{ij}, tau^j, source f, optional
@@ -113,9 +93,10 @@ class PerturbedProblem:
 
     def magnitudes(self):
         h = self.f.h
-        grad_chi = np.sqrt(sum(_d1(self.chi, a, h) ** 2 for a in range(self.f.d)))
+        grad_chi = np.sqrt(sum(stencil.d1(self.chi, a, h, True) ** 2
+                               for a in range(self.f.d)))
         hess = [
-            _d2(self.chi, a, b, h)
+            stencil.d2(self.chi, a, b, h, True)
             for a in range(self.f.d)
             for b in range(self.f.d)
         ]
@@ -139,14 +120,14 @@ def _coef(arr, ij, shape):
 
 def _rhs_operator(P: PerturbedProblem):
     """w -> RHS(w) of the cutoff equation.  The terms that depend on P alone
-    are built here, once; each call rolls w once per axis and direction and
-    shares those rolls among all its differences."""
+    are built here, once; each call pads w once, periodically, so that every
+    neighbour its differences take is a slice of that one copy."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
     sq = P.sqrt_g if P.sqrt_g is not None else 1.0
-    lap_chi = laplacian_grid(chi, h)
-    d1_chi = [_d1(chi, a, h) for a in range(d)]
+    lap_chi = stencil.laplacian(chi, h, True)
+    d1_chi = [stencil.d1(chi, a, h, True) for a in range(d)]
     chi_mu = {}
     for i, j in np.ndindex(d, d):
         mu_ij = _coef(P.mu, (i, j), chi.shape)
@@ -163,22 +144,15 @@ def _rhs_operator(P: PerturbedProblem):
     source = chi * sq * P.f.values
 
     def rhs(w):
-        # the differences below are _d1 and _d2 written out on shared rolls
-        fwd = [np.roll(w, -1, axis=a) for a in range(d)]
-        bwd = [np.roll(w, +1, axis=a) for a in range(d)]
+        # on the padded copy the box differences are the torus ones
+        wp = np.pad(w, 1, mode="wrap")
         out = lap_chi * w
         for a in range(d):
-            out += d1_chi[a] * ((fwd[a] - bwd[a]) / (2.0 * h))
+            out += d1_chi[a] * stencil.d1(wp, a, h, False)
         for (i, j), c in chi_mu.items():
-            if i == j:
-                d2w = (fwd[i] - 2.0 * w + bwd[i]) / h**2
-            else:
-                d2w = (np.roll(fwd[i], -1, axis=j) - np.roll(fwd[i], +1, axis=j)
-                       - np.roll(bwd[i], -1, axis=j) + np.roll(bwd[i], +1, axis=j)
-                       ) / (4.0 * h**2)
-            out -= c * d2w
+            out -= c * stencil.d2(wp, i, j, h, False)
         for j, c in chi_tau:
-            out -= c * ((fwd[j] - bwd[j]) / (2.0 * h))
+            out -= c * stencil.d1(wp, j, h, False)
         out += source
         return out
 
@@ -198,7 +172,7 @@ def _w11(v, h):
     d = v.ndim
     total = np.abs(v).sum()
     for a in range(d):
-        total += np.abs(_d1(v, a, h)).sum()
+        total += np.abs(stencil.d1(v, a, h, True)).sum()
     return float(total * h**d)
 
 
@@ -231,13 +205,13 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
                     f"non-contraction: ratio held at {ratio:.4f} for 3 steps", ratios
                 )
         if record_h1 and prev_diff is not None:
-            h1_tail = h1_norm(P.f.like(laplacian_grid(v_next - v, h)))
+            h1_tail = h1_norm(P.f.like(stencil.laplacian(v_next - v, h, True)))
         prev_diff = diff
         v = v_next
         if diff < tol:
             # residual of the cutoff equation, in the L1 metric matching the
             # W^{1,1} convergence norm; keep sweeping until it clears 10 tol
-            res_field = laplacian_grid(v, h) - _centered(rhs(v))
+            res_field = stencil.laplacian(v, h, True) - _centered(rhs(v))
             residual = float(np.abs(res_field).sum() * h**v.ndim)
             if residual >= 10.0 * tol and it < max_iter:
                 continue
@@ -277,19 +251,18 @@ def w21_norm(u: GridField) -> float:
     vals = u.values
     d = u.dim
     h = u.h
-    if u.domain == "torus":
-        sl = tuple(slice(None) for _ in range(d))
-    else:
-        N = u.shape[0]
-        sl = tuple(slice(2, N - 2) for _ in range(d))
-    absu = np.linalg.norm(vals, axis=-1)
+    periodic = u.domain == "torus"
     grad_sq = 0.0
     hess_sq = 0.0
     for a in range(d):
-        grad_sq = grad_sq + np.sum(_d1(vals, a, h) ** 2, axis=-1)
+        grad_sq = grad_sq + np.sum(stencil.d1(vals, a, h, periodic, d) ** 2, axis=-1)
         for b in range(d):
-            hess_sq = hess_sq + np.sum(_d2(vals, a, b, h) ** 2, axis=-1)
-    total = absu[sl] + np.sqrt(grad_sq)[sl] + np.sqrt(hess_sq)[sl]
+            hess_sq = hess_sq + np.sum(stencil.d2(vals, a, b, h, periodic, d) ** 2, axis=-1)
+    # on a box the differences cover the 1-interior, and the sum runs over
+    # the 2-interior: one more layer in from there
+    sl = tuple(slice(None) if periodic else slice(1, -1) for _ in range(d))
+    absu = np.linalg.norm(vals[sl][sl], axis=-1)
+    total = absu + np.sqrt(grad_sq)[sl] + np.sqrt(hess_sq)[sl]
     return float(total.sum() * h**d)
 
 
@@ -392,13 +365,13 @@ def manufactured_problem(N=16, d=4, magnitude=0.05, seed=0):
 
     # source from the discrete equation on {chi = 1}; w* vanishes on the
     # cutoff transition so the chi-derivative terms drop out exactly
-    lap = laplacian_grid(w_star, h)
+    lap = stencil.laplacian(w_star, h, True)
     corr = np.zeros(shape)
     for i in range(d):
         for j in range(d):
-            corr += mu[i, j] * _d2(w_star, i, j, h)
+            corr += mu[i, j] * stencil.d2(w_star, i, j, h, True)
     for j in range(d):
-        corr += tau[j] * _d1(w_star, j, h)
+        corr += tau[j] * stencil.d1(w_star, j, h, True)
     f_vals = lap + corr
     P = PerturbedProblem(chi, mu, tau, ScalarGrid(f_vals, h))
     return P, w_star

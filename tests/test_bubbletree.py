@@ -23,7 +23,7 @@ from fueterlab.bubbletree import (
     synth_sequence,
 )
 from fueterlab import bubbletree
-from fueterlab.bubbletree import SliceChoice, _annulus_energy, _disk_energy, _slice_lorentz
+from fueterlab.bubbletree import SliceChoice, _disk_energy, _slice_lorentz
 from fueterlab.norms import ScalarGrid, hl_maximal
 from fueterlab.quat import SphereStructure, StructureTriple
 
@@ -317,8 +317,45 @@ def test_neck_view_energy_matches_annulus():
     inner, outer = 4 * delta, 0.2
     view = neck_view(seq, ell, (0.0, 0.0), np.zeros(2), inner, outer, ntheta=64)
     cyl = view.cylinder_energy()
-    ann = _annulus_energy(seq.slice_map(ell), np.zeros(2), inner, outer, nrad=900)
+    ann = _disk_energy(seq.slice_map(ell), np.zeros(2), outer, rmin=inner, nrad=900)
     assert abs(cyl - ann) < 0.01 * ann
+
+
+def _annulus_energy_reference(sl, center, r_in, r_out, nrad=500, nang=24):
+    """The separate annulus quadrature that _disk_energy(rmin=...) replaced."""
+    t = np.linspace(np.log(r_in), np.log(r_out), nrad)
+    rad = np.exp(t)
+    ang = np.linspace(0.0, 2.0 * np.pi, nang, endpoint=False)
+    pts = np.asarray(center, dtype=float) + rad[:, None, None] * np.stack(
+        [np.cos(ang), np.sin(ang)], axis=-1
+    )[None]
+    dens = sl.grad_sq(pts).mean(axis=1)
+    return float(np.trapezoid(dens * rad * rad * 2.0 * np.pi, t))
+
+
+def test_disk_energy_annulus_matches_reference_bitwise_and_guards():
+    sl = two_bubble().slice_map(8)
+    c = np.array([0.01, -0.02])
+    for lo, hi, nrad, nang in ((1e-4, 0.25, 500, 24), (0.003, 0.004, 24, 16)):
+        got = _disk_energy(sl, c, hi, rmin=lo, nrad=nrad, nang=nang)
+        assert got == _annulus_energy_reference(sl, c, lo, hi, nrad=nrad, nang=nang)
+    for lo in (0.1, 0.2):
+        with pytest.raises(ValueError):
+            _disk_energy(sl, c, 0.1, rmin=lo)
+
+
+def test_paraboloid_step_reaches_the_vertex_of_a_quadratic():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        B = rng.normal(size=(2, 2))
+        C = B @ B.T + 0.5 * np.eye(2)  # definite, so the vertex is unique
+        vertex = rng.uniform(-0.3, 0.3, size=2)
+        step = rng.uniform(0.05, 0.5)
+        ax = np.array([-step, 0.0, step])
+        x = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1) - vertex
+        f = 1.5 + 0.5 * np.einsum("...i,ij,...j->...", x, C, x)
+        assert np.max(np.abs(bubbletree._paraboloid_step(f, step) - vertex)) < 1e-12
+    assert bubbletree._paraboloid_step(np.ones((3, 3)), 0.1) is None
 
 
 def test_neck_windows_decay_for_smooth_field():

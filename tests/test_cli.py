@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from fueterlab.cli import main
 from fueterlab.fields import GridField, save_fld1
 
@@ -39,6 +41,44 @@ def test_identity_check_malformed_field(tmp_path, capsys):
     bad.write_bytes(b"not a field file\n\x00\x00")
     code, _ = run_cli(["identity-check", "--jets", "10", "--field", str(bad)], capsys)
     assert code == 2
+
+
+def _valid_fld1(path, nodes=7):
+    from fueterlab.fields import standard_triholomorphic_field
+
+    poly = standard_triholomorphic_field(seed=2, degree=2)
+    save_fld1(GridField.from_function(poly, 1, 1, nodes, L=0.5, materialize=True), path)
+    return path.read_bytes()
+
+
+def _field_check_fails(path, capsys):
+    code = main(["identity-check", "--jets", "10", "--field", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+def test_identity_check_rejects_trailing_bytes(tmp_path, capsys):
+    path = tmp_path / "u.fld1"
+    path.write_bytes(_valid_fld1(path) + b"\x00" * 8)
+    assert "payload has" in _field_check_fails(path, capsys)
+
+
+def test_identity_check_rejects_short_payload(tmp_path, capsys):
+    path = tmp_path / "u.fld1"
+    path.write_bytes(_valid_fld1(path)[:-8])
+    assert "payload has" in _field_check_fails(path, capsys)
+
+
+def test_identity_check_rejects_nan_at_an_unsampled_node(tmp_path, capsys):
+    # node (0,0,0,0) is never sampled by the check; the loader must catch it
+    path = tmp_path / "u.fld1"
+    raw = bytearray(_valid_fld1(path))
+    start = raw.index(b"\n") + 1
+    raw[start:start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    assert "finite" in _field_check_fails(path, capsys)
 
 
 def test_identity_check_with_field(tmp_path, capsys):
