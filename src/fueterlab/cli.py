@@ -52,8 +52,9 @@ class RunConfig:
             raise ValueError("m must be 1 or 2")
 
 
-def _load_config(args) -> RunConfig:
-    values = {}
+def _load_config(args, **defaults) -> RunConfig:
+    """RunConfig from the defaults, then --config, then the flags."""
+    values = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as f:
             raw = json.load(f)
@@ -223,11 +224,11 @@ def bundled_sequence(name, seed=5):
 def cmd_extract_bubbles(args) -> int:
     from .bubbletree import NoConcentrationError, QuantizeConfig, quantize
 
-    cfg = _load_config(args)
+    cfg = _load_config(args, seed=5)
     if args.manifest not in BUNDLED_MANIFESTS:
         sys.stderr.write(f"unknown manifest {args.manifest!r}\n")
         return 2
-    seq = bundled_sequence(args.manifest, seed=cfg.seed if cfg.seed else 5)
+    seq = bundled_sequence(args.manifest, seed=cfg.seed)
     qcfg = QuantizeConfig(eps0=cfg.eps0, eps1=cfg.eps1, r_out=cfg.r_out)
     try:
         tree, report = quantize(seq, [cfg.ell - 1, cfg.ell], qcfg)

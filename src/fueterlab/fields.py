@@ -10,6 +10,7 @@ materializes the full 4-D array.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,18 @@ __all__ = [
 ]
 
 _DENSE_LIMIT_BYTES = 2_000_000_000
+
+# axis-0 planes per window of GridField.windows: with its halo a window of a
+# 33^4 field stays within a core's cache (w21_norm there: 0.34 s at 2 planes,
+# 0.39 s at 8, 0.56 s at 29)
+_WINDOW_PLANES = 2
+
+
+def _finite(values):
+    # min and max propagate NaN and reach any infinity, with no temporary
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError("field values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +91,7 @@ class GridField:
             values = np.asarray(values, dtype=float)
             if values.shape != shape + (4 * self.n,):
                 raise ValueError(f"values must have shape {shape + (4 * self.n,)}")
-            # min and max propagate NaN and reach any infinity, with no temporary
-            if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-                raise ValueError("field values must be finite")
-            self._values = values
+            self._values = _finite(values)
         elif fn is None:
             raise ValueError("provide values or fn")
 
@@ -143,7 +153,7 @@ class GridField:
             c = self.axis_coords()
             mesh = np.meshgrid(*([c] * self.dim), indexing="ij")
             pts = np.stack(mesh, axis=-1)
-            self._values = np.asarray(self._fn(pts), dtype=float)
+            self._values = _finite(np.asarray(self._fn(pts), dtype=float))
         return self._values
 
     def is_dense(self):
@@ -166,7 +176,34 @@ class GridField:
         c = self.axis_coords()
         rest = np.meshgrid(*([c] * (self.dim - 1)), indexing="ij")
         pts = np.stack([np.full(rest[0].shape, c[i])] + list(rest), axis=-1)
-        return np.asarray(self._fn(pts), dtype=float)
+        return _finite(np.asarray(self._fn(pts), dtype=float))
+
+    def windows(self):
+        """Yield (i0, window) over the axis-0 planes i0 .. i0 + k - 1 of the
+        interior (every plane on a torus), k <= _WINDOW_PLANES.
+
+        A window holds those planes and one halo plane on each side of them,
+        so box differences over it cover exactly its k planes.  On a box it
+        holds the whole in-slab extent (a view when the grid is dense); on a
+        torus the plane indices wrap and the in-slab axes are padded by one
+        periodic layer.  A function-backed grid is evaluated slab by slab,
+        each plane once, and never materialized.
+        """
+        N = self.shape[0]
+        periodic = self.domain == "torus"
+        margin = self.interior_margin()
+        lo, hi = margin, N - margin
+        pad = [(0, 0)] + [(1, 1)] * (self.dim - 1) + [(0, 0)]
+        planes = {}
+        for i0 in range(lo, hi, _WINDOW_PLANES):
+            idx = [i % N for i in range(i0 - 1, min(i0 + _WINDOW_PLANES, hi) + 1)]
+            if self._values is not None and not periodic:
+                yield i0, self._values[idx[0] : idx[-1] + 1]
+                continue
+            # the two planes a window shares with the next are evaluated once
+            planes = {i: planes[i] if i in planes else self.slab(i) for i in idx}
+            win = np.stack([planes[i] for i in idx])
+            yield i0, np.pad(win, pad, mode="wrap") if periodic else win
 
     def _interpolate(self, pts):
         c = self.axis_coords()
@@ -368,42 +405,24 @@ def triholomorphic_kernel(S_dom, S_tar, tol=1e-10):
 # grid-level operators
 
 
-def _du_squared_slabs(u):
-    """Yield (i0, |du|^2 over the interior of slab i0), streaming three slabs
-    at a time so the full field is never materialized."""
+def dirichlet_energy(u: GridField) -> float:
+    """sum over interior nodes of |du|^2_F h^{4m}, without the 1/2 factor,
+    one slab at a time over `GridField.windows`, so the full field is never
+    materialized."""
     N = u.shape[0]
     margin = u.interior_margin()
     d = u.dim
-    periodic = u.domain == "torus"
-    i_range = range(N) if periodic else range(margin, N - margin)
-    # the in-slab differences cover the 1-interior of a box slab
-    core = tuple(slice(None) if periodic else slice(1, N - 1) for _ in range(d - 1))
-    inner = tuple(
-        slice(None) if periodic else slice(margin - 1, N - margin - 1)
-        for _ in range(d - 1)
-    )
-    cache = {}
-
-    def get(i):
-        key = i % N if periodic else i
-        if key not in cache:
-            cache[key] = u.slab(key)
-        return cache[key]
-
-    for i in i_range:
-        sm, s0, sp = get(i - 1), get(i), get(i + 1)
-        acc = np.sum(stencil.first(sp[core], sm[core], u.h) ** 2, axis=-1)
-        for a in range(d - 1):
-            acc += np.sum(stencil.d1(s0, a, u.h, periodic, d - 1) ** 2, axis=-1)
-        yield i, acc[inner]
-        cache.pop((i - 1) % N if periodic else i - 1, None)
-
-
-def dirichlet_energy(u: GridField) -> float:
-    """sum over interior nodes of |du|^2_F h^{4m}, without the 1/2 factor."""
+    # the in-slab differences cover the 1-interior of a window's planes
+    core = (slice(1, -1),) * (d - 1)
+    inner = (slice(None) if u.domain == "torus" else slice(margin - 1, N - margin - 1),) * (d - 1)
     total = 0.0
-    for _, block in _du_squared_slabs(u):
-        total += float(block.sum())
+    for _, win in u.windows():
+        for k in range(1, win.shape[0] - 1):
+            sm, s0, sp = win[k - 1], win[k], win[k + 1]
+            acc = np.sum(stencil.first(sp[core], sm[core], u.h) ** 2, axis=-1)
+            for a in range(d - 1):
+                acc += np.sum(stencil.d1(s0, a, u.h, False, d - 1) ** 2, axis=-1)
+            total += float(acc[inner].sum())
     return total * u.h**u.dim
 
 
@@ -530,26 +549,29 @@ def save_fld1(u: GridField, path):
     header = f"FLD1 m={u.m} n={u.n} domain={u.domain} L={u.L!r} h={u.h!r} dims={dims}\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(u.values, dtype="<f8").data)
 
 
 def load_fld1(path) -> GridField:
     with open(path, "rb") as f:
         header = f.readline().decode("ascii").strip()
-        payload = f.read()
-    parts = header.split()
-    if not parts or parts[0] != "FLD1":
-        raise ValueError("not an FLD1 file")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    m, n = int(kv["m"]), int(kv["n"])
-    domain = kv["domain"]
-    L = float(kv["L"])
-    shape = tuple(int(s) for s in kv["dims"].split(","))
-    count = int(np.prod(shape)) * 4 * n
-    if len(payload) != 8 * count:
-        raise ValueError(f"payload has {len(payload)} bytes, header dims need {8 * count}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape + (4 * n,))
-    g = GridField(m, n, domain, L, shape, values=values.copy())
+        parts = header.split()
+        if not parts or parts[0] != "FLD1":
+            raise ValueError("not an FLD1 file")
+        kv = dict(p.split("=", 1) for p in parts[1:])
+        m, n = int(kv["m"]), int(kv["n"])
+        domain = kv["domain"]
+        L = float(kv["L"])
+        shape = tuple(int(s) for s in kv["dims"].split(","))
+        count = int(np.prod(shape)) * 4 * n
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != 8 * count:
+            raise ValueError(f"payload has {size} bytes, header dims need {8 * count}")
+        values = np.empty(shape + (4 * n,), dtype="<f8")
+        got = f.readinto(values.data.cast("B"))
+        if got != 8 * count:
+            raise ValueError(f"payload has {got} bytes, header dims need {8 * count}")
+    g = GridField(m, n, domain, L, shape, values=values)
     if abs(g.h - float(kv["h"])) > 1e-12 * max(1.0, g.h):
         raise ValueError("header spacing inconsistent with L and dims")
     return g

@@ -245,24 +245,46 @@ def _centered(v):
 # W^{2,1} norm on grid fields
 
 
+def _sum_of_squares(parts):
+    """sum of p**2 over parts, added in the order np.sum(x**2, axis=-1) adds
+    the same numbers along a last axis of len(parts)."""
+    if len(parts) >= 8:  # where numpy switches to a pairwise sum
+        return np.sum(np.stack(parts, axis=-1) ** 2, axis=-1)
+    out = parts[0] * parts[0]
+    for p in parts[1:]:
+        out += p * p
+    return out
+
+
 def w21_norm(u: GridField) -> float:
     """sum over interior nodes of (|u| + |grad u| + |grad^2 u|) h^{4m},
-    with central first and second (incl. mixed) differences."""
-    vals = u.values
+    with central first and second (incl. mixed) differences.
+
+    Streams over the plane windows of `GridField.windows`, one component at
+    a time, and never materializes a function-backed grid; the sums are
+    added in the order of the whole-grid formula, so the value is the same
+    to the last bit."""
     d = u.dim
     h = u.h
-    periodic = u.domain == "torus"
-    grad_sq = 0.0
-    hess_sq = 0.0
-    for a in range(d):
-        grad_sq = grad_sq + np.sum(stencil.d1(vals, a, h, periodic, d) ** 2, axis=-1)
-        for b in range(d):
-            hess_sq = hess_sq + np.sum(stencil.d2(vals, a, b, h, periodic, d) ** 2, axis=-1)
-    # on a box the differences cover the 1-interior, and the sum runs over
-    # the 2-interior: one more layer in from there
-    sl = tuple(slice(None) if periodic else slice(1, -1) for _ in range(d))
-    absu = np.linalg.norm(vals[sl][sl], axis=-1)
-    total = absu + np.sqrt(grad_sq)[sl] + np.sqrt(hess_sq)[sl]
+    N = u.shape[0]
+    margin = u.interior_margin()
+    # in-slab: the interior the sum runs over plus the one-node halo
+    ring = slice(None) if u.domain == "torus" else slice(1, N - 1)
+    core = (slice(None),) + (ring,) * (d - 1)
+    inner = (slice(1, -1),) * d
+    total = np.empty((N - 2 * margin,) * d)
+    for i0, win in u.windows():
+        comps = [np.ascontiguousarray(win[core + (c,)]) for c in range(win.shape[-1])]
+        grad_sq = 0.0
+        hess_sq = 0.0
+        for a in range(d):
+            grad_sq = grad_sq + _sum_of_squares([stencil.d1(v, a, h, False) for v in comps])
+            for b in range(d):
+                hess_sq = hess_sq + _sum_of_squares(
+                    [stencil.d2(v, a, b, h, False) for v in comps])
+        out = total[i0 - margin : i0 - margin + len(grad_sq)]
+        np.add(np.sqrt(_sum_of_squares([v[inner] for v in comps])), np.sqrt(grad_sq), out=out)
+        out += np.sqrt(hess_sq)
     return float(total.sum() * h**d)
 
 

@@ -162,6 +162,20 @@ def test_extract_bubbles_two(capsys):
     assert gap <= 0.02 * rep["report"]["theta"]
 
 
+def test_extract_bubbles_seed_zero_is_seed_zero(capsys):
+    base = ["extract-bubbles", "--manifest", "two", "--ell", "8"]
+    reports = {}
+    for seed in (None, 0, 5):
+        code, out = run_cli(base + ([] if seed is None else ["--seed", str(seed)]), capsys)
+        assert code == 0
+        reports[seed] = out
+    # without --seed the bundled sequence seed 5 is used, and the report says so
+    assert reports[None] == reports[5]
+    zero, five = json.loads(reports[0]), json.loads(reports[5])
+    assert zero["config"]["seed"] == 0 and five["config"]["seed"] == 5
+    assert zero["report"] != five["report"]
+
+
 def test_deterministic_reports(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -67,13 +67,27 @@ def test_differential_boundary_error():
 
 def test_fld1_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    vals = rng.normal(size=(5, 5, 5, 5, 4))
-    u = GridField.from_array(vals, 1, 1, domain="box", L=0.5)
+    for domain, n in (("box", 1), ("torus", 1), ("box", 2)):
+        vals = rng.normal(size=(5, 5, 5, 5, 4 * n))
+        u = GridField.from_array(vals, 1, n, domain=domain, L=0.5)
+        path = tmp_path / "field.fld1"
+        save_fld1(u, path)
+        v = load_fld1(path)
+        assert v.m == u.m and v.n == u.n and v.domain == u.domain and v.L == u.L
+        assert v.values.tobytes() == u.values.tobytes()  # bit-exact
+
+
+@pytest.mark.parametrize("cut", ["short", "long", "header"])
+def test_fld1_rejects_a_payload_of_the_wrong_length(tmp_path, cut):
+    u = GridField.from_array(np.ones((5, 5, 5, 5, 4)), 1, 1, domain="box", L=0.5)
     path = tmp_path / "field.fld1"
     save_fld1(u, path)
-    v = load_fld1(path)
-    assert v.m == u.m and v.n == u.n and v.domain == u.domain and v.L == u.L
-    assert v.values.tobytes() == u.values.tobytes()  # bit-exact
+    raw = path.read_bytes()
+    header = raw[: raw.index(b"\n") + 1]
+    path.write_bytes({"short": raw[:-1], "long": raw + b"\x00", "header": header}[cut])
+    got = {"short": 8 * 2500 - 1, "long": 8 * 2500 + 1, "header": 0}[cut]
+    with pytest.raises(ValueError, match=f"payload has {got} bytes, header dims need 20000"):
+        load_fld1(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -82,6 +96,21 @@ def test_grid_field_rejects_non_finite_values(bad):
     vals[4, 0, 2, 1, 3] = bad
     with pytest.raises(ValueError, match="finite"):
         GridField.from_array(vals, 1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+def test_function_backed_grid_rejects_non_finite_values():
+    # log(x + 0.3) is NaN wherever a coordinate is below -0.3, on every slab
+    u = GridField.from_function(lambda p: np.log(p + 0.3), 1, 1, 7)
+    with pytest.raises(ValueError, match="finite"):
+        u.slab(6)
+    with pytest.raises(ValueError, match="finite"):
+        u.values  # noqa: B018
+    assert not u.is_dense()
+    with pytest.raises(ValueError, match="finite"):
+        dirichlet_energy(u)
+    with pytest.raises(ValueError, match="finite"):
+        GridField.from_function(lambda p: np.log(p + 0.3), 1, 1, 7, materialize=True)
 
 
 # ---------------------------------------------------------------------------
