@@ -242,14 +242,14 @@ class _SliceMap:
         out = seq.base.value(x2)
         if self.base_only:
             return out
-        chi = seq._chi(x2)
+        chi, _ = _chi_radial(seq, np.linalg.norm(x2, axis=-1))
         for b in seq.bubbles:
             d = b.scale(self.ell)
             y = (x2 - b.center) / d
             out += chi[..., None] * (b.profile.value(y) - b.profile.far_value())
         if seq.noise is not None:
             out += (
-                seq.noise.eta(self.x1)
+                seq.noise.eta(self.x1)[..., None]
                 * seq.noise.psi(x2)[..., None]
                 * seq.noise.direction
             )
@@ -262,8 +262,9 @@ class _SliceMap:
         out = seq.base.grad(x2)
         if self.base_only:
             return out
-        chi = seq._chi(x2)
-        dchi = seq._grad_chi(x2)  # (..., 2)
+        rho = np.maximum(np.linalg.norm(x2, axis=-1), 1e-300)
+        chi, dchi = _chi_radial(seq, rho)
+        dchi = (dchi / rho)[..., None] * x2  # (..., 2)
         for b in seq.bubbles:
             d = b.scale(self.ell)
             y = (x2 - b.center) / d
@@ -326,20 +327,6 @@ class ConcentratingSequence:
             structures=[b.profile.structure for b in self.bubbles],
         )
 
-    def _chi(self, x2):
-        from .poisson import smoothstep
-
-        rho = np.linalg.norm(np.asarray(x2, dtype=float), axis=-1)
-        return 1.0 - smoothstep(rho / self.cutoff_radius - 1.0)
-
-    def _grad_chi(self, x2):
-        x2 = np.asarray(x2, dtype=float)
-        rho = np.maximum(np.linalg.norm(x2, axis=-1), 1e-300)
-        s = np.clip(rho / self.cutoff_radius - 1.0, 0.0, 1.0)
-        dsm = 30.0 * s**2 * (s - 1.0) ** 2  # d smoothstep / ds
-        coef = -dsm / self.cutoff_radius / rho
-        return coef[..., None] * x2
-
     @property
     def x1_invariant(self):
         return self.noise is None
@@ -360,20 +347,7 @@ class ConcentratingSequence:
     def eval4(self, ell, pts):
         """Values at 4-D points (X1 first 2 axes, X2 last 2); m = 1 only."""
         pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., :2], pts[..., 2:]
-        out = self.base.value(x2)
-        chi = self._chi(x2)
-        for b in self.bubbles:
-            d = b.scale(ell)
-            y = (x2 - b.center) / d
-            out += chi[..., None] * (b.profile.value(y) - b.profile.far_value())
-        if self.noise is not None:
-            out += (
-                self.noise.eta(x1)[..., None]
-                * self.noise.psi(x2)[..., None]
-                * self.noise.direction
-            )
-        return out
+        return _SliceMap(self, ell, pts[..., :2]).value(pts[..., 2:])
 
     def member_field_fn(self, ell):
         return lambda pts: self.eval4(ell, pts)
@@ -461,38 +435,25 @@ def _ball4_ratio(seq: ConcentratingSequence, ell, center2, r, base_only=False,
     k = 4 * seq.m - 2
     vol = _x1_ball_volume(seq.m)
 
+    def weight_sq(s_sq):
+        # the X1-ball volume over a plane point at squared distance s_sq
+        return vol * np.maximum(r * r - s_sq, 0.0) ** (k / 2.0)
+
+    def weight(s):
+        return weight_sq(s * s)
+
     if base_only or method == "direct":
         sl = seq.base_slice_map() if base_only else seq.slice_map(ell)
+        return _disk_energy(sl, center2, r, weight=weight) / r**k
 
-        def weight(s):
-            return vol * np.maximum(r * r - s * s, 0.0) ** (k / 2.0)
-
-        total = _disk_energy(sl, center2, r, weight=weight)
-        return total / r**k
-
-    center2 = np.asarray(center2, dtype=float)
-    total = 0.0
     theta_s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    for b in seq.bubbles:
-        D = float(np.linalg.norm(center2 - b.center))
-        d = b.scale(ell)
-        rmin = max(1e-16, d * 1e-5)
-        t = np.linspace(np.log(rmin), np.log(D + r), 400)
-        rho = np.exp(t)
-        dens = _bubble_radial_density(seq, b, ell, rho)
-        s_sq = D * D + rho[:, None] ** 2 - 2.0 * D * rho[:, None] * np.cos(theta_s)
-        wbar = vol * np.maximum(r * r - s_sq, 0.0) ** (k / 2.0)
-        wbar = wbar.mean(axis=1)
-        total += float(np.trapezoid(dens * wbar * rho * rho * 2.0 * np.pi, t))
-    if not isinstance(seq.base, _ConstantBase):
-        bsl = seq.base_slice_map()
 
-        def weight(s):
-            return vol * np.maximum(r * r - s * s, 0.0) ** (k / 2.0)
+    def ring_mean(rho, D, r):
+        D = D[..., None]
+        return weight_sq(D * D + rho[..., None] ** 2
+                         - 2.0 * D * rho[..., None] * np.cos(theta_s)).mean(axis=-1)
 
-        total += _disk_energy(bsl, center2, r, rmin=r * 1e-6, nrad=200,
-                              weight=weight)
-    return total / r**k
+    return float(_bubble_model_energy(seq, ell, center2, r, ring_mean, weight)[0]) / r**k
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +564,7 @@ def slice_select(seq: ConcentratingSequence, ell, grid_n=9, x1_extent=0.4,
 
 
 def _chi_radial(seq, rho):
+    """The cutoff 1 - smoothstep(|X2| / R - 1) at |X2| = rho, and its derivative."""
     from .poisson import smoothstep
 
     rho = np.asarray(rho, dtype=float)
@@ -647,43 +609,46 @@ def _arc_fraction(rho, D, r):
     return out
 
 
-def _multi_disk_energy(sl: _SliceMap, centers, r, nrad=400, nang=24):
-    """Disk energies around a batch of centers (C, 2).
+def _bubble_model_energy(seq, ell, centers, r, angular, weight=None):
+    """Weighted energies on B_r around centers (C, 2), or one center (2,).
 
-    Bubble contributions use their analytic radial densities against the
-    circle-intersection arc fraction (robust for centers offset from a
-    concentrated core, where direct angular sampling would alias the spike);
-    a smooth base is added by direct quadrature.  Cross terms between
-    separated scales are omitted - they are O(delta ratio) and far below the
-    detection thresholds this feeds.
+    Each bubble's analytic radial density is integrated against
+    `angular(rho, D, r)`, the mean weight over the circle of radius rho around
+    the bubble at distance D (robust for centers offset from a concentrated
+    core, where direct angular sampling would alias the spike); a smooth
+    base is added by direct quadrature with the radial `weight`.
+    Cross terms between separated scales are omitted - they are O(delta
+    ratio) and far below the detection thresholds this feeds.
     """
+    one = np.ndim(centers) == 1
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    seq = sl.seq
     out = np.zeros(len(centers))
     for b in seq.bubbles:
-        D = np.linalg.norm(centers - b.center, axis=1)  # (C,)
-        d = b.scale(sl.ell)
-        rmin = max(1e-16, d * 1e-5)
-        rmax = float(np.max(D) + r)
-        t = np.linspace(np.log(rmin), np.log(rmax), nrad)
+        # np.linalg.norm rounds one vector (a BLAS dot) differently from the
+        # rows of a batch; one center keeps the former
+        D = np.linalg.norm(centers[0] - b.center)[None] if one else (
+            np.linalg.norm(centers - b.center, axis=1))  # (C,)
+        rmin = max(1e-16, b.scale(ell) * 1e-5)
+        t = np.linspace(np.log(rmin), np.log(float(np.max(D) + r)), 400)
         rho = np.exp(t)
-        dens = _bubble_radial_density(seq, b, sl.ell, rho)  # (R,)
-        frac = _arc_fraction(rho[None, :], D[:, None], r)  # (C, R)
+        dens = _bubble_radial_density(seq, b, ell, rho)  # (R,)
+        frac = angular(rho[None, :], D[:, None], r)  # (C, R)
         out += np.trapezoid(frac * dens[None, :] * rho * rho * 2.0 * np.pi, t, axis=1)
     if not isinstance(seq.base, _ConstantBase):
         bsl = seq.base_slice_map()
         for k, c in enumerate(centers):
-            out[k] += _disk_energy(bsl, c, r, rmin=r * 1e-6, nrad=200, nang=nang)
+            out[k] += _disk_energy(bsl, c, r, rmin=r * 1e-6, nrad=200, weight=weight)
     return out
 
 
-def _tracked_max(sl, m, delta, around, span, grid=9):
+def _tracked_max(sl, delta, around, span, grid=9):
     """Max of the localized ratio over an X2 grid centered at `around`."""
     ax = np.linspace(-span, span, grid)
     centers = np.asarray(around) + np.stack(
         np.meshgrid(ax, ax, indexing="ij"), axis=-1
     ).reshape(-1, 2)
-    vals = _x1_ball_volume(m) * _multi_disk_energy(sl, centers, delta)
+    energies = _bubble_model_energy(sl.seq, sl.ell, centers, delta, _arc_fraction)
+    vals = _x1_ball_volume(sl.seq.m) * energies
     k = int(np.argmax(vals))
     return centers[k], float(vals[k])
 
@@ -701,8 +666,7 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
     """
     target = eps0 / (8.0 * 2 ** (4 * seq.m))
     sl = seq.slice_map(ell, x1)
-    m = seq.m
-    x2c, f = _tracked_max(sl, m, delta_hi, (0.0, 0.0), search_radius)
+    x2c, f = _tracked_max(sl, delta_hi, (0.0, 0.0), search_radius)
     if f < target:
         raise NoConcentrationError(
             f"localized ratio peaks at {f:.3e} < target {target:.3e}"
@@ -712,7 +676,7 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
     x2_hi = x2c
     while True:
         lo = hi / 4.0
-        x2_lo, f_lo = _tracked_max(sl, m, lo, x2c, span=2.0 * lo)
+        x2_lo, f_lo = _tracked_max(sl, lo, x2c, span=2.0 * lo)
         if f_lo < target:
             break
         hi, x2c, x2_hi = lo, x2_lo, x2_lo
@@ -722,7 +686,7 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
     x2_mid = x2c
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        x2_mid, f_mid = _tracked_max(sl, m, mid, x2c, span=1.5 * mid, grid=5)
+        x2_mid, f_mid = _tracked_max(sl, mid, x2c, span=1.5 * mid, grid=5)
         if abs(f_mid / target - 1.0) <= rel_tol:
             break
         if f_mid > target:

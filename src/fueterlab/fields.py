@@ -125,10 +125,6 @@ class GridField:
             return np.arange(N) * self.h
         return -self.L + np.arange(N) * self.h
 
-    def node_point(self, node):
-        c = self.axis_coords()
-        return np.array([c[i] for i in node])
-
     def interior_margin(self):
         """Nodes this many layers from a box edge are excluded from statistics."""
         return 0 if self.domain == "torus" else 2
@@ -150,10 +146,10 @@ class GridField:
                 raise MemoryError(
                     f"refusing to materialize {nbytes / 1e9:.1f} GB; use slab access"
                 )
-            c = self.axis_coords()
-            mesh = np.meshgrid(*([c] * self.dim), indexing="ij")
-            pts = np.stack(mesh, axis=-1)
-            self._values = _finite(np.asarray(self._fn(pts), dtype=float))
+            values = np.empty(self.shape + (self.target_dim,))
+            for i in range(self.shape[0]):
+                values[i] = self.slab(i)
+            self._values = values
         return self._values
 
     def is_dense(self):
@@ -167,16 +163,26 @@ class GridField:
             return np.asarray(self._fn(pts), dtype=float)
         return self._interpolate(pts)
 
+    def block(self, index):
+        """Values on the grid nodes that `index` selects: an int or a slice per
+        leading grid axis, as in numpy basic indexing.  A function-backed grid
+        evaluates its callable on exactly those nodes."""
+        if self._values is not None:
+            return self._values[index]
+        c = self.axis_coords()
+        index = index if isinstance(index, tuple) else (index,)
+        axes = [c[ix] for ix in index] + [c] * (self.dim - len(index))
+        shape = tuple(len(x) for x in axes if x.ndim)
+        pts = np.empty(shape + (self.dim,))
+        k = len(shape)
+        for a, x in enumerate(axes):
+            k -= x.ndim  # sliced axes after this one, so x lines up with its own
+            pts[..., a] = x.reshape((-1,) + (1,) * k) if x.ndim else x
+        return _finite(np.asarray(self._fn(pts), dtype=float))
+
     def slab(self, i):
         """Values on the hyperplane of axis-0 index i (wrapped on a torus)."""
-        N = self.shape[0]
-        i = i % N if self.domain == "torus" else i
-        if self._values is not None:
-            return self._values[i]
-        c = self.axis_coords()
-        rest = np.meshgrid(*([c] * (self.dim - 1)), indexing="ij")
-        pts = np.stack([np.full(rest[0].shape, c[i])] + list(rest), axis=-1)
-        return _finite(np.asarray(self._fn(pts), dtype=float))
+        return self.block(i % self.shape[0] if self.domain == "torus" else i)
 
     def windows(self):
         """Yield (i0, window) over the axis-0 planes i0 .. i0 + k - 1 of the
@@ -260,19 +266,12 @@ class Jet:
             raise ValueError("jet entries must be finite")
 
 
-def _node_value(u, node):
-    if u.is_dense():
-        return u.values[tuple(node)]
-    return np.asarray(u._fn(u.node_point(node)), dtype=float)
-
-
 def _neighbor(u, node, axis, step):
     node = list(node)
-    N = u.shape[0]
     node[axis] += step
     if u.domain == "torus":
-        node[axis] %= N
-    return _node_value(u, node)
+        node[axis] %= u.shape[0]
+    return u.block(tuple(node))
 
 
 def differential(u: GridField, node) -> Jet:
@@ -340,6 +339,16 @@ def _identity_tables(S_dom, S_tar):
     return tables, W
 
 
+def _wedge_pairing(As, S_dom, S_tar):
+    """sum_l (alpha_l^(2m-1) ^ A*omega_l)(vol) = sum_l 0.5 K_l . (A^T W_l A), batched."""
+    tables, W = _identity_tables(S_dom, S_tar)
+    out = 0.0
+    for K, Wl in zip(tables, W):
+        G = np.einsum("nia,ij,njb->nab", As, Wl, As)
+        out = out + 0.5 * np.einsum("ab,nab->n", K, G)
+    return out
+
+
 def energy_identity_defect(j, S_dom: StructureTriple, S_tar: StructureTriple) -> float:
     """LHS - RHS of the pointwise energy identity, which vanishes for every jet.
 
@@ -358,14 +367,7 @@ def energy_identity_defect(j, S_dom: StructureTriple, S_tar: StructureTriple) ->
 def energy_identity_defects(As, S_dom, S_tar):
     """Vectorized defect over a batch of jets (N, 4n, 4m)."""
     As = np.asarray(As, dtype=float)
-    tables, W = _identity_tables(S_dom, S_tar)
-    m = S_dom.d
-    fact = math.factorial(2 * m - 1)
-    lhs = np.zeros(As.shape[0])
-    for K, Wl in zip(tables, W):
-        G = np.einsum("nia,ij,njb->nab", As, Wl, As)
-        lhs += 0.5 * np.einsum("ab,nab->n", K, G)
-    lhs = -lhs / fact
+    lhs = -_wedge_pairing(As, S_dom, S_tar) / math.factorial(2 * S_dom.d - 1)
     R = As.copy()
     for St, Sd in zip(S_tar.mats(), S_dom.mats()):
         R -= np.einsum("ij,njk,kl->nil", St, As, Sd)
@@ -431,7 +433,7 @@ def laplacian_direct(u: GridField, node) -> np.ndarray:
     node = tuple(int(i) for i in node)
     if u.domain == "box" and not u.is_interior(node, margin=1):
         raise ValueError("laplacian stencil reaches the boundary")
-    c = _node_value(u, node)
+    c = u.block(node)
     out = np.zeros(u.target_dim)
     for a in range(u.dim):
         out += stencil.second(_neighbor(u, node, a, +1), c, _neighbor(u, node, a, -1), u.h)
@@ -549,7 +551,9 @@ def save_fld1(u: GridField, path):
     header = f"FLD1 m={u.m} n={u.n} domain={u.domain} L={u.L!r} h={u.h!r} dims={dims}\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(u.values, dtype="<f8").data)
+        # plane by plane, so a function-backed grid is never materialized
+        for i in range(u.shape[0]):
+            f.write(np.ascontiguousarray(u.slab(i), dtype="<f8").data)
 
 
 def load_fld1(path) -> GridField:

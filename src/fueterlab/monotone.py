@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .fields import GridField, _identity_tables
+from .fields import GridField, _identity_tables, _wedge_pairing
 from .quat import StructureTriple
 
 __all__ = [
@@ -94,8 +94,8 @@ class _BallPass:
         lo_e = [v - 1 for v in lo]
         hi_e = [v + 1 for v in hi]
 
-        rest_coords = [coords[lo_e[a] : hi_e[a]] for a in range(1, d)]
         core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
+        ext = tuple(slice(lo_e[a], hi_e[a]) for a in range(1, d))
         ext_shape = tuple(hi_e[a] - lo_e[a] for a in range(1, d))
         core_shape = tuple(hi[a] - lo[a] for a in range(1, d))
 
@@ -127,26 +127,16 @@ class _BallPass:
         radial = np.zeros(len(self.annuli))
 
         cache = {}
-        if not u.is_dense():
-            mesh_e = list(np.meshgrid(*rest_coords, indexing="ij"))
-            pts_ext = np.empty(mesh_e[0].shape + (d,))
-            for a in range(1, d):
-                pts_ext[..., a] = mesh_e[a - 1]
 
         def block(i):
             """Extended-window values of slab i, flattened to (P, 4n)."""
             if i not in cache:
-                if u.is_dense():
-                    sl = tuple([i] + [slice(lo_e[a], hi_e[a]) for a in range(1, d)])
-                    cache[i] = u.values[sl].reshape(-1, tdim)
-                else:
-                    pts_ext[..., 0] = coords[i]
-                    cache[i] = np.asarray(u._fn(pts_ext), dtype=float).reshape(-1, tdim)
+                cache[i] = u.block((i,) + ext).reshape(-1, tdim)
             return cache[i]
 
         if self.bracket is not None:
             S_dom, S_tar, forms_fn = self.bracket
-            tables, W = _identity_tables(S_dom, S_tar)
+            W = _identity_tables(S_dom, S_tar)[1]
 
         for i in range(lo[0], hi[0]):
             x0 = coords[i]
@@ -194,10 +184,7 @@ class _BallPass:
             br = None
             if self.bracket is not None:
                 if forms_fn is None:
-                    br = 0.0
-                    for K, Wl in zip(tables, W):
-                        G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
-                        br = br + 0.5 * np.einsum("ab,mab->m", K, G)
+                    br = _wedge_pairing(du, S_dom, S_tar)
                 else:
                     Vs = np.asarray(forms_fn(pts), dtype=float)  # (M, 3, d, d)
                     br = 0.0
@@ -419,12 +406,7 @@ def _sup_gradient(u: GridField, center, r):
           for a in range(d)]
     if any(l >= h_ for l, h_ in zip(lo, hi)):
         return 0.0
-    ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(d))
-    if u.is_dense():
-        vals = u.values[ext]
-    else:
-        mesh = np.meshgrid(*[coords[ext[a]] for a in range(d)], indexing="ij")
-        vals = np.asarray(u._fn(np.stack(mesh, axis=-1)), dtype=float)
+    vals = u.block(tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(d)))
     du_sq = 0.0
     for a in range(d):
         du_sq = du_sq + np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1)

@@ -547,3 +547,220 @@ def test_calibration_defect_cases():
     with pytest.raises(ValueError):
         calibration_defect(np.array([1.0, 0, 0, 0]), np.array([2.0, 0, 0, 0]),
                            SphereStructure(1.0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# bitwise parity with the separate member, cutoff and bubble-model
+# evaluations that `_SliceMap`, `_chi_radial` and `_bubble_model_energy`
+# replaced (verbatim copies, methods written as functions)
+
+
+def _parent_chi(self, x2):
+    from fueterlab.poisson import smoothstep
+
+    rho = np.linalg.norm(np.asarray(x2, dtype=float), axis=-1)
+    return 1.0 - smoothstep(rho / self.cutoff_radius - 1.0)
+
+
+def _parent_grad_chi(self, x2):
+    x2 = np.asarray(x2, dtype=float)
+    rho = np.maximum(np.linalg.norm(x2, axis=-1), 1e-300)
+    s = np.clip(rho / self.cutoff_radius - 1.0, 0.0, 1.0)
+    dsm = 30.0 * s**2 * (s - 1.0) ** 2  # d smoothstep / ds
+    coef = -dsm / self.cutoff_radius / rho
+    return coef[..., None] * x2
+
+
+def _parent_eval4(self, ell, pts):
+    pts = np.asarray(pts, dtype=float)
+    x1, x2 = pts[..., :2], pts[..., 2:]
+    out = self.base.value(x2)
+    chi = _parent_chi(self, x2)
+    for b in self.bubbles:
+        d = b.scale(ell)
+        y = (x2 - b.center) / d
+        out += chi[..., None] * (b.profile.value(y) - b.profile.far_value())
+    if self.noise is not None:
+        out += (
+            self.noise.eta(x1)[..., None]
+            * self.noise.psi(x2)[..., None]
+            * self.noise.direction
+        )
+    return out
+
+
+def _parent_slice_value(self, x2):
+    x2 = np.asarray(x2, dtype=float)
+    seq = self.seq
+    out = seq.base.value(x2)
+    if self.base_only:
+        return out
+    chi = _parent_chi(seq, x2)
+    for b in seq.bubbles:
+        d = b.scale(self.ell)
+        y = (x2 - b.center) / d
+        out += chi[..., None] * (b.profile.value(y) - b.profile.far_value())
+    if seq.noise is not None:
+        out += (
+            seq.noise.eta(self.x1)
+            * seq.noise.psi(x2)[..., None]
+            * seq.noise.direction
+        )
+    return out
+
+
+def _parent_slice_grad(self, x2):
+    x2 = np.asarray(x2, dtype=float)
+    seq = self.seq
+    out = seq.base.grad(x2)
+    if self.base_only:
+        return out
+    chi = _parent_chi(seq, x2)
+    dchi = _parent_grad_chi(seq, x2)  # (..., 2)
+    for b in seq.bubbles:
+        d = b.scale(self.ell)
+        y = (x2 - b.center) / d
+        out = out + chi[..., None, None] * b.profile.grad(y) / d
+        dev = b.profile.value(y) - b.profile.far_value()
+        out = out + np.einsum("...u,...k->...uk", dev, dchi)
+    if seq.noise is not None:
+        psi = seq.noise.psi(x2)
+        gpsi = -x2 / seq.noise.x2_scale**2 * psi[..., None]
+        out = out + seq.noise.eta(self.x1) * np.einsum(
+            "u,...k->...uk", seq.noise.direction, gpsi
+        )
+    return out
+
+
+def _parent_ball4_ratio(seq, ell, center2, r, base_only=False, method="direct"):
+    _ConstantBase = bubbletree._ConstantBase
+    _x1_ball_volume = bubbletree._x1_ball_volume
+    _bubble_radial_density = bubbletree._bubble_radial_density
+    if not seq.x1_invariant and not base_only:
+        raise NotImplementedError("4-ball ratios need a plane-invariant sequence")
+    k = 4 * seq.m - 2
+    vol = _x1_ball_volume(seq.m)
+
+    if base_only or method == "direct":
+        sl = seq.base_slice_map() if base_only else seq.slice_map(ell)
+
+        def weight(s):
+            return vol * np.maximum(r * r - s * s, 0.0) ** (k / 2.0)
+
+        total = _disk_energy(sl, center2, r, weight=weight)
+        return total / r**k
+
+    center2 = np.asarray(center2, dtype=float)
+    total = 0.0
+    theta_s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for b in seq.bubbles:
+        D = float(np.linalg.norm(center2 - b.center))
+        d = b.scale(ell)
+        rmin = max(1e-16, d * 1e-5)
+        t = np.linspace(np.log(rmin), np.log(D + r), 400)
+        rho = np.exp(t)
+        dens = _bubble_radial_density(seq, b, ell, rho)
+        s_sq = D * D + rho[:, None] ** 2 - 2.0 * D * rho[:, None] * np.cos(theta_s)
+        wbar = vol * np.maximum(r * r - s_sq, 0.0) ** (k / 2.0)
+        wbar = wbar.mean(axis=1)
+        total += float(np.trapezoid(dens * wbar * rho * rho * 2.0 * np.pi, t))
+    if not isinstance(seq.base, _ConstantBase):
+        bsl = seq.base_slice_map()
+
+        def weight(s):
+            return vol * np.maximum(r * r - s * s, 0.0) ** (k / 2.0)
+
+        total += _disk_energy(bsl, center2, r, rmin=r * 1e-6, nrad=200,
+                              weight=weight)
+    return total / r**k
+
+
+def _parent_multi_disk_energy(sl, centers, r, nrad=400, nang=24):
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    seq = sl.seq
+    out = np.zeros(len(centers))
+    for b in seq.bubbles:
+        D = np.linalg.norm(centers - b.center, axis=1)  # (C,)
+        d = b.scale(sl.ell)
+        rmin = max(1e-16, d * 1e-5)
+        rmax = float(np.max(D) + r)
+        t = np.linspace(np.log(rmin), np.log(rmax), nrad)
+        rho = np.exp(t)
+        dens = bubbletree._bubble_radial_density(seq, b, sl.ell, rho)  # (R,)
+        frac = bubbletree._arc_fraction(rho[None, :], D[:, None], r)  # (C, R)
+        out += np.trapezoid(frac * dens[None, :] * rho * rho * 2.0 * np.pi, t, axis=1)
+    if not isinstance(seq.base, bubbletree._ConstantBase):
+        bsl = seq.base_slice_map()
+        for k, c in enumerate(centers):
+            out[k] += _disk_energy(bsl, c, r, rmin=r * 1e-6, nrad=200, nang=nang)
+    return out
+
+
+def _parent_tracked_max(sl, m, delta, around, span, grid=9):
+    ax = np.linspace(-span, span, grid)
+    centers = np.asarray(around) + np.stack(
+        np.meshgrid(ax, ax, indexing="ij"), axis=-1
+    ).reshape(-1, 2)
+    vals = bubbletree._x1_ball_volume(m) * _parent_multi_disk_energy(sl, centers, delta)
+    k = int(np.argmax(vals))
+    return centers[k], float(vals[k])
+
+
+def _smooth_base():
+    def value(x2):
+        out = np.zeros(x2.shape[:-1] + (4,))
+        out[..., 0] = 0.3 * np.sin(3.0 * x2[..., 0])
+        out[..., 1] = 0.2 * np.cos(2.0 * x2[..., 1])
+        return out
+
+    def grad(x2):
+        out = np.zeros(x2.shape[:-1] + (4, 2))
+        out[..., 0, 0] = 0.9 * np.cos(3.0 * x2[..., 0])
+        out[..., 1, 1] = -0.4 * np.sin(2.0 * x2[..., 1])
+        return out
+
+    return SmoothBase(value, grad)
+
+
+def _parity_sequences():
+    offset = synth_sequence([(1.0, ABC, (0.0, 0.0), 2.0, 1.0),
+                             (0.7, ABC, (0.05, -0.03), 3.0, 1.0)], seed=5)
+    based = ConcentratingSequence(offset.bubbles, base=_smooth_base())
+    noisy = synth_sequence([(1.0, ABC, (0.0, 0.0), 2.0, 1.0)],
+                           noise={"center_x1": (0.1, 0.0), "amplitude": 0.5}, seed=2)
+    return [two_bubble(), based, noisy, zero_bubble()]
+
+
+def _parity_points():
+    pts = np.random.default_rng(7).uniform(-0.4, 0.4, size=(60, 4))
+    pts[:6, 2:] = 0.0  # x2 = 0, where the cutoff gradient divides by |x2|
+    pts[6:12, 2:] *= 1e-310
+    return pts
+
+
+def test_member_and_slice_maps_match_the_parent_evaluations_bitwise():
+    pts = _parity_points()
+    for seq in _parity_sequences():
+        for ell in (3, 8):
+            assert np.array_equal(seq.eval4(ell, pts), _parent_eval4(seq, ell, pts))
+            for sl in (seq.slice_map(ell, (0.1, -0.05)), seq.base_slice_map()):
+                for x2 in (pts[:, 2:], pts[:20, 2:].reshape(4, 5, 2), np.zeros(2)):
+                    assert np.array_equal(sl.value(x2), _parent_slice_value(sl, x2))
+                    assert np.array_equal(sl.grad(x2), _parent_slice_grad(sl, x2))
+
+
+def test_bubble_model_energies_match_the_parent_quadratures_bitwise():
+    centers = np.random.default_rng(8).uniform(-0.1, 0.1, size=(40, 2))
+    seqs = _parity_sequences()
+    for seq in seqs[:2] + seqs[3:]:  # the 4-ball model needs a plane-invariant sequence
+        for c in centers:
+            for r in (0.05, 0.12):
+                got = bubbletree._ball4_ratio(seq, 7, c, r, method="model")
+                assert got == _parent_ball4_ratio(seq, 7, c, r, method="model")
+        for ell in (6, 9):
+            sl = seq.slice_map(ell)
+            for delta in (0.3, 0.01, 0.002):
+                for grid in (9, 5):
+                    c, v = bubbletree._tracked_max(sl, delta, centers[0], 2 * delta, grid)
+                    c0, v0 = _parent_tracked_max(sl, 1, delta, centers[0], 2 * delta, grid)
+                    assert np.array_equal(c, c0) and v == v0

@@ -1,9 +1,16 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fueterlab.fields import (
     FueterPolynomialMap,
     GridField,
+    _identity_tables,
     differential,
     dirichlet_energy,
     domain_variation_derivative,
@@ -19,6 +26,7 @@ from fueterlab.fields import (
     triholomorphic_kernel,
     triholomorphic_suite,
 )
+from fueterlab.monotone import energy_ratio, eps_regularity_scan
 from fueterlab.quat import StructureTriple, kaehler_form
 
 S1 = StructureTriple.standard(1)
@@ -51,7 +59,7 @@ def test_differential_quartic_error_order():
     for nodes in (9, 17, 33):
         u = grid_from_poly(poly, nodes)
         mid = tuple(s // 2 for s in u.shape)
-        x = u.node_point(mid)
+        x = u.axis_coords()[list(mid)]
         got = differential(u, mid).du
         want = poly.jacobian(x[None])[0]
         errs.append(np.max(np.abs(got - want)))
@@ -111,6 +119,79 @@ def test_function_backed_grid_rejects_non_finite_values():
         dirichlet_energy(u)
     with pytest.raises(ValueError, match="finite"):
         GridField.from_function(lambda p: np.log(p + 0.3), 1, 1, 7, materialize=True)
+    # ball passes and node stencils read nodes the same way: on 17 nodes every
+    # ball and stencil below reaches a coordinate below -0.3
+    u = GridField.from_function(lambda p: np.log(p + 0.3), 1, 1, 17)
+    with pytest.raises(ValueError, match="finite"):
+        energy_ratio(u, np.zeros(4), 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        eps_regularity_scan(u, 0.1, 0.2)
+    with pytest.raises(ValueError, match="finite"):
+        differential(u, (4, 8, 8, 8))
+    with pytest.raises(ValueError, match="finite"):
+        laplacian_direct(u, (4, 8, 8, 8))
+    assert not u.is_dense()
+
+
+def _sine_grid(N, materialize):
+    # a pointwise callable: the rounding of a matrix product such as p @ A.T
+    # can depend on the shape of the block it is evaluated on
+    a, b = np.random.default_rng(6).normal(size=(2, 4))
+    return GridField.from_function(lambda p: np.sin(a * p + b * p[..., ::-1]), 1, 1, N,
+                                   materialize=materialize)
+
+
+@st.composite
+def node_index(draw, N=5, d=4):
+    """An int or a non-empty slice for each of the first k grid axes."""
+    out = []
+    for _ in range(draw(st.integers(0, d))):
+        if draw(st.booleans()):
+            out.append(draw(st.integers(-N, N - 1)))
+        else:
+            out.append(draw(st.slices(N).filter(lambda sl: len(range(N)[sl]) > 0)))
+    return tuple(out)
+
+
+FN_GRID, DENSE_GRID = _sine_grid(5, False), _sine_grid(5, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_index())
+def test_block_of_a_function_backed_grid_matches_the_dense_values(ix):
+    got = FN_GRID.block(ix)
+    want = DENSE_GRID.values[ix]
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert not FN_GRID.is_dense()
+
+
+def test_block_reads_single_nodes_and_whole_slabs():
+    for ix in [(), (1, 2, 3, 4), (0, -1, 2, -2), 3]:
+        assert np.array_equal(FN_GRID.block(ix), DENSE_GRID.values[ix])
+    assert FN_GRID.block(()).shape == (5, 5, 5, 5, 4)
+    assert FN_GRID.block((1, 2, 3, 4)).shape == (4,)
+
+
+def test_save_fld1_streams_a_function_backed_grid(tmp_path):
+    streamed = _sine_grid(7, False)
+    save_fld1(streamed, tmp_path / "streamed.fld1")
+    assert not streamed.is_dense()
+    save_fld1(_sine_grid(7, True), tmp_path / "dense.fld1")
+    assert (tmp_path / "streamed.fld1").read_bytes() == (tmp_path / "dense.fld1").read_bytes()
+
+
+def test_only_fields_reads_the_grid_callable():
+    # every node read goes through GridField.block, so no other module
+    # evaluates a grid's callable by itself
+    src = Path(__file__).resolve().parent.parent / "src" / "fueterlab"
+    offenders = [
+        f"{path.name}:{k}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "fields.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\._fn\b", line)
+    ]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +235,32 @@ def test_energy_identity_random_jets_m1_m2():
     assert np.max(np.abs(energy_identity_defects(A2, S2, S1))) < 1e-10
     A22 = rng.normal(size=(100, 8, 8))
     assert np.max(np.abs(energy_identity_defects(A22, S2, S2))) < 1e-10
+
+
+def _parent_energy_identity_defects(As, S_dom, S_tar):
+    # verbatim copy from before the wedge pairing moved into a shared helper
+    As = np.asarray(As, dtype=float)
+    tables, W = _identity_tables(S_dom, S_tar)
+    m = S_dom.d
+    fact = math.factorial(2 * m - 1)
+    lhs = np.zeros(As.shape[0])
+    for K, Wl in zip(tables, W):
+        G = np.einsum("nia,ij,njb->nab", As, Wl, As)
+        lhs += 0.5 * np.einsum("ab,nab->n", K, G)
+    lhs = -lhs / fact
+    R = As.copy()
+    for St, Sd in zip(S_tar.mats(), S_dom.mats()):
+        R -= np.einsum("ij,njk,kl->nil", St, As, Sd)
+    rhs = 0.5 * np.einsum("nab,nab->n", As, As) - 0.125 * np.einsum("nab,nab->n", R, R)
+    return lhs - rhs
+
+
+def test_energy_identity_defects_match_the_parent_pairing_bitwise():
+    rng = np.random.default_rng(12)
+    for S_dom, S_tar in ((S1, S1), (S2, S1), (S1, S2)):
+        As = rng.normal(size=(500, S_tar.dim, S_dom.dim))
+        got = energy_identity_defects(As, S_dom, S_tar)
+        assert np.array_equal(got, _parent_energy_identity_defects(As, S_dom, S_tar))
 
 
 def test_energy_identity_triholomorphic_jet_gives_half_energy():

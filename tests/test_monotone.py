@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from fueterlab.fields import GridField, standard_triholomorphic_field
+from fueterlab import monotone, stencil
+from fueterlab.bubbletree import synth_sequence
+from fueterlab.fields import GridField, _identity_tables, standard_triholomorphic_field
 from fueterlab.monotone import (
     almost_monotone_quantity,
     almost_monotone_sweep,
     density_estimate,
     energy_ratio,
+    _hodge_dual_pairing,
+    _subcell_offsets,
     eps_regularity_scan,
     monotonicity_defect,
     radial_term,
@@ -229,3 +235,259 @@ def test_eps_regularity_unflagged_set_shrinks_with_scale():
         assert dists, "concentration region must be visible"
         spreads.append(max(dists))
     assert spreads[1] <= spreads[0]
+
+
+# ---------------------------------------------------------------------------
+# bitwise parity of the ball passes with the implementation that evaluated
+# function-backed grids through their callable by itself (verbatim copies)
+
+
+class _ParentBallPass:
+    """One streaming pass over B_rmax(center) collecting weighted sums."""
+
+    def __init__(self, u: GridField, center, radii, annuli=(), bracket=None):
+        self.u = u
+        self.center = np.asarray(center, dtype=float)
+        self.radii = np.asarray(sorted(radii), dtype=float)
+        self.annuli = list(annuli)
+        self.bracket = bracket  # None or (S_dom, S_tar, forms_fn)
+        d = u.dim
+        if u.domain != "box":
+            raise NotImplementedError("ball quadrature expects a box domain")
+        if self.center.shape != (d,):
+            raise ValueError("center must be a point of the domain")
+        if not len(self.radii) and not self.annuli:
+            raise ValueError("nothing to integrate")
+        self.halfdiag = u.h * math.sqrt(d) / 2.0
+        rmax = float(self.radii.max()) if len(self.radii) else 0.0
+        for s, R in self.annuli:
+            rmax = max(rmax, R)
+        self.rmax = rmax
+        room = u.L - np.abs(self.center).max()
+        if rmax + self.halfdiag + 2 * u.h > room:
+            raise ValueError("ball exits the domain interior")
+        self.offsets = _subcell_offsets(d, u.h)
+
+    def run(self):
+        u = self.u
+        d = u.dim
+        h = u.h
+        tdim = u.target_dim
+        coords = u.axis_coords()
+        reach = self.rmax + self.halfdiag
+        # per-axis index windows: core (quadrature nodes) and extended (stencil)
+        lo = [np.searchsorted(coords, self.center[a] - reach - 1e-12) for a in range(d)]
+        hi = [np.searchsorted(coords, self.center[a] + reach + 1e-12, side="right") for a in range(d)]
+        lo_e = [v - 1 for v in lo]
+        hi_e = [v + 1 for v in hi]
+
+        rest_coords = [coords[lo_e[a] : hi_e[a]] for a in range(1, d)]
+        core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
+        ext_shape = tuple(hi_e[a] - lo_e[a] for a in range(1, d))
+        core_shape = tuple(hi[a] - lo[a] for a in range(1, d))
+
+        # flat gather indices from the core window into the extended block,
+        # plus the +-1 shifts along every remaining axis (built once)
+        strides = np.cumprod((ext_shape + (1,))[::-1])[::-1][1:]
+        core_grids = np.meshgrid(
+            *[np.arange(1, 1 + n) for n in core_shape], indexing="ij"
+        )
+        idx0 = sum(g.ravel() * s for g, s in zip(core_grids, strides))
+        idx_shift = []
+        for a in range(d - 1):
+            idx_shift.append((idx0 + strides[a], idx0 - strides[a]))
+
+        # squared distance and coordinates over the remaining axes
+        sq_rest = 0.0
+        for a, cc in enumerate(core_coords):
+            shp = [1] * (d - 1)
+            shp[a] = len(cc)
+            sq_rest = sq_rest + ((cc - self.center[1 + a]) ** 2).reshape(shp)
+        sq_rest = sq_rest.ravel()
+        pts_rest = np.stack(
+            [g.ravel() for g in np.meshgrid(*core_coords, indexing="ij")], axis=-1
+        )
+
+        n_r = len(self.radii)
+        energy = np.zeros(n_r)
+        bracket_sums = np.zeros(n_r)
+        radial = np.zeros(len(self.annuli))
+
+        cache = {}
+        if not u.is_dense():
+            mesh_e = list(np.meshgrid(*rest_coords, indexing="ij"))
+            pts_ext = np.empty(mesh_e[0].shape + (d,))
+            for a in range(1, d):
+                pts_ext[..., a] = mesh_e[a - 1]
+
+        def block(i):
+            """Extended-window values of slab i, flattened to (P, 4n)."""
+            if i not in cache:
+                if u.is_dense():
+                    sl = tuple([i] + [slice(lo_e[a], hi_e[a]) for a in range(1, d)])
+                    cache[i] = u.values[sl].reshape(-1, tdim)
+                else:
+                    pts_ext[..., 0] = coords[i]
+                    cache[i] = np.asarray(u._fn(pts_ext), dtype=float).reshape(-1, tdim)
+            return cache[i]
+
+        if self.bracket is not None:
+            S_dom, S_tar, forms_fn = self.bracket
+            tables, W = _identity_tables(S_dom, S_tar)
+
+        for i in range(lo[0], hi[0]):
+            x0 = coords[i]
+            dx0sq = (x0 - self.center[0]) ** 2
+            rho_sq = dx0sq + sq_rest
+            sel = np.nonzero(rho_sq <= (self.rmax + self.halfdiag) ** 2)[0]
+            if not len(sel):
+                cache.pop(i - 1, None)
+                continue
+            bm, b0, bp = block(i - 1), block(i), block(i + 1)
+            g0 = idx0[sel]
+            du = np.empty((len(sel), tdim, d))
+            du[:, :, 0] = stencil.first(bp[g0], bm[g0], h)
+            for a in range(d - 1):
+                gp, gm = idx_shift[a]
+                du[:, :, 1 + a] = stencil.first(b0[gp[sel]], b0[gm[sel]], h)
+            rho = np.sqrt(rho_sq[sel])
+
+            pts = np.empty((len(sel), d))
+            pts[:, 0] = x0
+            pts[:, 1:] = pts_rest[sel]
+            diff = pts - self.center
+            safe = np.maximum(rho, 1e-300)
+            er = diff / safe[:, None]
+            du_sq = np.einsum("mia,mia->m", du, du)
+            dur = np.einsum("mia,ma->mi", du, er)
+            dur_sq = np.einsum("mi,mi->m", dur, dur)
+
+            w_cache = {}
+            osq = np.sum(self.offsets**2, axis=1)
+
+            def weight(r):
+                if r not in w_cache:
+                    w = np.zeros(len(rho))
+                    w[rho <= r - self.halfdiag] = 1.0
+                    band = np.nonzero(np.abs(rho - r) <= self.halfdiag)[0]
+                    if len(band):
+                        # |p + o - c|^2 = rho^2 + 2 (p - c) . o + |o|^2
+                        cross = diff[band] @ self.offsets.T  # (B, 3^d)
+                        d2 = rho_sq[sel][band, None] + 2.0 * cross + osq[None, :]
+                        w[band] = np.mean(d2 <= r * r, axis=-1)
+                    w_cache[r] = w
+                return w_cache[r]
+
+            br = None
+            if self.bracket is not None:
+                if forms_fn is None:
+                    br = 0.0
+                    for K, Wl in zip(tables, W):
+                        G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
+                        br = br + 0.5 * np.einsum("ab,mab->m", K, G)
+                else:
+                    Vs = np.asarray(forms_fn(pts), dtype=float)  # (M, 3, d, d)
+                    br = 0.0
+                    for ell, Wl in enumerate(W):
+                        G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
+                        Kp = _hodge_dual_pairing(Vs[:, ell])
+                        br = br + 0.5 * np.einsum("mab,mab->m", Kp, G)
+
+            for k, r in enumerate(self.radii):
+                w = weight(float(r))
+                energy[k] += float(w @ du_sq)
+                if br is not None:
+                    bracket_sums[k] += float(w @ br)
+            for k, (s, R) in enumerate(self.annuli):
+                wa = weight(float(R)) - weight(float(s))
+                sel = wa > 0
+                if sel.any():
+                    radial[k] += float(
+                        (wa[sel] * dur_sq[sel]) @ (safe[sel] ** (2 - d))
+                    )
+            cache.pop(i - 1, None)
+
+        cell = h**d
+        return {
+            "energy": energy * cell,
+            "radial": radial * cell,
+            "bracket": bracket_sums * cell,
+        }
+
+
+def _parent_sup_gradient(u: GridField, center, r):
+    """Max Frobenius norm of the central-difference du over nodes in B_r(center)."""
+    d = u.dim
+    h = u.h
+    coords = u.axis_coords()
+    N = len(coords)
+    lo = [max(1, int(np.searchsorted(coords, center[a] - r - 1e-12))) for a in range(d)]
+    hi = [min(N - 1, int(np.searchsorted(coords, center[a] + r + 1e-12, side="right")))
+          for a in range(d)]
+    if any(l >= h_ for l, h_ in zip(lo, hi)):
+        return 0.0
+    ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(d))
+    if u.is_dense():
+        vals = u.values[ext]
+    else:
+        mesh = np.meshgrid(*[coords[ext[a]] for a in range(d)], indexing="ij")
+        vals = np.asarray(u._fn(np.stack(mesh, axis=-1)), dtype=float)
+    du_sq = 0.0
+    for a in range(d):
+        du_sq = du_sq + np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1)
+    mesh = np.meshgrid(*[coords[lo[a] : hi[a]] for a in range(d)], indexing="ij")
+    rho_sq = sum((mesh[a] - center[a]) ** 2 for a in range(d))
+    inside = rho_sq <= r * r
+    if not inside.any():
+        return 0.0
+    return float(np.sqrt(du_sq[inside].max()))
+
+
+def _parity_grids():
+    poly = standard_triholomorphic_field(seed=3, degree=4)
+    ABC = tuple(np.array((0.6, -0.48, 0.64)) / np.linalg.norm((0.6, -0.48, 0.64)))
+    seq = synth_sequence([(0.35, ABC, (0.0, 0.0), 2.0, 1.0)],
+                         noise={"center_x1": (0.05, 0.0), "amplitude": 0.3}, seed=3)
+    return {
+        "dense": GridField.from_function(poly, 1, 1, 21, L=0.55, materialize=True),
+        "function": GridField.from_function(poly, 1, 1, 21, L=0.55),
+        "member": GridField.from_function(seq.member_field_fn(4), 1, 1, 21, L=0.3),
+    }
+
+
+def _tilted_forms(pts):
+    S = StructureTriple.standard(1)
+    base = np.stack([-S.i_mat, -S.j_mat, -S.k_mat])
+    out = np.broadcast_to(base, pts.shape[:-1] + base.shape).copy()
+    out[..., 0, 0, 1] += 0.2 * pts[..., 0]
+    out[..., 0, 1, 0] -= 0.2 * pts[..., 0]
+    return out
+
+
+def _ball_pass_results(u):
+    h = u.h
+    x = np.array([0.003, -0.006, 0.0045, 0.0015])
+    # eps0 at the median ratio, so both branches of the scan run
+    ratios = sorted(q for _, q in eps_regularity_scan(u, 0.0, 3 * h, stride=3).unflagged)
+    rep = eps_regularity_scan(u, ratios[len(ratios) // 2], 3 * h, stride=3)
+    prof = ratio_profile(u, x, [3 * h, 4.5 * h, 6 * h])
+    return [
+        (prof.ratios, prof.radial_terms, prof.defects),
+        monotonicity_defect(u, x, 3 * h, 6 * h),
+        almost_monotone_sweep(u, x, [3 * h, 5 * h, 6 * h]),
+        almost_monotone_sweep(u, x, [3 * h, 5 * h, 6 * h], perturbation=_tilted_forms),
+        (rep.flagged, rep.unflagged, rep.violations),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["dense", "function", "member"])
+def test_ball_passes_match_the_parent_implementation_bitwise(kind, monkeypatch):
+    u = _parity_grids()[kind]
+    got = _ball_pass_results(u)
+    monkeypatch.setattr(monotone, "_BallPass", _ParentBallPass)
+    monkeypatch.setattr(monotone, "_sup_gradient", _parent_sup_gradient)
+    want = _ball_pass_results(u)
+    assert got == want
+    flagged, unflagged, _ = got[-1]
+    assert flagged and unflagged
+    assert kind == "dense" or not u.is_dense()
