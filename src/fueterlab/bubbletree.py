@@ -101,14 +101,19 @@ class BubbleProfile:
         r2 = np.sum(y * y, axis=-1)
         den = (1.0 + r2) ** 2
         y1, y2 = y[..., 0], y[..., 1]
-        ds = np.empty(y.shape[:-1] + (3, 2))
-        ds[..., 0, 0] = 2 * (1.0 + r2 - 2 * y1 * y1) / den
-        ds[..., 0, 1] = -4 * y1 * y2 / den
-        ds[..., 1, 0] = -4 * y1 * y2 / den
-        ds[..., 1, 1] = 2 * (1.0 + r2 - 2 * y2 * y2) / den
-        ds[..., 2, 0] = 4 * y1 / den
-        ds[..., 2, 1] = 4 * y2 / den
-        return self.amplitude * np.einsum("ui,...ik->...uk", self.frame, ds)
+        # ds[i][k] = d sigma_i / d y_k; the off-diagonal entry is shared
+        off = -4 * y1 * y2 / den
+        ds = ((2 * (1.0 + r2 - 2 * y1 * y1) / den, off),
+              (off, 2 * (1.0 + r2 - 2 * y2 * y2) / den),
+              (4 * y1 / den, 4 * y2 / den))
+        F = self.frame
+        out = np.empty(y.shape[:-1] + (self.target_dim, 2))
+        for u in range(self.target_dim):
+            for k in range(2):
+                # the frame contraction, summed over i in einsum's order
+                out[..., u, k] = F[u, 0] * ds[0][k] + F[u, 1] * ds[1][k] + F[u, 2] * ds[2][k]
+        out *= self.amplitude
+        return out
 
     def energy_density(self, rad):
         """|grad phi|^2 as a function of |y| (radially symmetric)."""
@@ -259,22 +264,22 @@ class _SliceMap:
         """(..., 4n, 2) gradient in the X2 variables."""
         x2 = np.asarray(x2, dtype=float)
         seq = self.seq
-        out = seq.base.grad(x2)
         if self.base_only:
-            return out
+            return seq.base.grad(x2)
+        out = np.array(seq.base.grad(x2), dtype=float)  # summed into in place
         rho = np.maximum(np.linalg.norm(x2, axis=-1), 1e-300)
         chi, dchi = _chi_radial(seq, rho)
         dchi = (dchi / rho)[..., None] * x2  # (..., 2)
         for b in seq.bubbles:
             d = b.scale(self.ell)
             y = (x2 - b.center) / d
-            out = out + chi[..., None, None] * b.profile.grad(y) / d
+            out += chi[..., None, None] * b.profile.grad(y) / d
             dev = b.profile.value(y) - b.profile.far_value()
-            out = out + np.einsum("...u,...k->...uk", dev, dchi)
+            out += dev[..., :, None] * dchi[..., None, :]
         if seq.noise is not None:
             psi = seq.noise.psi(x2)
             gpsi = -x2 / seq.noise.x2_scale**2 * psi[..., None]
-            out = out + seq.noise.eta(self.x1) * np.einsum(
+            out += seq.noise.eta(self.x1) * np.einsum(
                 "u,...k->...uk", seq.noise.direction, gpsi
             )
         return out
@@ -406,13 +411,18 @@ def _disk_energy(sl: _SliceMap, center, r, rmin=None, nrad=700, nang=24,
         rmin = max(1e-14, min(min(scales) * 1e-4, r * 1e-6))
     if not rmin < r:
         raise ValueError("need rmin < r")
-    t, rad, pts = _log_polar(center, rmin, r, nrad, nang)
+    return float(_log_polar_energy(sl, *_log_polar(center, rmin, r, nrad, nang), weight))
+
+
+def _log_polar_energy(sl: _SliceMap, t, rad, pts, weight=None):
+    """The quadrature of `_disk_energy` on `_log_polar` samples; leading
+    axes before the (nrad, nang) ones batch independent annuli."""
     dens = sl.grad_sq(pts)
     if weight is not None:
-        dens = dens * weight(rad)[:, None]
-    ang_mean = dens.mean(axis=1)
+        dens = dens * weight(rad)[..., None]
+    ang_mean = dens.mean(axis=-1)
     integrand = ang_mean * rad * rad * 2.0 * np.pi  # d(log r) measure
-    return float(np.trapezoid(integrand, t))
+    return np.trapezoid(integrand, t, axis=-1)
 
 
 def _x1_ball_volume(m):
@@ -709,9 +719,14 @@ class ExtractedBubble:
 
 def _median_energy_radius(sl, center, r_lo, r_hi, total, nprobe=200):
     rads = np.exp(np.linspace(np.log(max(r_lo, 1e-14)), np.log(r_hi), nprobe))
+    if not np.all(rads[:-1] < rads[1:]):
+        raise ValueError("need rmin < r")
+    # every annulus in one batch, each sampled as `_disk_energy` samples it
+    polar = [_log_polar(center, lo, hi, 24, 16) for lo, hi in zip(rads[:-1], rads[1:])]
+    energies = _log_polar_energy(sl, *(np.stack(x) for x in zip(*polar)))
     acc = 0.0
     for k in range(1, len(rads)):
-        acc += _disk_energy(sl, center, rads[k], rmin=rads[k - 1], nrad=24, nang=16)
+        acc += float(energies[k - 1])
         if acc >= total / 2.0:
             return float(rads[k])
     return float(rads[-1])

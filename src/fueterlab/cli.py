@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields as dc_fields
 
@@ -128,12 +129,16 @@ def cmd_identity_check(args) -> int:
         "kernel_dim": kernel_dim,
         "passed": bool(ok),
     }
+    if not ok:
+        payload["error"] = "identity-defect"
+        payload["detail"] = (f"max energy-identity defect {max_defect!r} over {tested} "
+                             f"jets is not below tol_identity {cfg.tol_identity!r}")
     return _emit(payload, args, 0 if ok else 1)
 
 
 def cmd_monotonicity(args) -> int:
     cfg = _load_config(args)
-    radii = [float(r) for r in args.radii.split(",")] if args.radii else [0.15, 0.2, 0.3, 0.4]
+    radii = args.radii or [0.15, 0.2, 0.3, 0.4]
     if cfg.grid < 12:
         raise ValueError("monotonicity sweep needs at least a 12-node grid")
     # box sized so the largest ball plus the stencil margin stays interior
@@ -170,6 +175,11 @@ def cmd_norms(args) -> int:
         "lorentz_ordering_ok": all(ordered),
     }
     ok = payload["weak_l1_ok"] and payload["lorentz_ordering_ok"]
+    if not ok:
+        failed = [name for name in ("weak_l1_ok", "lorentz_ordering_ok") if not payload[name]]
+        payload["error"] = "norm-check-failed"
+        payload["detail"] = (f"{' and '.join(failed)} false over {args.fields} fields "
+                             f"(worst weak-L1 excess {weak_worst!r})")
     return _emit(payload, args, 0 if ok else 1)
 
 
@@ -247,10 +257,39 @@ def cmd_extract_bubbles(args) -> int:
     code = 0 if report["theta_reliable"] else 1
     if not report["theta_reliable"]:
         payload["error"] = "unreliable-extrapolation"
+        payload["detail"] = (f"defect density theta {report['theta']!r}: its r -> 0 "
+                             f"extrapolations at ell {cfg.ell - 1} and {cfg.ell} disagree "
+                             "beyond their relative tolerance")
     return _emit(payload, args, code)
 
 
 # ---------------------------------------------------------------------------
+# flag values, checked where they enter; argparse names the flag on rejection
+
+
+def _number(kind, text):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _positive_int(text):
+    value = _number(int, text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    value = _number(float, text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _radii(text):
+    return [_positive_float(r) for r in text.split(",")]
 
 
 def build_parser():
@@ -272,7 +311,7 @@ def build_parser():
 
     q = sub.add_parser("identity-check", help="energy identity over random jets")
     common(q)
-    q.add_argument("--jets", type=int, default=10000)
+    q.add_argument("--jets", type=_positive_int, default=10000)
     q.add_argument("--field", help="optional FLD1 field to check at grid nodes")
     q.set_defaults(func=cmd_identity_check)
 
@@ -280,19 +319,19 @@ def build_parser():
     common(q)
     q.add_argument("--field", default="triholomorphic",
                    choices=("triholomorphic", "constant"))
-    q.add_argument("--radii", help="comma-separated radii for the sweep")
+    q.add_argument("--radii", type=_radii, help="comma-separated radii for the sweep")
     q.set_defaults(func=cmd_monotonicity)
 
     q = sub.add_parser("norms", help="randomized norm-machinery suite")
     common(q)
-    q.add_argument("--fields", type=int, default=100)
+    q.add_argument("--fields", type=_positive_int, default=100)
     q.set_defaults(func=cmd_norms)
 
     q = sub.add_parser("solve-w21", help="perturbed Poisson fixed point")
     common(q)
     q.add_argument("--magnitude", type=float, default=None)
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    q.add_argument("--tol", type=_positive_float, default=1e-10)
+    q.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     q.set_defaults(func=cmd_solve_w21)
 
     q = sub.add_parser("extract-bubbles", help="bubble tree from a bundled manifest")

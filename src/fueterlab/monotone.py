@@ -80,6 +80,7 @@ class _BallPass:
         if rmax + self.halfdiag + 2 * u.h > room:
             raise ValueError("ball exits the domain interior")
         self.offsets = _subcell_offsets(d, u.h)
+        self.offsets_sq = np.sum(self.offsets**2, axis=1)
 
     def run(self):
         u = self.u
@@ -153,7 +154,8 @@ class _BallPass:
             for a in range(d - 1):
                 gp, gm = idx_shift[a]
                 du[:, :, 1 + a] = stencil.first(b0[gp[sel]], b0[gm[sel]], h)
-            rho = np.sqrt(rho_sq[sel])
+            rho_sq_sel = rho_sq[sel]
+            rho = np.sqrt(rho_sq_sel)
 
             pts = np.empty((len(sel), d))
             pts[:, 0] = x0
@@ -166,7 +168,6 @@ class _BallPass:
             dur_sq = np.einsum("mi,mi->m", dur, dur)
 
             w_cache = {}
-            osq = np.sum(self.offsets**2, axis=1)
 
             def weight(r):
                 if r not in w_cache:
@@ -174,10 +175,14 @@ class _BallPass:
                     w[rho <= r - self.halfdiag] = 1.0
                     band = np.nonzero(np.abs(rho - r) <= self.halfdiag)[0]
                     if len(band):
-                        # |p + o - c|^2 = rho^2 + 2 (p - c) . o + |o|^2
-                        cross = diff[band] @ self.offsets.T  # (B, 3^d)
-                        d2 = rho_sq[sel][band, None] + 2.0 * cross + osq[None, :]
-                        w[band] = np.mean(d2 <= r * r, axis=-1)
+                        # |p + o - c|^2 = rho^2 + 2 (p - c) . o + |o|^2, summed
+                        # in place (IEEE addition commutes)
+                        d2 = diff[band] @ self.offsets.T  # (B, 3^d)
+                        d2 *= 2.0
+                        d2 += rho_sq_sel[band, None]
+                        d2 += self.offsets_sq
+                        # the count over 3^d is exactly the mean of the booleans
+                        w[band] = np.count_nonzero(d2 <= r * r, axis=-1) / d2.shape[1]
                     w_cache[r] = w
                 return w_cache[r]
 

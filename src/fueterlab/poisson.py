@@ -9,6 +9,7 @@ roundoff, not merely to O(h^2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,8 +172,10 @@ def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
 def _w11(v, h):
     d = v.ndim
     total = np.abs(v).sum()
+    # on the padded copy the box differences are the torus ones
+    vp = np.pad(v, 1, mode="wrap")
     for a in range(d):
-        total += np.abs(stencil.d1(v, a, h, True)).sum()
+        total += np.abs(stencil.d1(vp, a, h, False)).sum()
     return float(total * h**d)
 
 
@@ -245,15 +248,23 @@ def _centered(v):
 # W^{2,1} norm on grid fields
 
 
-def _sum_of_squares(parts):
+def _sum_of_squares(parts, out, buf):
     """sum of p**2 over parts, added in the order np.sum(x**2, axis=-1) adds
-    the same numbers along a last axis of len(parts)."""
+    the same numbers along a last axis of len(parts).
+
+    Each part is a callable that writes its values into the flat buffer it
+    is given and returns them; they are squared in place.  The sum is left
+    where the first part writes in `out`; `buf` is scratch."""
     if len(parts) >= 8:  # where numpy switches to a pairwise sum
-        return np.sum(np.stack(parts, axis=-1) ** 2, axis=-1)
-    out = parts[0] * parts[0]
+        views = [parts[0](out)] + [p(np.empty_like(buf)) for p in parts[1:]]
+        return np.sum(np.square(np.stack(views, axis=-1)), axis=-1, out=views[0])
+    acc = parts[0](out)
+    acc *= acc
     for p in parts[1:]:
-        out += p * p
-    return out
+        x = p(buf)
+        x *= x
+        acc += x
+    return acc
 
 
 def w21_norm(u: GridField) -> float:
@@ -261,9 +272,11 @@ def w21_norm(u: GridField) -> float:
     with central first and second (incl. mixed) differences.
 
     Streams over the plane windows of `GridField.windows`, one component at
-    a time, and never materializes a function-backed grid; the sums are
-    added in the order of the whole-grid formula, so the value is the same
-    to the last bit."""
+    a time, and never materializes a function-backed grid.  Each window
+    component is copied into a reused flat buffer, where every difference is
+    one pass over contiguous ranges (`stencil.FlatBlock`) into reused
+    buffers; the sums are added in the order of the whole-grid formula, so
+    the value is the same to the last bit."""
     d = u.dim
     h = u.h
     N = u.shape[0]
@@ -271,21 +284,40 @@ def w21_norm(u: GridField) -> float:
     # in-slab: the interior the sum runs over plus the one-node halo
     ring = slice(None) if u.domain == "torus" else slice(1, N - 1)
     core = (slice(None),) + (ring,) * (d - 1)
-    inner = (slice(1, -1),) * d
     total = np.empty((N - 2 * margin,) * d)
+    comps = None
     for i0, win in u.windows():
-        comps = [np.ascontiguousarray(win[core + (c,)]) for c in range(win.shape[-1])]
-        grad_sq = 0.0
-        hess_sq = 0.0
+        block = stencil.FlatBlock(win[core + (0,)].shape)
+        if comps is None or comps.shape[1] < block.size:  # reused across windows
+            comps = np.empty((win.shape[-1], block.size))
+            buf, part, grad_sq, hess_sq = np.empty((4, block.size))
+        for c, v in enumerate(comps):
+            np.copyto(v[: block.size].reshape(block.shape), win[core + (c,)])
+        grad = block.at(grad_sq, {})
+        hess = block.at(hess_sq, {})
+        grad[...] = 0.0
+        hess[...] = 0.0
         for a in range(d):
-            grad_sq = grad_sq + _sum_of_squares([stencil.d1(v, a, h, False) for v in comps])
+            grad += _sum_of_squares(
+                [functools.partial(block.d1, v, a, h) for v in comps], part, buf)
             for b in range(d):
-                hess_sq = hess_sq + _sum_of_squares(
-                    [stencil.d2(v, a, b, h, False) for v in comps])
-        out = total[i0 - margin : i0 - margin + len(grad_sq)]
-        np.add(np.sqrt(_sum_of_squares([v[inner] for v in comps])), np.sqrt(grad_sq), out=out)
-        out += np.sqrt(hess_sq)
+                hess += _sum_of_squares(
+                    [functools.partial(block.d2, v, a, b, h) for v in comps], part, buf)
+        absu = _sum_of_squares(
+            [functools.partial(_copy_range, block, v) for v in comps], part, buf)
+        for x in (absu, grad, hess):
+            np.sqrt(x, out=x)
+        out = total[i0 - margin : i0 - margin + win.shape[0] - 2]
+        np.add(block.interior(part), block.interior(grad_sq), out=out)
+        out += block.interior(hess_sq)
     return float(total.sum() * h**d)
+
+
+def _copy_range(block, v, out):
+    """v over the flat range of `block`, copied into out's range."""
+    dst = block.at(out, {})
+    dst[...] = block.at(v, {})
+    return dst
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +336,24 @@ def radial_cutoff(shape, h, inner, outer, center=None):
     d = len(shape)
     if center is None:
         center = np.full(d, shape[0] * h / 2.0)
-    axes = [np.arange(N) * h for N in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    rho = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
+    rho = np.sqrt(sum((x - c) ** 2 for x, c in zip(_grid_axes(shape, h), center)))
     return 1.0 - smoothstep((rho - inner) / (outer - inner))
 
 
+def _grid_axes(shape, h):
+    """The node coordinates i h along each grid axis, shaped to broadcast."""
+    return np.meshgrid(*[np.arange(N) * h for N in shape], indexing="ij", sparse=True)
+
+
 def _smooth_random(shape, h, rng, modes=4):
-    axes = [np.arange(N) * h for N in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    axes = _grid_axes(shape, h)
     L = shape[0] * h
     out = np.zeros(shape)
     for _ in range(modes):
         kvec = rng.integers(1, 3, size=len(shape))
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.normal()
-        arg = sum(2 * np.pi * k * m / L for k, m in zip(kvec, mesh)) + phase
+        arg = sum(2 * np.pi * k * x / L for k, x in zip(kvec, axes)) + phase
         out += amp * np.sin(arg)
     return out / max(1e-12, np.abs(out).max())
 
@@ -363,10 +397,8 @@ def manufactured_problem(N=16, d=4, magnitude=0.05, seed=0):
     shape = (N,) * d
     L = N * h
     chi = radial_cutoff(shape, h, 0.3 * L, 0.47 * L)
-    axes = [np.arange(n) * h for n in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
     center = np.full(d, L / 2.0)
-    rho = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
+    rho = np.sqrt(sum((x - c) ** 2 for x, c in zip(_grid_axes(shape, h), center)))
     env = 1.0 - smoothstep(rho / (0.55 * 0.3 * L))
     carrier = 0.5 + _smooth_random(shape, h, rng)
     # exactly mean-zero while supported in {chi = 1}: the constant Fourier

@@ -5,34 +5,65 @@
     mixed   (pp - pm - mp + mm) / (4h^2)
 
 The formulas take the neighbour values themselves, so point stencils and
-callers that gather their own neighbours share them.  The grid functions
-`d1`, `d2` and `laplacian` act on arrays whose first `ndim` axes are the grid
-(any further axes are components).  On a box they take neighbours by slices
-and return only the nodes one step inside every edge, where each stencil is
-defined.  On a torus they pad the grid axes once by one periodic layer,
-which makes a box whose result is every node of the torus.
+callers that gather their own neighbours share them.  Each takes `out=`, an
+array the result is written into (its operations run in the same order, so
+the values are the same to the bit); without it the result is a new array.
+
+The grid functions `d1`, `d2` and `laplacian` act on arrays whose first
+`ndim` axes are the grid (any further axes are components).  On a box they
+take neighbours by slices and return only the nodes one step inside every
+edge, where each stencil is defined.  On a torus they pad the grid axes once
+by one periodic layer, which makes a box whose result is every node of the
+torus.
+
+`FlatBlock` is the same box differences on a C-contiguous block raveled to
+one axis.  There the neighbour x + sum_a s_a h e_a of every node of the
+block's 1-interior sits at the fixed flat offset sum_a s_a stride_a, so each
+operand is one contiguous slice `v[lo + off : lo + off + length]`, with
+`lo = sum_a stride_a` and `length = size - 2 lo`.  That range also holds the
+nodes where an offset wraps past the end of a row; their values are
+meaningless, and `FlatBlock.interior` drops them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["first", "second", "mixed", "d1", "d2", "laplacian"]
+__all__ = ["first", "second", "mixed", "d1", "d2", "laplacian", "FlatBlock"]
 
 
-def first(p, m, h):
+def first(p, m, h, out=None):
     """Central first difference from the values at x + h e and x - h e."""
-    return (p - m) / (2.0 * h)
+    return np.divide(np.subtract(p, m, out=out), 2.0 * h, out=out)
 
 
-def second(p, c, m, h):
+def second(p, c, m, h, out=None):
     """Central second difference from the values at x + h e, x and x - h e."""
-    return (p - 2.0 * c + m) / h**2
+    twice = np.multiply(2.0, c, out=out)
+    return np.divide(np.add(np.subtract(p, twice, out=out), m, out=out), h**2, out=out)
 
 
-def mixed(pp, pm, mp, mm, h):
+def mixed(pp, pm, mp, mm, h, out=None):
     """Central mixed difference from the values at x + h(+-e_a +-e_b)."""
-    return (pp - pm - mp + mm) / (4.0 * h**2)
+    diff = np.subtract(np.subtract(pp, pm, out=out), mp, out=out)
+    return np.divide(np.add(diff, mm, out=out), 4.0 * h**2, out=out)
+
+
+_MIXED_STEPS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _first_along(at, a, h, out=None):
+    """first difference along axis a, neighbours read through at(steps)."""
+    return first(at({a: 1}), at({a: -1}), h, out=out)
+
+
+def _second_along(at, a, b, h, out=None):
+    """second (a == b) or mixed difference, neighbours read through at(steps)."""
+    if a == b:
+        return second(at({a: 1}), at({}), at({a: -1}), h, out=out)
+    return mixed(*(at({a: sa, b: sb}) for sa, sb in _MIXED_STEPS), h, out=out)
 
 
 def _box(v, periodic, ndim):
@@ -53,16 +84,13 @@ def _at(v, ndim, steps):
 def d1(v, a, h, periodic, ndim=None):
     """First central difference along grid axis a."""
     v, nd = _box(v, periodic, ndim)
-    return first(_at(v, nd, {a: 1}), _at(v, nd, {a: -1}), h)
+    return _first_along(lambda steps: _at(v, nd, steps), a, h)
 
 
 def d2(v, a, b, h, periodic, ndim=None):
     """Second central difference along grid axes a and b (mixed when a != b)."""
     v, nd = _box(v, periodic, ndim)
-    if a == b:
-        return second(_at(v, nd, {a: 1}), _at(v, nd, {}), _at(v, nd, {a: -1}), h)
-    return mixed(*(_at(v, nd, {a: sa, b: sb})
-                   for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))), h)
+    return _second_along(lambda steps: _at(v, nd, steps), a, b, h)
 
 
 def laplacian(v, h, periodic, ndim=None):
@@ -72,3 +100,36 @@ def laplacian(v, h, periodic, ndim=None):
     for a in range(nd):
         out = out + d2(v, a, a, h, False, nd)
     return out
+
+
+class FlatBlock:
+    """Box differences on a C-contiguous block of `shape`, raveled.
+
+    Every flat array here, operand or buffer, is at least `size` long and
+    holds the flat range at `[lo : lo + length]`: `at(buf, {})`.  `d1`/`d2`
+    write the differences of `v` there in `out` and return that view;
+    `interior(buf)` reads the 1-interior nodes back in the block's shape.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        if min(self.shape) < 3:
+            raise ValueError("every block axis needs an interior node")
+        self.size = math.prod(self.shape)
+        self.strides = [math.prod(self.shape[a + 1:]) for a in range(len(self.shape))]
+        self.lo = sum(self.strides)
+        self.length = self.size - 2 * self.lo
+
+    def at(self, v, steps):
+        """v at x + sum_a steps[a] h e_a over the flat range."""
+        start = self.lo + sum(s * self.strides[a] for a, s in steps.items())
+        return v[start : start + self.length]
+
+    def d1(self, v, a, h, out):
+        return _first_along(lambda steps: self.at(v, steps), a, h, self.at(out, {}))
+
+    def d2(self, v, a, b, h, out):
+        return _second_along(lambda steps: self.at(v, steps), a, b, h, self.at(out, {}))
+
+    def interior(self, buf):
+        return buf[: self.size].reshape(self.shape)[(slice(1, -1),) * len(self.shape)]

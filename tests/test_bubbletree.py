@@ -764,3 +764,117 @@ def test_bubble_model_energies_match_the_parent_quadratures_bitwise():
                     c, v = bubbletree._tracked_max(sl, delta, centers[0], 2 * delta, grid)
                     c0, v0 = _parent_tracked_max(sl, 1, delta, centers[0], 2 * delta, grid)
                     assert np.array_equal(c, c0) and v == v0
+
+
+# verbatim copies of the einsum gradients and the annulus-by-annulus median
+# scan that the broadcast forms and the batched scan replaced
+
+
+def _einsum_profile_grad(self, y):
+    y = np.asarray(y, dtype=float)
+    r2 = np.sum(y * y, axis=-1)
+    den = (1.0 + r2) ** 2
+    y1, y2 = y[..., 0], y[..., 1]
+    ds = np.empty(y.shape[:-1] + (3, 2))
+    ds[..., 0, 0] = 2 * (1.0 + r2 - 2 * y1 * y1) / den
+    ds[..., 0, 1] = -4 * y1 * y2 / den
+    ds[..., 1, 0] = -4 * y1 * y2 / den
+    ds[..., 1, 1] = 2 * (1.0 + r2 - 2 * y2 * y2) / den
+    ds[..., 2, 0] = 4 * y1 / den
+    ds[..., 2, 1] = 4 * y2 / den
+    return self.amplitude * np.einsum("ui,...ik->...uk", self.frame, ds)
+
+
+def _einsum_slice_grad(self, x2):
+    x2 = np.asarray(x2, dtype=float)
+    seq = self.seq
+    out = seq.base.grad(x2)
+    if self.base_only:
+        return out
+    rho = np.maximum(np.linalg.norm(x2, axis=-1), 1e-300)
+    chi, dchi = bubbletree._chi_radial(seq, rho)
+    dchi = (dchi / rho)[..., None] * x2  # (..., 2)
+    for b in seq.bubbles:
+        d = b.scale(self.ell)
+        y = (x2 - b.center) / d
+        out = out + chi[..., None, None] * _einsum_profile_grad(b.profile, y) / d
+        dev = b.profile.value(y) - b.profile.far_value()
+        out = out + np.einsum("...u,...k->...uk", dev, dchi)
+    if seq.noise is not None:
+        psi = seq.noise.psi(x2)
+        gpsi = -x2 / seq.noise.x2_scale**2 * psi[..., None]
+        out = out + seq.noise.eta(self.x1) * np.einsum(
+            "u,...k->...uk", seq.noise.direction, gpsi
+        )
+    return out
+
+
+def _scan_disk_energy(sl, center, r, rmin=None, nrad=700, nang=24, weight=None):
+    if rmin is None:
+        scales = [b.scale(sl.ell) for b in sl.seq.bubbles] or [r]
+        rmin = max(1e-14, min(min(scales) * 1e-4, r * 1e-6))
+    if not rmin < r:
+        raise ValueError("need rmin < r")
+    t, rad, pts = bubbletree._log_polar(center, rmin, r, nrad, nang)
+    dens = sl.grad_sq(pts)
+    if weight is not None:
+        dens = dens * weight(rad)[:, None]
+    ang_mean = dens.mean(axis=1)
+    integrand = ang_mean * rad * rad * 2.0 * np.pi  # d(log r) measure
+    return float(np.trapezoid(integrand, t))
+
+
+def _scan_median_energy_radius(sl, center, r_lo, r_hi, total, nprobe=200):
+    rads = np.exp(np.linspace(np.log(max(r_lo, 1e-14)), np.log(r_hi), nprobe))
+    acc = 0.0
+    for k in range(1, len(rads)):
+        acc += _scan_disk_energy(sl, center, rads[k], rmin=rads[k - 1], nrad=24, nang=16)
+        if acc >= total / 2.0:
+            return float(rads[k])
+    return float(rads[-1])
+
+
+def _same_bits(a, b):
+    """equal values and equal signs of zero"""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_profile_and_slice_gradients_match_the_einsum_forms_bitwise():
+    pts = _parity_points()
+    ys = [pts[:, 2:], pts[:, :2] * 40.0, pts[:20, 2:].reshape(4, 5, 2), np.zeros(2),
+          np.array([[0.0, -0.0], [-0.0, 1e-310], [3.0, 0.0]])]
+    structure = SphereStructure(*ABC)
+    for prof in (make_profile(1.3, structure, seed=1), make_profile(0.7, structure, n=2, seed=4)):
+        for y in ys:
+            assert _same_bits(prof.grad(y), _einsum_profile_grad(prof, y))
+    for seq in _parity_sequences():
+        for ell in (3, 8):
+            for sl in (seq.slice_map(ell, (0.1, -0.05)), seq.base_slice_map()):
+                for x2 in ys:
+                    assert _same_bits(sl.grad(x2), _einsum_slice_grad(sl, x2))
+
+
+def test_median_energy_radius_matches_the_annulus_scan_bitwise():
+    seqs = _parity_sequences()
+    lo, hi = 1e-4, 0.2
+    rads = np.exp(np.linspace(np.log(lo), np.log(hi), 200))
+    for seq in seqs:
+        for ell in (4, 9):
+            sl = seq.slice_map(ell, (0.1, -0.05))
+            for center in (np.zeros(2), np.array([0.01, -0.02])):
+                cumulative = np.cumsum([
+                    _scan_disk_energy(sl, center, b, rmin=a, nrad=24, nang=16)
+                    for a, b in zip(rads[:-1], rads[1:])])
+                # totals whose half the scan meets exactly at annulus k, or
+                # misses there by one ulp, so a last-bit change either way in
+                # the energies up to k moves the radius; a tiny total stops
+                # at once, a large one runs through
+                ks = (0, 60, 130, 197)
+                totals = [2.0 * cumulative[k] for k in ks]
+                totals += [2.0 * np.nextafter(cumulative[k], np.inf) for k in ks]
+                for total in totals + [1e-9 * totals[-1], 3.0 * totals[-1]]:
+                    got = bubbletree._median_energy_radius(sl, center, lo, hi, total)
+                    assert got == _scan_median_energy_radius(sl, center, lo, hi, total)
+    with pytest.raises(ValueError, match="rmin < r"):
+        bubbletree._median_energy_radius(seqs[0].slice_map(4), np.zeros(2), 0.2, 0.1, 1.0)

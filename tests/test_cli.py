@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from fueterlab import bubbletree, cli
 from fueterlab.cli import main
 from fueterlab.fields import GridField, save_fld1
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args, capsys):
@@ -34,6 +39,9 @@ def test_identity_check_zero_tolerance(tmp_path, capsys):
         ["identity-check", "--jets", "100", "--config", str(cfgpath)], capsys
     )
     assert code == 1  # floating point defect is tiny but nonzero
+    rep = json.loads(out)
+    assert rep["passed"] is False and rep["error"] == "identity-defect"
+    assert "tol_identity 0.0" in rep["detail"]
 
 
 def test_identity_check_malformed_field(tmp_path, capsys):
@@ -185,3 +193,96 @@ def test_deterministic_reports(tmp_path, capsys):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# flags are checked where they enter: exit 2 with a reason naming the flag
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["monotonicity", "--radii", "nan", "--grid", "17"], "--radii"),
+    (["monotonicity", "--radii", "0.1,inf"], "--radii"),
+    (["monotonicity", "--radii", "0.1,-0.2"], "--radii"),
+    (["monotonicity", "--radii", "0.1,0"], "--radii"),
+    (["monotonicity", "--radii", "0.1,x"], "--radii"),
+    (["norms", "--fields", "0"], "--fields"),
+    (["identity-check", "--jets", "0"], "--jets"),
+    (["solve-w21", "--tol", "-1"], "--tol"),
+    (["solve-w21", "--tol", "0"], "--tol"),
+    (["solve-w21", "--tol", "nan"], "--tol"),
+    (["solve-w21", "--tol", "inf"], "--tol"),
+    (["solve-w21", "--max-iter", "0"], "--max-iter"),
+])
+def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# every exit-1 report carries an error and a detail
+
+
+def test_unreliable_extrapolation_has_a_detail(monkeypatch, capsys):
+    real = bubbletree.quantize
+
+    def unreliable(*args, **kwargs):
+        tree, report = real(*args, **kwargs)
+        return tree, dict(report, theta_reliable=False)
+
+    monkeypatch.setattr(bubbletree, "quantize", unreliable)
+    code, out = run_cli(["extract-bubbles", "--manifest", "one", "--ell", "6"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "unreliable-extrapolation"
+    assert "ell 5 and 6" in rep["detail"]
+
+
+def test_failed_norm_checks_have_an_error_and_a_detail(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "lorentz_2inf", lambda g: float("inf"))
+    code, out = run_cli(["norms", "--fields", "3", "--grid", "16"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "norm-check-failed"
+    assert rep["detail"].startswith("lorentz_ordering_ok false over 3 fields")
+
+
+# ---------------------------------------------------------------------------
+# reports against committed bytes.  A deliberate report change regenerates
+# the file with `python -m fueterlab.cli ARGS > tests/golden/NAME`; the
+# identity-check field is the one `_golden_field` writes (the same bytes as
+# `python3 bench/inputs.py 3 PATH`).
+
+
+def _golden_field(path):
+    from fueterlab.fields import standard_triholomorphic_field
+
+    poly = standard_triholomorphic_field(seed=3, degree=4)
+    save_fld1(GridField.from_function(poly, 1, 1, 33, domain="box", L=0.5), path)
+    return str(path)
+
+
+GOLDEN_REPORTS = {
+    "norms.json": ["norms", "--fields", "100", "--grid", "32", "--seed", "3"],
+    "solve-w21.json": ["solve-w21", "--grid", "20", "--seed", "3"],
+    "identity-check.json": ["identity-check", "--jets", "10000", "--field", "FIELD",
+                            "--seed", "3"],
+    "monotonicity.csv": ["monotonicity", "--grid", "33", "--seed", "3"],
+    "extract-bubbles-two.json": ["extract-bubbles", "--manifest", "two", "--ell", "8",
+                                 "--seed", "5"],
+    "extract-bubbles-three.json": ["extract-bubbles", "--manifest", "three", "--ell", "12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_matches_the_golden_bytes(name, tmp_path):
+    argv = list(GOLDEN_REPORTS[name])
+    if "FIELD" in argv:
+        argv[argv.index("FIELD")] = _golden_field(tmp_path / "field.fld1")
+    out = tmp_path / "report"
+    code = main(argv + ["--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -14,9 +14,10 @@ from fueterlab.poisson import (
     manufactured_problem,
     poisson_solve,
     radial_cutoff,
+    smoothstep,
     w21_norm,
 )
-from fueterlab.poisson import _coef, _rhs_operator
+from fueterlab.poisson import _coef, _rhs_operator, _smooth_random, _w11
 
 
 def test_poisson_solve_zero_and_eigenmode():
@@ -224,3 +225,52 @@ def test_domain_doubling_truncation_control():
     b = v20.values[sl20] - v20.values[sl20].mean()
     scale = np.abs(a).max()
     assert np.abs(a - b).max() < 0.05 * scale
+
+
+# verbatim copies of the meshgrid set-up that the broadcast axes replaced
+
+
+def _mesh_radial_cutoff(shape, h, inner, outer, center=None):
+    d = len(shape)
+    if center is None:
+        center = np.full(d, shape[0] * h / 2.0)
+    axes = [np.arange(N) * h for N in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rho = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
+    return 1.0 - smoothstep((rho - inner) / (outer - inner))
+
+
+def _mesh_smooth_random(shape, h, rng, modes=4):
+    axes = [np.arange(N) * h for N in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    L = shape[0] * h
+    out = np.zeros(shape)
+    for _ in range(modes):
+        kvec = rng.integers(1, 3, size=len(shape))
+        phase = rng.uniform(0, 2 * np.pi)
+        amp = rng.normal()
+        arg = sum(2 * np.pi * k * m / L for k, m in zip(kvec, mesh)) + phase
+        out += amp * np.sin(arg)
+    return out / max(1e-12, np.abs(out).max())
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 5), (6, 6, 4), (8,) * 4, (5, 6, 7, 4)])
+def test_problem_set_up_matches_the_meshgrid_forms_bitwise(shape):
+    for h in (1.0 / shape[0], 0.37):
+        for seed in (0, 3):
+            got = _smooth_random(shape, h, np.random.default_rng(seed))
+            assert np.array_equal(got, _mesh_smooth_random(shape, h, np.random.default_rng(seed)))
+        L = shape[0] * h
+        centers = (None, np.linspace(0.2, 0.6, len(shape)) * L)
+        for center in centers:
+            got = radial_cutoff(shape, h, 0.2 * L, 0.45 * L, center=center)
+            assert np.array_equal(got, _mesh_radial_cutoff(shape, h, 0.2 * L, 0.45 * L, center))
+
+
+def test_w11_matches_the_torus_differences_bitwise():
+    v = np.random.default_rng(2).normal(size=(6, 5, 7, 4))
+    h = 0.21
+    want = np.abs(v).sum()
+    for a in range(v.ndim):
+        want += np.abs(stencil.d1(v, a, h, True)).sum()
+    assert _w11(v, h) == float(want * h**v.ndim)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fueterlab import stencil
 from fueterlab.fields import GridField, dirichlet_energy, heat_flow_step
-from fueterlab.poisson import w21_norm
+from fueterlab.poisson import _sum_of_squares, w21_norm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fueterlab"
 
@@ -85,6 +85,43 @@ def test_torus_and_box_agree_bitwise_on_interior(ndim, n, comps, a, b, seed):
     for torus, box in pairs:
         assert box.shape == (n - 2,) * ndim + shape[ndim:]
         assert np.array_equal(_inner(torus, ndim), box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(3, 6), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_flat_block_matches_the_box_differences_bitwise(ndim, n, a, b, seed):
+    a, b = a % ndim, b % ndim
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(3, n + 1, size=ndim))
+    v = rng.normal(size=shape)
+    h = 0.29
+    block = stencil.FlatBlock(shape)
+    flat = v.ravel()
+    buf = np.full(block.size, np.nan)
+    block.d1(flat, a, h, buf)
+    assert np.array_equal(block.interior(buf), stencil.d1(v, a, h, False))
+    block.d2(flat, a, b, h, buf)
+    assert np.array_equal(block.interior(buf), stencil.d2(v, a, b, h, False))
+
+
+def test_flat_block_rejects_an_axis_without_interior_nodes():
+    with pytest.raises(ValueError, match="interior"):
+        stencil.FlatBlock((4, 2, 5))
+
+
+def test_formulas_write_into_out_with_the_same_values():
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(4, 3, 5))
+    h = 0.13
+    cases = [(stencil.first, vals[:2]), (stencil.second, vals[:3]), (stencil.mixed, vals)]
+    for formula, args in cases:
+        want = formula(*args, h)
+        out = np.empty_like(want)
+        assert formula(*args, h, out=out) is out
+        assert np.array_equal(out, want)
+        # point stencils pass scalars
+        assert formula(*(x[0, 0] for x in args), h) == want[0, 0]
 
 
 def test_no_second_stencil_in_the_package():
@@ -216,6 +253,23 @@ def test_w21_norm_bitwise_when_windows_do_not_tile_the_planes(domain, N):
     for n in (1, 2) if N < 12 else (1,):
         u = GridField(1, n, domain, 0.5, (N,) * 4, values=rng.normal(size=(N,) * 4 + (4 * n,)))
         assert w21_norm(u) == _old_w21_norm(u)
+
+
+@pytest.mark.parametrize("count", [1, 4, 7, 8, 12])
+def test_sum_of_squares_adds_in_the_order_of_numpys_last_axis_sum(count):
+    rng = np.random.default_rng(count)
+    values = rng.normal(size=(count, 3000))
+
+    def part(c):
+        def write(buf):
+            buf[:] = values[c]
+            return buf
+        return write
+
+    out, buf = np.empty(3000), np.empty(3000)
+    got = _sum_of_squares([part(c) for c in range(count)], out, buf)
+    assert got is out
+    assert np.array_equal(got, np.sum(np.stack(list(values), axis=-1) ** 2, axis=-1))
 
 
 @pytest.mark.parametrize("domain", ["box", "torus"])
