@@ -18,7 +18,7 @@ from .fields import (
     Jet,
     differential,
     dirichlet_energy,
-    energy_identity_defect,
+    energy_identity_defects,
     heat_flow_step,
     load_fld1,
     save_fld1,

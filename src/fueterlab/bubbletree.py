@@ -134,14 +134,12 @@ class BubbleProfile:
         return self.energy_within(R) + tail
 
 
-def make_profile(amplitude, structure: SphereStructure, n=1, seed=0,
-                 S_tar: StructureTriple | None = None) -> BubbleProfile:
+def make_profile(amplitude, structure: SphereStructure, n=1, seed=0) -> BubbleProfile:
     """Profile whose origin jet satisfies d2 phi = -(aI + bJ + cK) d1 phi."""
-    S_tar = S_tar or StructureTriple.standard(n)
     rng = np.random.default_rng(seed)
     w = rng.normal(size=4 * n)
     w /= np.linalg.norm(w)
-    J = structure.matrix(S_tar)
+    J = structure.matrix(StructureTriple.standard(n))
     v2 = -J @ w
     frame = _complete_frame(w, v2, 4 * n, rng)
     return BubbleProfile(amplitude, frame, structure)
@@ -354,9 +352,6 @@ class ConcentratingSequence:
         pts = np.asarray(pts, dtype=float)
         return _SliceMap(self, ell, pts[..., :2]).value(pts[..., 2:])
 
-    def member_field_fn(self, ell):
-        return lambda pts: self.eval4(ell, pts)
-
 
 def synth_sequence(bubble_specs, base=None, n=1, cutoff_radius=0.3, noise=None,
                    seed=0) -> ConcentratingSequence:
@@ -470,19 +465,17 @@ def _ball4_ratio(seq: ConcentratingSequence, ell, center2, r, base_only=False,
 # detection and slicing
 
 
-def blowup_set_detect(seq: ConcentratingSequence, eps0, r, ells, grid_n=17,
-                      grid_radius=None, slack=1.0):
-    """X2-grid nodes where the energy ratio stays >= eps0 - C r for every
+def blowup_set_detect(seq: ConcentratingSequence, eps0, r, ells, grid_n=17):
+    """X2-grid nodes where the energy ratio stays >= eps0 - r for every
     supplied member index (the liminf surrogate over the available tail)."""
-    if grid_radius is None:
-        grid_radius = seq.cutoff_radius * 0.6
+    grid_radius = seq.cutoff_radius * 0.6
     ax = np.linspace(-grid_radius, grid_radius, grid_n)
     flagged = []
     for i, x in enumerate(ax):
         for j, y in enumerate(ax):
             c = np.array([x, y])
             vals = [_ball4_ratio(seq, ell, c, r, method="model") for ell in ells]
-            if min(vals) >= eps0 - slack * r:
+            if min(vals) >= eps0 - r:
                 flagged.append(((i, j), c.copy()))
     return flagged
 
@@ -495,7 +488,7 @@ class DefectDensity:
 
 
 def defect_density(seq: ConcentratingSequence, center2, ells,
-                   radii=(0.08, 0.11, 0.15), rel_tol=0.05) -> DefectDensity:
+                   radii=(0.08, 0.11, 0.15)) -> DefectDensity:
     """Energy-ratio defect at a plane point: member ratio minus the base
     contribution, divided by the unit-ball volume of the plane directions and
     extrapolated to r -> 0.
@@ -517,7 +510,7 @@ def defect_density(seq: ConcentratingSequence, center2, ells,
     thetas = [per_ell[e] for e in ells]
     theta = thetas[-1]
     scale = max(abs(t) for t in thetas) or 1.0
-    reliable = (max(thetas) - min(thetas)) <= rel_tol * scale
+    reliable = (max(thetas) - min(thetas)) <= 0.05 * scale
     return DefectDensity(theta, reliable, per_ell)
 
 
@@ -529,23 +522,22 @@ class SliceChoice:
     lorentz_value: float
 
 
-def _slice_lorentz(sl: _SliceMap, center, r_out, nrad=400, nang=24):
+def _slice_lorentz(sl: _SliceMap, center, r_out):
     """L^{2,1} norm of |grad u(X1, .)| over B_{r_out}, on log-polar samples
     with their cell measures."""
     scales = [b.scale(sl.ell) for b in sl.seq.bubbles] or [r_out]
     rmin = max(1e-14, min(scales) * 1e-3)
-    t, rad, pts = _log_polar(center, rmin, r_out, nrad, nang)
+    t, rad, pts = _log_polar(center, rmin, r_out, 400, 24)
     dt = t[1] - t[0]
     g = np.sqrt(sl.grad_sq(pts))
-    meas = np.broadcast_to((rad * rad * dt)[:, None] * (2 * np.pi / nang), g.shape)
+    meas = np.broadcast_to((rad * rad * dt)[:, None] * (2 * np.pi / 24), g.shape)
     return lorentz_21(g, weights=meas)
 
 
-def slice_select(seq: ConcentratingSequence, ell, grid_n=9, x1_extent=0.4,
-                 maximal_threshold=0.05, lorentz_bound=60.0, r_out=0.25) -> SliceChoice:
-    """Pick a good slice X1: the maximal function of f_l must stay below the
-    threshold and the slice Lorentz norm below the uniform bound."""
-    ax = np.linspace(-x1_extent, x1_extent, grid_n)
+def slice_select(seq: ConcentratingSequence, ell, grid_n=9, r_out=0.25) -> SliceChoice:
+    """Pick a good slice X1 in [-0.4, 0.4]^2: the maximal function of f_l must
+    stay at most 0.05 and the slice Lorentz norm at most the uniform bound 60."""
+    ax = np.linspace(-0.4, 0.4, grid_n)
     mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
     f = seq.f_of_x1(ell, mesh)
     Mf = hl_maximal(ScalarGrid(f, ax[1] - ax[0])).values
@@ -553,13 +545,13 @@ def slice_select(seq: ConcentratingSequence, ell, grid_n=9, x1_extent=0.4,
     lor = None
     for i in range(grid_n):
         for j in range(grid_n):
-            if Mf[i, j] > maximal_threshold:
+            if Mf[i, j] > 0.05:
                 continue
             x1 = mesh[i, j]
             # every slice of an X1-invariant sequence is the same map
             if lor is None or not seq.x1_invariant:
                 lor = _slice_lorentz(seq.slice_map(ell, x1), np.zeros(2), r_out)
-            if lor <= lorentz_bound:
+            if lor <= 60.0:
                 admissible.append((Mf[i, j], lor, x1))
     if not admissible:
         raise RuntimeError("no admissible slice (bad sequence)")
@@ -663,8 +655,7 @@ def _tracked_max(sl, delta, around, span, grid=9):
     return centers[k], float(vals[k])
 
 
-def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1,
-                        delta_hi=0.5, rel_tol=0.01, search_radius=0.25):
+def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1):
     """Bisection in delta for the scale at which the max over X2 of the
     localized energy ratio equals eps0 / (8 * 2^{4m}); returns (delta, X2).
 
@@ -676,13 +667,13 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
     """
     target = eps0 / (8.0 * 2 ** (4 * seq.m))
     sl = seq.slice_map(ell, x1)
-    x2c, f = _tracked_max(sl, delta_hi, (0.0, 0.0), search_radius)
+    x2c, f = _tracked_max(sl, 0.5, (0.0, 0.0), 0.25)
     if f < target:
         raise NoConcentrationError(
             f"localized ratio peaks at {f:.3e} < target {target:.3e}"
         )
     # descend geometrically, re-centering the search on the previous argmax
-    hi, lo = delta_hi, delta_hi
+    hi, lo = 0.5, 0.5
     x2_hi = x2c
     while True:
         lo = hi / 4.0
@@ -697,7 +688,7 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         x2_mid, f_mid = _tracked_max(sl, mid, x2c, span=1.5 * mid, grid=5)
-        if abs(f_mid / target - 1.0) <= rel_tol:
+        if abs(f_mid / target - 1.0) <= 0.01:
             break
         if f_mid > target:
             hi = mid
@@ -717,8 +708,8 @@ class ExtractedBubble:
     depth: int = 0
 
 
-def _median_energy_radius(sl, center, r_lo, r_hi, total, nprobe=200):
-    rads = np.exp(np.linspace(np.log(max(r_lo, 1e-14)), np.log(r_hi), nprobe))
+def _median_energy_radius(sl, center, r_lo, r_hi, total):
+    rads = np.exp(np.linspace(np.log(max(r_lo, 1e-14)), np.log(r_hi), 200))
     if not np.all(rads[:-1] < rads[1:]):
         raise ValueError("need rmin < r")
     # every annulus in one batch, each sampled as `_disk_energy` samples it
@@ -733,10 +724,9 @@ def _median_energy_radius(sl, center, r_lo, r_hi, total, nprobe=200):
 
 
 def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
-                        R_compact=2.0, conv_tol=1e-3, sat_frac=0.02,
                         outer_bound=0.25, eps0=0.1) -> ExtractedBubble:
     """Check C^1 convergence of the rescaled members v_l(y) = u_l(c + delta_l y)
-    on B_R, then saturate the energy by an R-sweep.
+    on B_2, then saturate the energy by an R-sweep.
 
     The recovered scale is the median-energy radius (profile-normalized);
     the crossing scale from the concentration search carries a threshold-
@@ -744,7 +734,7 @@ def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
     """
     center = np.asarray(center, dtype=float)
     ang = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    rad = np.linspace(0.05, R_compact, 12)
+    rad = np.linspace(0.05, 2.0, 12)
     ypts = rad[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)[None]
     samples = []
     scale_ref = 0.0
@@ -755,7 +745,7 @@ def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
         scale_ref = max(scale_ref, float(np.max(np.abs(v))))
     converged = True
     for a, b in zip(samples[:-1], samples[1:]):
-        if np.max(np.abs(a - b)) > conv_tol * max(scale_ref, 1e-12):
+        if np.max(np.abs(a - b)) > 1e-3 * max(scale_ref, 1e-12):
             converged = False
     ell, d = ells[-1], deltas[-1]
     sl = seq.slice_map(ell, x1)
@@ -767,7 +757,7 @@ def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
         grew = E_next - E_curr
         E_curr = E_next
         r_stop = d * rho
-        if grew < sat_frac * max(E_next, 1e-300):
+        if grew < 0.02 * max(E_next, 1e-300):
             break
         rho *= 2.0
     if E_curr < eps0:
@@ -795,13 +785,13 @@ def _paraboloid_step(f, step):
         return None
 
 
-def _refine_center(sl: _SliceMap, c0, scale, rounds=3):
+def _refine_center(sl: _SliceMap, c0, scale):
     """Sharpen the bubble center by fitting a paraboloid to the energy density
     on a shrinking 3x3 stencil; the density peak is smooth and near-quadratic
     at the core, so a few rounds reach a small fraction of the core scale."""
     c = np.asarray(c0, dtype=float).copy()
     step = 0.3 * scale
-    for _ in range(rounds):
+    for _ in range(3):
         ax = np.array([-step, 0.0, step])
         pts = c + np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
         move = _paraboloid_step(sl.grad_sq(pts), step)
@@ -820,7 +810,7 @@ def _probe_jet(sl: _SliceMap, center, h):
     return np.stack(cols, axis=1)
 
 
-def _center_structure(sl: _SliceMap, center, probe_scale, S_tar=None):
+def _center_structure(sl: _SliceMap, center, probe_scale):
     """(a, b, c) of the jet at the center, probed at the deepest scale.
 
     Concentric profiles built with one (a, b, c) superpose to a jet that is
@@ -834,7 +824,7 @@ def _center_structure(sl: _SliceMap, center, probe_scale, S_tar=None):
 
     def residual_sq(c):
         try:
-            _, res = bubble_structure(_probe_jet(sl, c, h), S_tar=S_tar)
+            _, res = bubble_structure(_probe_jet(sl, c, h))
         except ValueError:
             return np.inf
         return res * res
@@ -855,7 +845,7 @@ def _center_structure(sl: _SliceMap, center, probe_scale, S_tar=None):
         center = center + move
         step *= 0.05
     try:
-        return bubble_structure(_probe_jet(sl, center, h), S_tar=S_tar)
+        return bubble_structure(_probe_jet(sl, center, h))
     except ValueError:
         return None, float("nan")
 
@@ -869,15 +859,14 @@ class NeckView:
     W(t, theta) = u(c + e^{-t} e^{i theta}), t increasing from -log(outer) to
     -log(inner)."""
 
-    def __init__(self, seq, ell, x1, center, inner, outer, nt=None, ntheta=48):
+    def __init__(self, seq, ell, x1, center, inner, outer, ntheta=48):
         if not inner < outer:
             raise ValueError("need inner < outer")
         self.seq = seq
         self.ell = ell
         self.center = np.asarray(center, dtype=float)
         t0, t1 = -math.log(outer), -math.log(inner)
-        if nt is None:
-            nt = min(4000, max(96, int((t1 - t0) / 0.04)))
+        nt = min(4000, max(96, int((t1 - t0) / 0.04)))
         # one extra sample beyond each end so the central-difference energy
         # covers the full requested window
         dt = (t1 - t0) / (nt - 1)
@@ -918,39 +907,35 @@ class NeckView:
             return 0.0
         return float(np.trapezoid(g[mask].sum(axis=1) * self.dtheta, tt[mask]))
 
-    def window_energy(self, t_start, width=1.0):
-        """Scan quantity: the X1-window factor e^{(4m-2)t} vol(B_{e^-t})
-        reduces to omega_{4m-2} for plane-invariant members."""
-        return _x1_ball_volume(self.seq.m) * self.cylinder_energy(
-            t_start, t_start + width
-        )
-
-    def sup_grad(self):
-        return float(np.sqrt(self.grad_sq_samples().max()))
+    def window_energy(self, t_start):
+        """Scan quantity on the unit window [t_start, t_start + 1]: the
+        X1-window factor e^{(4m-2)t} vol(B_{e^-t}) reduces to omega_{4m-2}
+        for plane-invariant members."""
+        return _x1_ball_volume(self.seq.m) * self.cylinder_energy(t_start, t_start + 1.0)
 
 
 def neck_view(seq, ell, x1, center, inner, outer, **kw) -> NeckView:
     return NeckView(seq, ell, x1, center, inner, outer, **kw)
 
 
-def neck_scan(view: NeckView, eps1, width=1.0, stride=0.2):
-    """Argmax windowed energy along the neck; None when every window stays
-    below eps1 (the neck admits no further bubbles)."""
-    t0, t1 = view.t[0], view.t[-1] - width
+def neck_scan(view: NeckView, eps1):
+    """Argmax unit-window energy along the neck, window starts 0.2 apart; None
+    when every window stays below eps1 (the neck admits no further bubbles)."""
+    t0, t1 = view.t[0], view.t[-1] - 1.0
     if t1 <= t0:
         return None, 0.0, []
-    starts = np.arange(t0, t1, stride)
-    energies = [view.window_energy(s, width) for s in starts]
+    starts = np.arange(t0, t1, 0.2)
+    energies = [view.window_energy(s) for s in starts]
     k = int(np.argmax(energies))
     if energies[k] < eps1:
         return None, float(energies[k]), list(zip(starts, energies))
     return float(starts[k]), float(energies[k]), list(zip(starts, energies))
 
 
-def _qualified_peaks(series, eps1, prominence=2.0):
+def _qualified_peaks(series, eps1):
     """Interior local maxima of the scan series that rise above eps1 AND above
-    `prominence` times the dips adjacent to them on both sides; each peak is
-    returned with its flanking dip positions (the segment boundaries).
+    twice the dips adjacent to them on both sides; each peak is returned with
+    its flanking dip positions (the segment boundaries).
 
     The prominence requirement is what terminates the walk on synthetic
     profiles with 1/r^2 gradient tails: their windowed energies stay above any
@@ -973,7 +958,7 @@ def _qualified_peaks(series, eps1, prominence=2.0):
         if merged:
             kp = merged[-1]
             between = e[kp : k + 1]
-            if between.min() > min(e[kp], e[k]) / prominence:
+            if between.min() > min(e[kp], e[k]) / 2.0:
                 if e[k] > e[kp]:
                     merged[-1] = k
                 continue
@@ -991,7 +976,7 @@ def _qualified_peaks(series, eps1, prominence=2.0):
         prev = ri
     peaks = []
     for k, (li, ri) in zip(merged, bounds):
-        if e[k] >= prominence * e[li] and e[k] >= prominence * e[ri]:
+        if e[k] >= 2.0 * e[li] and e[k] >= 2.0 * e[ri]:
             peaks.append(
                 {"t": t[k], "energy": float(e[k]), "t_left": t[li], "t_right": t[ri]}
             )
@@ -1001,7 +986,7 @@ def _qualified_peaks(series, eps1, prominence=2.0):
 def neck_l2inf_check(view: NeckView):
     """sup over the neck of |X2 - c| |grad_{X2} u|, evaluated in the cylinder
     chart where it equals sup |grad W| exactly."""
-    return view.sup_grad()
+    return float(np.sqrt(view.grad_sq_samples().max()))
 
 
 # ---------------------------------------------------------------------------
@@ -1077,11 +1062,7 @@ class QuantizeConfig:
     eps0: float = 0.1
     eps1: float = None  # defaults to eps0 / 4
     r_out: float = 0.25
-    depth_cap: int = 8
-    boundary_exponent: float = 0.47
-    outer_exponent: float = 0.75
     theta_radii: tuple = (0.08, 0.11, 0.15)
-    conv_tol: float = 1e-3
 
     def __post_init__(self):
         if self.eps1 is None:
@@ -1094,7 +1075,7 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
     exceeds eps1; returns (BubbleTree, report).
 
     Bubble scales are median-energy radii; disjoint annular domains split at
-    scale-adapted boundaries mu * sep^eta, so the neck remainder shrinks as
+    scale-adapted boundaries mu * sep^0.47, so the neck remainder shrinks as
     the scales separate with l.
     """
     config = config or QuantizeConfig()
@@ -1111,8 +1092,7 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
     theta = defect_density(seq, x2c, ells[-2:] if len(ells) > 1 else ells,
                            radii=config.theta_radii)
     first = rescale_and_extract(seq, ells, x1, x2c, crossings,
-                                conv_tol=config.conv_tol, outer_bound=config.r_out,
-                                eps0=config.eps0)
+                                outer_bound=config.r_out, eps0=config.eps0)
     bubbles = [first]
     sl = seq.slice_map(ell, x1)
 
@@ -1125,8 +1105,8 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
         view = neck_view(seq, ell, x1, x2c, inner, config.r_out)
         _, _, series = neck_scan(view, config.eps1)
         peaks = _qualified_peaks(series, config.eps1)
-        if len(peaks) > config.depth_cap:
-            peaks = peaks[: config.depth_cap]
+        if len(peaks) > 8:
+            peaks = peaks[:8]
             diagnostics["depth_cap_hit"] = True
         for p in peaks:
             hi = min(math.exp(-(p["t_left"] + 0.5)), config.r_out)
@@ -1145,13 +1125,12 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
         b.depth = S - 1 - k
 
     # scale-adapted disjoint domains and energy attribution
-    eta = config.boundary_exponent
     mus = [b.scale_median for b in bubbles]
     cuts = []
     for k in range(S - 1):
         sep = mus[k + 1] / mus[k]
-        cuts.append((mus[k] * sep**eta, mus[k + 1] * sep**-eta))
-    outer_cut = min(mus[-1] * (config.r_out / mus[-1]) ** config.outer_exponent,
+        cuts.append((mus[k] * sep**0.47, mus[k + 1] * sep**-0.47))
+    outer_cut = min(mus[-1] * (config.r_out / mus[-1]) ** 0.75,
                     0.9 * config.r_out)
     for k, b in enumerate(bubbles):
         lo = mus[0] * 1e-5 if k == 0 else cuts[k - 1][1]
@@ -1210,7 +1189,7 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
 # bubble structure and calibration
 
 
-def bubble_structure(j, S_tar: StructureTriple | None = None, rank_tol=1e-6):
+def bubble_structure(j):
     """Recover (a, b, c) from a rank-2 jet: with e, v the images of the
     oriented domain pair, (a, b, c) solves v = -(aI + bJ + cK) e.
 
@@ -1221,12 +1200,11 @@ def bubble_structure(j, S_tar: StructureTriple | None = None, rank_tol=1e-6):
     """
     du = j.du if hasattr(j, "du") else np.asarray(j, dtype=float)
     dn = du.shape[0]
-    n = dn // 4
-    S_tar = S_tar or StructureTriple.standard(n)
+    S_tar = StructureTriple.standard(dn // 4)
     _, s, Vt = np.linalg.svd(du, full_matrices=False)
-    if len(s) < 2 or s[1] <= rank_tol * s[0]:
+    if len(s) < 2 or s[1] <= 1e-6 * s[0]:
         raise ValueError("jet has numerical rank < 2")
-    if len(s) > 2 and s[2] > rank_tol * s[0]:
+    if len(s) > 2 and s[2] > 1e-6 * s[0]:
         raise ValueError("jet has numerical rank > 2")
     r1, r2 = Vt[0], Vt[1]
     if du.shape[1] == 2 and np.linalg.det(np.stack([r1, r2])) < 0:
@@ -1244,19 +1222,16 @@ def bubble_structure(j, S_tar: StructureTriple | None = None, rank_tol=1e-6):
     return abc, res
 
 
-def calibration_defect(e1, e2, s: SphereStructure,
-                       S_tar: StructureTriple | None = None, tol=1e-9) -> float:
-    """1 - (a O_I + b O_J + c O_K)(e1, e2) for an orthonormal oriented pair;
+def calibration_defect(e1, e2, s: SphereStructure) -> float:
+    """1 - (a O_I + b O_J + c O_K)(e1, e2) for a pair orthonormal to 1e-9;
     nonnegative (Wirtinger), zero exactly on the holomorphic planes
     e2 = (aI + bJ + cK) e1."""
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
-    n = len(e1) // 4
-    S_tar = S_tar or StructureTriple.standard(n)
-    if abs(np.linalg.norm(e1) - 1) > tol or abs(np.linalg.norm(e2) - 1) > tol:
+    if abs(np.linalg.norm(e1) - 1) > 1e-9 or abs(np.linalg.norm(e2) - 1) > 1e-9:
         raise ValueError("plane basis must be orthonormal")
-    if abs(float(e1 @ e2)) > tol:
+    if abs(float(e1 @ e2)) > 1e-9:
         raise ValueError("plane basis must be orthonormal")
-    J = s.matrix(S_tar)
+    J = s.matrix(StructureTriple.standard(len(e1) // 4))
     # the Kaehler forms are w(X, Y) = g(SX, Y)
     return float(1.0 - (J @ e1) @ e2)

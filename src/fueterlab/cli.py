@@ -46,7 +46,13 @@ class RunConfig:
     magnitude: float = 0.05
 
     def __post_init__(self):
-        for name in ("eps0", "eps1", "r_out", "grid"):
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            # json.load reads NaN and Infinity, and bool is an int
+            kind = (int, float) if f.type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                raise ValueError(f"config field {f.name} must be a finite {f.type}, got {value!r}")
+        for name in ("eps0", "eps1", "r_out", "tol_identity", "grid"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
         if self.m not in (1, 2):
@@ -281,10 +287,17 @@ def _positive_int(text):
     return value
 
 
-def _positive_float(text):
+def _finite_float(text):
     value = _number(float, text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text):
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
@@ -329,7 +342,7 @@ def build_parser():
 
     q = sub.add_parser("solve-w21", help="perturbed Poisson fixed point")
     common(q)
-    q.add_argument("--magnitude", type=float, default=None)
+    q.add_argument("--magnitude", type=_finite_float, default=None)
     q.add_argument("--tol", type=_positive_float, default=1e-10)
     q.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     q.set_defaults(func=cmd_solve_w21)

@@ -22,7 +22,6 @@ __all__ = [
     "scalar_form",
     "basis_form",
     "form_from_matrix",
-    "volume_form",
     "dr_form",
     "wedge",
     "wedge_power",
@@ -154,10 +153,6 @@ def form_from_matrix(M) -> KForm:
     for p, (a, b) in enumerate(index_tuples(n, 2)):
         f.coeffs[p] = M[a, b]
     return f
-
-
-def volume_form(n: int) -> KForm:
-    return basis_form(n, tuple(range(n)))
 
 
 def dr_form(x) -> KForm:

@@ -25,7 +25,6 @@ __all__ = [
     "differential",
     "triholo_residual",
     "dirichlet_energy",
-    "energy_identity_defect",
     "energy_identity_defects",
     "laplacian_direct",
     "pullback_closedness_defect",
@@ -349,8 +348,9 @@ def _wedge_pairing(As, S_dom, S_tar):
     return out
 
 
-def energy_identity_defect(j, S_dom: StructureTriple, S_tar: StructureTriple) -> float:
-    """LHS - RHS of the pointwise energy identity, which vanishes for every jet.
+def energy_identity_defects(As, S_dom: StructureTriple, S_tar: StructureTriple):
+    """LHS - RHS of the pointwise energy identity, which vanishes for every
+    jet, over a batch of jets dv of shape (N, 4n, 4m).
 
     LHS = -(1/(2m-1)!) [a_1^(2m-1) ^ v*O_I + a_2^(2m-1) ^ v*O_J
           + a_3^(2m-1) ^ v*O_K] on the unit volume, and
@@ -360,12 +360,6 @@ def energy_identity_defect(j, S_dom: StructureTriple, S_tar: StructureTriple) ->
     identity is exact algebra for arbitrary jets, and for triholomorphic
     jets the LHS reduces to 1/2 |dv|^2.
     """
-    A = j.du if isinstance(j, Jet) else np.asarray(j, dtype=float)
-    return float(energy_identity_defects(A[None], S_dom, S_tar)[0])
-
-
-def energy_identity_defects(As, S_dom, S_tar):
-    """Vectorized defect over a batch of jets (N, 4n, 4m)."""
     As = np.asarray(As, dtype=float)
     lhs = -_wedge_pairing(As, S_dom, S_tar) / math.factorial(2 * S_dom.d - 1)
     R = As.copy()
@@ -386,7 +380,7 @@ def residual_operator_matrix(S_dom, S_tar):
     return M
 
 
-def triholomorphic_kernel(S_dom, S_tar, tol=1e-10):
+def triholomorphic_kernel(S_dom, S_tar):
     """Kernel of the linear residual, via SVD of the oracle matrix.
 
     Returns (dimension, basis) where basis[k] is a 4n x 4m jet with
@@ -397,7 +391,7 @@ def triholomorphic_kernel(S_dom, S_tar, tol=1e-10):
     if s.max() == 0.0:
         null = Vt
     else:
-        k = int(np.sum(s < tol * s.max()))
+        k = int(np.sum(s < 1e-10 * s.max()))
         null = Vt[len(s) - k :] if k else Vt[:0]
     basis = [v.reshape(S_tar.dim, S_dom.dim) for v in null]
     return len(basis), basis
@@ -739,12 +733,12 @@ class FueterPolynomialMap:
         return self.value(pts)
 
 
-def standard_triholomorphic_field(seed=0, degree=4, scale=1.0):
+def standard_triholomorphic_field(seed=0, degree=4):
     """A seeded polynomial triholomorphic map H -> H of the given max degree."""
     rng = np.random.default_rng(seed)
 
     def coeff():
-        return scale * rng.normal(size=4) / 2.0
+        return rng.normal(size=4) / 2.0
 
     terms = [((ell,), coeff()) for ell in (1, 2, 3)]
     if degree >= 2:

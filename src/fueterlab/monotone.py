@@ -25,7 +25,6 @@ __all__ = [
     "radial_term",
     "monotonicity_defect",
     "ratio_profile",
-    "almost_monotone_quantity",
     "almost_monotone_sweep",
     "density_estimate",
     "eps_regularity_scan",
@@ -97,19 +96,7 @@ class _BallPass:
 
         core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
         ext = tuple(slice(lo_e[a], hi_e[a]) for a in range(1, d))
-        ext_shape = tuple(hi_e[a] - lo_e[a] for a in range(1, d))
-        core_shape = tuple(hi[a] - lo[a] for a in range(1, d))
-
-        # flat gather indices from the core window into the extended block,
-        # plus the +-1 shifts along every remaining axis (built once)
-        strides = np.cumprod((ext_shape + (1,))[::-1])[::-1][1:]
-        core_grids = np.meshgrid(
-            *[np.arange(1, 1 + n) for n in core_shape], indexing="ij"
-        )
-        idx0 = sum(g.ravel() * s for g, s in zip(core_grids, strides))
-        idx_shift = []
-        for a in range(d - 1):
-            idx_shift.append((idx0 + strides[a], idx0 - strides[a]))
+        core = (slice(1, -1),) * (d - 1)  # the core window inside the extended one
 
         # squared distance and coordinates over the remaining axes
         sq_rest = 0.0
@@ -117,10 +104,12 @@ class _BallPass:
             shp = [1] * (d - 1)
             shp[a] = len(cc)
             sq_rest = sq_rest + ((cc - self.center[1 + a]) ** 2).reshape(shp)
+        du_core = np.empty((d,) + sq_rest.shape + (tdim,))
         sq_rest = sq_rest.ravel()
-        pts_rest = np.stack(
-            [g.ravel() for g in np.meshgrid(*core_coords, indexing="ij")], axis=-1
-        )
+        # core-window points; the axis-0 coordinate is set per slab
+        pts_core = np.empty((len(sq_rest), d))
+        for a, g in enumerate(np.meshgrid(*core_coords, indexing="ij")):
+            pts_core[:, 1 + a] = g.ravel()
 
         n_r = len(self.radii)
         energy = np.zeros(n_r)
@@ -130,9 +119,9 @@ class _BallPass:
         cache = {}
 
         def block(i):
-            """Extended-window values of slab i, flattened to (P, 4n)."""
+            """Extended-window values of slab i."""
             if i not in cache:
-                cache[i] = u.block((i,) + ext).reshape(-1, tdim)
+                cache[i] = u.block((i,) + ext)
             return cache[i]
 
         if self.bracket is not None:
@@ -148,18 +137,19 @@ class _BallPass:
                 cache.pop(i - 1, None)
                 continue
             bm, b0, bp = block(i - 1), block(i), block(i + 1)
-            g0 = idx0[sel]
-            du = np.empty((len(sel), tdim, d))
-            du[:, :, 0] = stencil.first(bp[g0], bm[g0], h)
+            # du on the whole core window by box slices, then the ball nodes' rows
+            stencil.first(bp[core], bm[core], h, out=du_core[0])
             for a in range(d - 1):
-                gp, gm = idx_shift[a]
-                du[:, :, 1 + a] = stencil.first(b0[gp[sel]], b0[gm[sel]], h)
+                p, m = (stencil._at(b0, d - 1, {a: s}) for s in (1, -1))
+                stencil.first(p, m, h, out=du_core[1 + a])
+            du = np.empty((len(sel), tdim, d))
+            for a in range(d):
+                du[:, :, a] = du_core[a].reshape(-1, tdim)[sel]
             rho_sq_sel = rho_sq[sel]
             rho = np.sqrt(rho_sq_sel)
 
-            pts = np.empty((len(sel), d))
-            pts[:, 0] = x0
-            pts[:, 1:] = pts_rest[sel]
+            pts_core[:, 0] = x0
+            pts = pts_core[sel]
             diff = pts - self.center
             safe = np.maximum(rho, 1e-300)
             er = diff / safe[:, None]
@@ -285,38 +275,27 @@ def ratio_profile(u: GridField, x, radii) -> RatioProfile:
     return RatioProfile(np.asarray(x, dtype=float), radii, ratios, radial_terms, defects)
 
 
-def almost_monotone_quantity(u: GridField, x, r: float, perturbation=None,
-                             S_dom=None, S_tar=None) -> float:
-    """(1+(4m-2)r)/r^(4m-2) times the integral over B_r(x) of
-    w_1^(2m-1)^u*O_I + w_2^(2m-1)^u*O_J + w_3^(2m-1)^u*O_K.
+def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
+    """The almost-monotone quantity on a decreasing radius sweep: at radius r,
+    (1+(4m-2)r)/r^(4m-2) times the integral over B_r(x) of
+    w_1^(2m-1)^u*O_I + w_2^(2m-1)^u*O_J + w_3^(2m-1)^u*O_K, with the
+    standard structures on domain and target.
 
     With flat forms and u triholomorphic the bracket equals -(2m-1)!/2 |du|^2,
-    so the value is negative; `perturbation` may supply position-dependent
+    so the values are negative; `perturbation` may supply position-dependent
     domain 2-forms (m=1 only), as callable points -> (..., 3, 4, 4) skew
     matrices.
-    """
-    S_dom = S_dom or StructureTriple.standard(u.m)
-    S_tar = S_tar or StructureTriple.standard(u.n)
-    if perturbation is not None and u.m != 1:
-        raise ValueError("position-dependent forms are supported for m=1 only")
-    out = _BallPass(u, x, [r], bracket=(S_dom, S_tar, perturbation)).run()
-    d = u.dim
-    return float((1.0 + (d - 2) * r) / r ** (d - 2) * out["bracket"][0])
-
-
-def almost_monotone_sweep(u: GridField, x, radii, perturbation=None,
-                          S_dom=None, S_tar=None):
-    """Evaluate the almost-monotone quantity on a decreasing radius sweep.
 
     Returns (values, violation): `values` follow the sweep order; `violation`
     is the largest failure of weak monotonicity of the energy-normalized
     sequence (for flat triholomorphic fields it is quadrature-level, for
     perturbed forms it grows like eps * r).
     """
-    S_dom = S_dom or StructureTriple.standard(u.m)
-    S_tar = S_tar or StructureTriple.standard(u.n)
+    if perturbation is not None and u.m != 1:
+        raise ValueError("position-dependent forms are supported for m=1 only")
     radii = sorted((float(r) for r in radii), reverse=True)
-    out = _BallPass(u, x, sorted(radii), bracket=(S_dom, S_tar, perturbation)).run()
+    bracket = (StructureTriple.standard(u.m), StructureTriple.standard(u.n), perturbation)
+    out = _BallPass(u, x, sorted(radii), bracket=bracket).run()
     d = u.dim
     m = u.m
     by_r = dict(zip(sorted(radii), out["bracket"]))
@@ -338,7 +317,7 @@ class DensityEstimate:
     reliable: bool
 
 
-def density_estimate(u: GridField, x, radii=None, noise_tol=0.05) -> DensityEstimate:
+def density_estimate(u: GridField, x, radii=None) -> DensityEstimate:
     """Extrapolate the energy ratio to r -> 0 by an affine fit ratio = theta + c r
     on the three smallest reliable radii (r >= 5h)."""
     if radii is None:
@@ -356,7 +335,7 @@ def density_estimate(u: GridField, x, radii=None, noise_tol=0.05) -> DensityEsti
     # the ratio should be close to monotone in r; large dips flag bad data
     drops = [max(0.0, ratios[k] - ratios[k + 1]) for k in range(len(ratios) - 1)]
     scale = max(abs(v) for v in ratios) or 1.0
-    reliable = max(drops, default=0.0) <= noise_tol * scale
+    reliable = max(drops, default=0.0) <= 0.05 * scale
     return DensityEstimate(float(coef[0]), float(coef[1]), radii, ratios, reliable)
 
 
@@ -370,8 +349,8 @@ class EpsRegularityReport:
     violations: int = 0
 
 
-def eps_regularity_scan(u: GridField, eps0: float, r: float, stride=None,
-                        constant=EPS_REG_GRADIENT_C) -> EpsRegularityReport:
+def eps_regularity_scan(u: GridField, eps0: float, r: float,
+                        stride=None) -> EpsRegularityReport:
     """Flag grid nodes whose energy ratio at radius r is below eps0 and check
     sup_{B_{r/2}} |du| <= C sqrt(eps0) / r on the flagged balls."""
     import itertools
@@ -386,7 +365,7 @@ def eps_regularity_scan(u: GridField, eps0: float, r: float, stride=None,
     if stride is None:
         stride = max(1, (N - 2 * margin) // 6)
     idx = list(range(margin, N - margin, stride))
-    report = EpsRegularityReport(eps0=eps0, r=r, bound=constant * math.sqrt(eps0) / r)
+    report = EpsRegularityReport(eps0=eps0, r=r, bound=EPS_REG_GRADIENT_C * math.sqrt(eps0) / r)
     for node in itertools.product(idx, repeat=d):
         center = np.array([coords[i] for i in node])
         ratio = energy_ratio(u, center, r)

@@ -171,10 +171,10 @@ def weak_l1_excess(f: ScalarGrid, Mf: ScalarGrid) -> float:
     return max(0.0, float(excess.max()))
 
 
-def _dyadic_scales(h, stop=1.0):
+def _dyadic_scales(h):
     t = h
     out = []
-    while t < stop - 1e-12:
+    while t < 1.0 - 1e-12:
         out.append(t)
         t *= 2.0
     return out or [h]
@@ -191,7 +191,7 @@ def h1_norm(f: ScalarGrid) -> float:
     return float(np.sum(sup) * f.cell)
 
 
-def _window_oscillation(vals, k, chunk=1 << 22):
+def _window_oscillation(vals, k):
     """Mean of |f - mean_Q| over every anchored periodic k-cube, max over anchors."""
     d = vals.ndim
     N = vals.shape[0]

@@ -10,7 +10,7 @@ roundoff, not merely to O(h^2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class PerturbedProblem:
     tau: np.ndarray  # (d,) constants or (d, *dims)
     f: ScalarGrid
     sqrt_g: np.ndarray | None = None
-    smallness: float = 0.1
 
     def __post_init__(self):
         self.chi = np.asarray(self.chi, dtype=float)
@@ -91,27 +90,6 @@ class PerturbedProblem:
             raise ValueError("chi must live on the source grid")
         if self.mu.shape[:2] != (d, d) or self.tau.shape[0] != d:
             raise ValueError("coefficient shapes must start with (d, d) and (d,)")
-
-    def magnitudes(self):
-        h = self.f.h
-        grad_chi = np.sqrt(sum(stencil.d1(self.chi, a, h, True) ** 2
-                               for a in range(self.f.d)))
-        hess = [
-            stencil.d2(self.chi, a, b, h, True)
-            for a in range(self.f.d)
-            for b in range(self.f.d)
-        ]
-        hess_chi = np.sqrt(sum(x**2 for x in hess))
-        return {
-            "mu": float(np.abs(self.mu).max()),
-            "tau": float(np.abs(self.tau).max()),
-            "grad_chi": float(grad_chi.max()),
-            "hess_chi": float(hess_chi.max()),
-        }
-
-    def violates_smallness(self):
-        mags = self.magnitudes()
-        return {k: v for k, v in mags.items() if k in ("mu", "tau") and v > self.smallness}
 
 
 def _coef(arr, ij, shape):
@@ -345,11 +323,11 @@ def _grid_axes(shape, h):
     return np.meshgrid(*[np.arange(N) * h for N in shape], indexing="ij", sparse=True)
 
 
-def _smooth_random(shape, h, rng, modes=4):
+def _smooth_random(shape, h, rng):
     axes = _grid_axes(shape, h)
     L = shape[0] * h
     out = np.zeros(shape)
-    for _ in range(modes):
+    for _ in range(4):
         kvec = rng.integers(1, 3, size=len(shape))
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.normal()
@@ -358,8 +336,8 @@ def _smooth_random(shape, h, rng, modes=4):
     return out / max(1e-12, np.abs(out).max())
 
 
-def default_problem(N=16, d=4, magnitude=0.05, seed=0, h=None):
-    """A generic perturbed problem on the d-torus: standard cutoff, smooth
+def default_problem(N=16, magnitude=0.05, seed=0):
+    """A generic perturbed problem on the unit 4-torus: standard cutoff, smooth
     coefficients of the given magnitude, localized smooth source.
 
     mu is dominated by magnitude * identity (the worst case at a given max
@@ -367,7 +345,8 @@ def default_problem(N=16, d=4, magnitude=0.05, seed=0, h=None):
     genuinely stops contracting), plus a smaller random symmetric part.
     """
     rng = np.random.default_rng(seed)
-    h = 1.0 / N if h is None else h
+    d = 4
+    h = 1.0 / N
     shape = (N,) * d
     L = N * h
     chi = radial_cutoff(shape, h, 0.22 * L, 0.47 * L)
@@ -385,7 +364,7 @@ def default_problem(N=16, d=4, magnitude=0.05, seed=0, h=None):
     return PerturbedProblem(chi, mu, tau, ScalarGrid(src, h))
 
 
-def manufactured_problem(N=16, d=4, magnitude=0.05, seed=0):
+def manufactured_problem(N=16, magnitude=0.05, seed=0):
     """Problem whose exact fixed point is known: pick w* supported strictly
     inside {chi = 1}, then read off the source from the discrete equation.
 
@@ -393,6 +372,7 @@ def manufactured_problem(N=16, d=4, magnitude=0.05, seed=0):
     mean is the discrete stand-in for the decay-at-infinity normalization).
     """
     rng = np.random.default_rng(seed)
+    d = 4
     h = 1.0 / N
     shape = (N,) * d
     L = N * h

@@ -429,7 +429,7 @@ def test_neck_l2inf_decreases_and_matches_charts():
         [np.cos(view.theta), np.sin(view.theta)], axis=-1
     )[None]
     direct = np.sqrt(sl.grad_sq(pts)) * rad[:, None]
-    assert abs(np.max(direct) - view.sup_grad()) < 0.02 * np.max(direct)
+    assert abs(np.max(direct) - neck_l2inf_check(view)) < 0.02 * np.max(direct)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -33,15 +34,16 @@ def test_identity_check_m2(capsys):
 
 
 def test_identity_check_zero_tolerance(tmp_path, capsys):
+    # the least positive tolerance: only an exactly zero defect passes
     cfgpath = tmp_path / "cfg.json"
-    cfgpath.write_text(json.dumps({"tol_identity": 0.0}))
+    cfgpath.write_text(json.dumps({"tol_identity": 5e-324}))
     code, out = run_cli(
         ["identity-check", "--jets", "100", "--config", str(cfgpath)], capsys
     )
     assert code == 1  # floating point defect is tiny but nonzero
     rep = json.loads(out)
     assert rep["passed"] is False and rep["error"] == "identity-defect"
-    assert "tol_identity 0.0" in rep["detail"]
+    assert "tol_identity 5e-324" in rep["detail"]
 
 
 def test_identity_check_malformed_field(tmp_path, capsys):
@@ -112,6 +114,31 @@ def test_bad_config_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"not_a_field": 1}))
     code, _ = run_cli(["identity-check", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"eps0": NaN}', "eps0 must be a finite float, got nan"),
+    ('{"eps1": Infinity}', "eps1 must be a finite float, got inf"),
+    ('{"r_out": -Infinity}', "r_out must be a finite float, got -inf"),
+    ('{"magnitude": NaN}', "magnitude must be a finite float, got nan"),
+    ('{"tol_identity": NaN}', "tol_identity must be a finite float, got nan"),
+    ('{"grid": NaN}', "grid must be a finite int, got nan"),
+    ('{"grid": 16.0}', "grid must be a finite int, got 16.0"),
+    ('{"seed": true}', "seed must be a finite int, got True"),
+    ('{"eps0": "0.1"}', "eps0 must be a finite float, got '0.1'"),
+    ('{"eps0": 0}', "eps0 must be positive"),
+    ('{"eps1": -0.1}', "eps1 must be positive"),
+    ('{"r_out": 0.0}', "r_out must be positive"),
+    ('{"tol_identity": 0.0}', "tol_identity must be positive"),
+])
+def test_bad_config_values_exit_2_with_the_reason(text, reason, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["extract-bubbles", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"config field {reason}" in captured.err
 
 
 def test_monotonicity_constant_field(capsys):
@@ -212,6 +239,9 @@ def test_deterministic_reports(tmp_path, capsys):
     (["solve-w21", "--tol", "nan"], "--tol"),
     (["solve-w21", "--tol", "inf"], "--tol"),
     (["solve-w21", "--max-iter", "0"], "--max-iter"),
+    (["solve-w21", "--magnitude", "nan"], "--magnitude"),
+    (["solve-w21", "--magnitude", "-inf"], "--magnitude"),
+    (["solve-w21", "--magnitude", "x"], "--magnitude"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -286,3 +316,17 @@ def test_report_matches_the_golden_bytes(name, tmp_path):
     code = main(argv + ["--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every exported name resolves, so a deletion cannot leave an export behind
+
+
+@pytest.mark.parametrize("name", ["quat", "stencil", "exterior", "fields", "monotone",
+                                  "norms", "poisson", "bubbletree"])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"fueterlab.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from fueterlab.{name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

@@ -11,7 +11,6 @@ from fueterlab.exterior import (
     pullback,
     radial_scaling_defect,
     tangential_part,
-    volume_form,
     wedge,
     wedge_power,
 )
@@ -169,7 +168,7 @@ def test_tangential_part_matches_hodge_of_radial_plane():
     # complete (er, jer) to an oriented orthonormal frame
     Q = np.linalg.qr(np.column_stack([er, jer, np.eye(4)[2], np.eye(4)[3]]))[0]
     v3, v4 = Q[:, 2], Q[:, 3]
-    vol = volume_form(4)
+    vol = basis_form(4, (0, 1, 2, 3))
     want = vol.evaluate([er, jer, v3, v4])
     assert abs(at.evaluate([v3, v4]) - want) < 1e-12
 

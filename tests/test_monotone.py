@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from fueterlab import monotone, stencil
 from fueterlab.bubbletree import synth_sequence
 from fueterlab.fields import GridField, _identity_tables, standard_triholomorphic_field
 from fueterlab.monotone import (
-    almost_monotone_quantity,
     almost_monotone_sweep,
     density_estimate,
     energy_ratio,
@@ -126,11 +126,18 @@ def test_almost_monotone_quantity_flat_cross_check():
     # flat forms: quantity/(1+2r) = -(2m-1)! * ratio/2 for triholomorphic fields
     u = poly_grid(seed=3, nodes=33)
     r = 0.3
-    q = almost_monotone_quantity(u, ORIGIN, r)
+    (q,), _ = almost_monotone_sweep(u, ORIGIN, [r])
     ratio = energy_ratio(u, ORIGIN, r)
     assert q < 0
     assert abs(q / (1 + 2 * r) + 0.5 * ratio) < 2e-2 * ratio
-    assert almost_monotone_quantity(CONST, ORIGIN, 0.2) == 0.0
+    assert almost_monotone_sweep(CONST, ORIGIN, [0.2]) == ([0.0], 0.0)
+
+
+def test_almost_monotone_perturbation_needs_m1():
+    # the perturbed bracket pairs 4x4 domain forms, so m = 2 is refused
+    u = GridField.from_function(lambda p: p[..., :4], 2, 1, 5, L=0.5)
+    with pytest.raises(ValueError, match="m=1 only"):
+        almost_monotone_sweep(u, np.zeros(8), [0.1], perturbation=_tilted_forms)
 
 
 def test_almost_monotone_sweep_flat_and_perturbed():
@@ -224,7 +231,7 @@ def test_eps_regularity_unflagged_set_shrinks_with_scale():
     seq = synth_sequence([(0.35, abc, (0.0, 0.0), 2.0, 1.0)], seed=3)
     spreads = []
     for ell in (3, 5):
-        u = GridField.from_function(seq.member_field_fn(ell), 1, 1, 21,
+        u = GridField.from_function(functools.partial(seq.eval4, ell), 1, 1, 21,
                                     domain="box", L=0.3)
         rep = eps_regularity_scan(u, eps0=0.5, r=0.12, stride=3)
         coords = u.axis_coords()
@@ -451,7 +458,7 @@ def _parity_grids():
     return {
         "dense": GridField.from_function(poly, 1, 1, 21, L=0.55, materialize=True),
         "function": GridField.from_function(poly, 1, 1, 21, L=0.55),
-        "member": GridField.from_function(seq.member_field_fn(4), 1, 1, 21, L=0.3),
+        "member": GridField.from_function(functools.partial(seq.eval4, 4), 1, 1, 21, L=0.3),
     }
 
 
