@@ -467,7 +467,8 @@ def _ball4_ratio(seq: ConcentratingSequence, ell, center2, r, base_only=False,
 
 def blowup_set_detect(seq: ConcentratingSequence, eps0, r, ells, grid_n=17):
     """X2-grid nodes where the energy ratio stays >= eps0 - r for every
-    supplied member index (the liminf surrogate over the available tail)."""
+    supplied member index (the liminf surrogate over the available tail).
+    Checks the paper's blow-up set Sigma, where the energy ratio stays >= eps0."""
     grid_radius = seq.cutoff_radius * 0.6
     ax = np.linspace(-grid_radius, grid_radius, grid_n)
     flagged = []
@@ -985,7 +986,8 @@ def _qualified_peaks(series, eps1):
 
 def neck_l2inf_check(view: NeckView):
     """sup over the neck of |X2 - c| |grad_{X2} u|, evaluated in the cylinder
-    chart where it equals sup |grad W| exactly."""
+    chart where it equals sup |grad W| exactly.
+    Checks the paper's L^{2,infty} neck estimate: the sup tends to 0 along the sequence."""
     return float(np.sqrt(view.grad_sq_samples().max()))
 
 

@@ -65,6 +65,8 @@ def _load_config(args, **defaults) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in dc_fields(RunConfig)}
         bad = set(raw) - known
         if bad:

@@ -128,12 +128,12 @@ class GridField:
         """Nodes this many layers from a box edge are excluded from statistics."""
         return 0 if self.domain == "torus" else 2
 
-    def is_interior(self, node, margin=None):
+    def is_interior(self, node):
+        """Whether a central stencil at node stays on the grid."""
         if self.domain == "torus":
             return True
-        margin = self.interior_margin() if margin is None else margin
         N = self.shape[0]
-        return all(margin <= i <= N - 1 - margin for i in node)
+        return all(1 <= i <= N - 2 for i in node)
 
     # -- values
 
@@ -276,7 +276,7 @@ def _neighbor(u, node, axis, step):
 def differential(u: GridField, node) -> Jet:
     """Central-difference jet at a node: column a is (u(+h e_a) - u(-h e_a)) / 2h."""
     node = tuple(int(i) for i in node)
-    if u.domain == "box" and not u.is_interior(node, margin=1):
+    if not u.is_interior(node):
         raise ValueError(f"node {node} too close to the box boundary for the stencil")
     cols = []
     for a in range(u.dim):
@@ -425,7 +425,7 @@ def dirichlet_energy(u: GridField) -> float:
 def laplacian_direct(u: GridField, node) -> np.ndarray:
     """sum_a (u(+h e_a) - 2 u + u(-h e_a)) / h^2 at an interior node."""
     node = tuple(int(i) for i in node)
-    if u.domain == "box" and not u.is_interior(node, margin=1):
+    if not u.is_interior(node):
         raise ValueError("laplacian stencil reaches the boundary")
     c = u.block(node)
     out = np.zeros(u.target_dim)
@@ -489,6 +489,7 @@ def domain_variation_derivative(u: GridField, X, t=None) -> float:
     by a symmetric difference in t with resampled fields.
 
     X is a vectorized callable on points, vanishing near the box boundary.
+    Checks stationarity: the derivative vanishes for stationary maps.
     """
     if u.domain != "box":
         raise ValueError("domain variations are defined on box grids")

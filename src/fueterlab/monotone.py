@@ -1,5 +1,5 @@
 """Energy ratios, the exact flat monotonicity formula, the perturbed
-almost-monotone quantity, density estimation, and the eps-regularity detector.
+almost-monotone quantity, and the eps-regularity detector.
 
 Ball quadrature uses cell-fraction weights: cells cut by the sphere get the
 fraction of 3^{4m} subcell centers inside the ball.  All passes stream over
@@ -19,14 +19,11 @@ from .quat import StructureTriple
 
 __all__ = [
     "RatioProfile",
-    "DensityEstimate",
     "EpsRegularityReport",
     "energy_ratio",
-    "radial_term",
     "monotonicity_defect",
     "ratio_profile",
     "almost_monotone_sweep",
-    "density_estimate",
     "eps_regularity_scan",
     "EPS_REG_GRADIENT_C",
 ]
@@ -55,26 +52,23 @@ def _hodge_dual_pairing(V):
 
 
 class _BallPass:
-    """One streaming pass over B_rmax(center) collecting weighted sums."""
+    """One streaming pass over B_rmax(center) on a sorted radius ladder: ball
+    sums at every radius, the radial term on every annulus (radii[k-1], radii[k])."""
 
-    def __init__(self, u: GridField, center, radii, annuli=(), bracket=None):
+    def __init__(self, u: GridField, center, radii, bracket=None):
         self.u = u
         self.center = np.asarray(center, dtype=float)
         self.radii = np.asarray(sorted(radii), dtype=float)
-        self.annuli = list(annuli)
         self.bracket = bracket  # None or (S_dom, S_tar, forms_fn)
         d = u.dim
         if u.domain != "box":
             raise NotImplementedError("ball quadrature expects a box domain")
         if self.center.shape != (d,):
             raise ValueError("center must be a point of the domain")
-        if not len(self.radii) and not self.annuli:
+        if not len(self.radii):
             raise ValueError("nothing to integrate")
         self.halfdiag = u.h * math.sqrt(d) / 2.0
-        rmax = float(self.radii.max()) if len(self.radii) else 0.0
-        for s, R in self.annuli:
-            rmax = max(rmax, R)
-        self.rmax = rmax
+        self.rmax = rmax = float(self.radii[-1])
         room = u.L - np.abs(self.center).max()
         if rmax + self.halfdiag + 2 * u.h > room:
             raise ValueError("ball exits the domain interior")
@@ -114,7 +108,7 @@ class _BallPass:
         n_r = len(self.radii)
         energy = np.zeros(n_r)
         bracket_sums = np.zeros(n_r)
-        radial = np.zeros(len(self.annuli))
+        radial = np.zeros(n_r - 1)
 
         cache = {}
 
@@ -193,8 +187,9 @@ class _BallPass:
                 energy[k] += float(w @ du_sq)
                 if br is not None:
                     bracket_sums[k] += float(w @ br)
-            for k, (s, R) in enumerate(self.annuli):
-                wa = weight(float(R)) - weight(float(s))
+            # the bracket sweep reads no radial terms
+            for k in range(n_r - 1 if br is None else 0):
+                wa = weight(float(self.radii[k + 1])) - weight(float(self.radii[k]))
                 sel = wa > 0
                 if sel.any():
                     radial[k] += float(
@@ -208,41 +203,6 @@ class _BallPass:
             "radial": radial * cell,
             "bracket": bracket_sums * cell,
         }
-
-
-def energy_ratio(u: GridField, x, r: float) -> float:
-    """r^(2-4m) * integral of |du|^2 over B_r(x), cell-fraction weighted."""
-    out = _BallPass(u, x, [r]).run()
-    return float(out["energy"][0] / r ** (u.dim - 2))
-
-
-def radial_term(u: GridField, x, s: float, R: float) -> float:
-    """Integral over B_R \\ B_s of |du(d/dr)|^2 |p-x|^(2-4m)."""
-    if not s < R:
-        raise ValueError("need s < R")
-    if s < 3 * u.h:
-        raise ValueError("inner radius below stencil resolution (need s >= 3h)")
-    out = _BallPass(u, x, [], annuli=[(s, R)]).run()
-    return float(out["radial"][0])
-
-
-def monotonicity_defect(u: GridField, x, s: float, R: float) -> float:
-    """ratio(R) - ratio(s) - 2 * radial_term(s, R); near zero for
-    triholomorphic fields with flat structures.
-
-    The factor 2 belongs to the energy convention without the 1/2: the ratio
-    difference of int |du|^2 equals twice the weighted radial integral (for
-    the halved energy the constant would be 1).
-    """
-    if not s < R:
-        raise ValueError("need s < R")
-    if s < 3 * u.h:
-        raise ValueError("inner radius below stencil resolution (need s >= 3h)")
-    out = _BallPass(u, x, [s, R], annuli=[(s, R)]).run()
-    d = u.dim
-    ratio_s = out["energy"][0] / s ** (d - 2)
-    ratio_R = out["energy"][1] / R ** (d - 2)
-    return float(ratio_R - ratio_s - 2.0 * out["radial"][0])
 
 
 @dataclass
@@ -262,10 +222,11 @@ class RatioProfile:
         return "\n".join(lines) + "\n"
 
 
-def ratio_profile(u: GridField, x, radii) -> RatioProfile:
+def _profile(u: GridField, x, radii) -> RatioProfile:
+    """The ball pass and ratio/defect arithmetic behind `energy_ratio`,
+    `monotonicity_defect` and `ratio_profile`, which never call each other."""
     radii = sorted(float(r) for r in radii)
-    annuli = list(zip(radii[:-1], radii[1:]))
-    out = _BallPass(u, x, radii, annuli=annuli).run()
+    out = _BallPass(u, x, radii).run()
     d = u.dim
     ratios = [out["energy"][k] / radii[k] ** (d - 2) for k in range(len(radii))]
     radial_terms = [0.0] + list(out["radial"])
@@ -273,6 +234,32 @@ def ratio_profile(u: GridField, x, radii) -> RatioProfile:
         ratios[k + 1] - ratios[k] - 2.0 * out["radial"][k] for k in range(len(radii) - 1)
     ]
     return RatioProfile(np.asarray(x, dtype=float), radii, ratios, radial_terms, defects)
+
+
+def energy_ratio(u: GridField, x, r: float) -> float:
+    """r^(2-4m) * integral of |du|^2 over B_r(x), cell-fraction weighted."""
+    return float(_profile(u, x, [r]).ratios[0])
+
+
+def monotonicity_defect(u: GridField, x, s: float, R: float) -> float:
+    """ratio(R) - ratio(s) - 2 * radial_term(s, R); near zero for
+    triholomorphic fields with flat structures.  The radial term is the
+    integral over B_R \\ B_s of |du(d/dr)|^2 |p-x|^(2-4m).
+
+    The factor 2 belongs to the energy convention without the 1/2: the ratio
+    difference of int |du|^2 equals twice the weighted radial integral (for
+    the halved energy the constant would be 1).
+    """
+    if not s < R:
+        raise ValueError("need s < R")
+    if s < 3 * u.h:
+        raise ValueError("inner radius below stencil resolution (need s >= 3h)")
+    return float(_profile(u, x, [s, R]).defects[1])
+
+
+def ratio_profile(u: GridField, x, radii) -> RatioProfile:
+    """The sorted ladder's ratios, radial terms and defects; radii below 3h are accepted."""
+    return _profile(u, x, radii)
 
 
 def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
@@ -290,12 +277,13 @@ def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
     is the largest failure of weak monotonicity of the energy-normalized
     sequence (for flat triholomorphic fields it is quadrature-level, for
     perturbed forms it grows like eps * r).
+    Checks the paper's almost-monotonicity of almost-stationary maps.
     """
     if perturbation is not None and u.m != 1:
         raise ValueError("position-dependent forms are supported for m=1 only")
     radii = sorted((float(r) for r in radii), reverse=True)
     bracket = (StructureTriple.standard(u.m), StructureTriple.standard(u.n), perturbation)
-    out = _BallPass(u, x, sorted(radii), bracket=bracket).run()
+    out = _BallPass(u, x, radii, bracket=bracket).run()
     d = u.dim
     m = u.m
     by_r = dict(zip(sorted(radii), out["bracket"]))
@@ -306,37 +294,6 @@ def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
     for big, small in zip(energylike[:-1], energylike[1:]):
         violation = max(violation, small - big)
     return values, float(violation)
-
-
-@dataclass
-class DensityEstimate:
-    theta: float
-    slope: float
-    radii: list
-    ratios: list
-    reliable: bool
-
-
-def density_estimate(u: GridField, x, radii=None) -> DensityEstimate:
-    """Extrapolate the energy ratio to r -> 0 by an affine fit ratio = theta + c r
-    on the three smallest reliable radii (r >= 5h)."""
-    if radii is None:
-        h = u.h
-        radii = [5 * h, 6.5 * h, 8 * h]
-    radii = sorted(float(r) for r in radii)
-    if radii[0] < 5 * u.h - 1e-12:
-        raise ValueError("density fit needs radii >= 5h")
-    fit_r = radii[:3]
-    out = _BallPass(u, x, radii).run()
-    d = u.dim
-    ratios = [out["energy"][k] / radii[k] ** (d - 2) for k in range(len(radii))]
-    A = np.column_stack([np.ones(3), fit_r])
-    coef, *_ = np.linalg.lstsq(A, np.asarray(ratios[:3]), rcond=None)
-    # the ratio should be close to monotone in r; large dips flag bad data
-    drops = [max(0.0, ratios[k] - ratios[k + 1]) for k in range(len(ratios) - 1)]
-    scale = max(abs(v) for v in ratios) or 1.0
-    reliable = max(drops, default=0.0) <= 0.05 * scale
-    return DensityEstimate(float(coef[0]), float(coef[1]), radii, ratios, reliable)
 
 
 @dataclass

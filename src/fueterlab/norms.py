@@ -20,7 +20,6 @@ from . import stencil
 __all__ = [
     "ScalarGrid",
     "hl_maximal",
-    "weak_l1_check",
     "weak_l1_excess",
     "h1_norm",
     "bmo_norm",
@@ -150,16 +149,6 @@ def hl_maximal(f: ScalarGrid) -> ScalarGrid:
     return f.like(np.maximum(out, 0.0))
 
 
-def weak_l1_check(f: ScalarGrid, lam: float):
-    """(measure of {Mf > lam}, 5^d ||f||_1 / lam)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    Mf = hl_maximal(f)
-    measure = float(np.sum(Mf.values > lam) * f.cell)
-    bound = VITALI_CONSTANT_BASE**f.d * f.l1() / lam
-    return measure, bound
-
-
 def weak_l1_excess(f: ScalarGrid, Mf: ScalarGrid) -> float:
     """max(0, sup over levels v of |{Mf >= v}| v - 5^d ||f||_1) for
     Mf = hl_maximal(f), the levels being the values of Mf rounded to 12
@@ -235,7 +224,8 @@ def bmo_norm(f: ScalarGrid) -> float:
 
 
 def duality_pairing_check(f: ScalarGrid, g: ScalarGrid):
-    """(|integral of f g|, K * bmo(f) * h1(g)) with the frozen duality K."""
+    """(|integral of f g|, K * bmo(f) * h1(g)) with the frozen duality K.
+    Checks the bmo-h^1 duality that the paper's Hardy-space estimates use."""
     if f.values.shape != g.values.shape or f.h != g.h:
         raise ValueError("grids must match")
     pairing = abs(float(np.sum(f.values * g.values) * f.cell))
@@ -303,7 +293,8 @@ def lorentz_interpolation_check(values2d, h: float):
 
 def jacobian_hardy_bound(psi: ScalarGrid, phi: ScalarGrid):
     """(h1 norm of d1 psi d2 phi - d2 psi d1 phi, C |grad psi|_2 |grad phi|_2)
-    with the frozen Jacobian constant."""
+    with the frozen Jacobian constant.
+    Checks that the Jacobian lies in h^1, the input to eps-regularity."""
     if psi.values.shape != phi.values.shape or psi.h != phi.h:
         raise ValueError("grids must match")
     if psi.d != 2:

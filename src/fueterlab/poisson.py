@@ -16,7 +16,7 @@ import numpy as np
 
 from . import stencil
 from .fields import GridField
-from .norms import ScalarGrid, h1_norm
+from .norms import ScalarGrid
 
 __all__ = [
     "PerturbedProblem",
@@ -157,8 +157,7 @@ def _w11(v, h):
     return float(total * h**d)
 
 
-def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
-                      record_h1=False):
+def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
     """Iterate v_{k+1} = contraction_step(v_k) from v_0 = 0 until the W^{1,1}
     distance of consecutive iterates drops below tol.
 
@@ -172,7 +171,6 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
     prev_diff = None
     ratios = []
     flat_count = 0
-    h1_tail = None
     rhs = _rhs_operator(P)
     for it in range(1, max_iter + 1):
         v_next = poisson_solve(P.f.like(rhs(v))).values
@@ -185,8 +183,6 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
                 raise NonContractionError(
                     f"non-contraction: ratio held at {ratio:.4f} for 3 steps", ratios
                 )
-        if record_h1 and prev_diff is not None:
-            h1_tail = h1_norm(P.f.like(stencil.laplacian(v_next - v, h, True)))
         prev_diff = diff
         v = v_next
         if diff < tol:
@@ -203,7 +199,6 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100,
                 "ratios": ratios,
                 "residual": residual,
                 "residual_sup": float(np.abs(res_field).max()),
-                "h1_last_increment": h1_tail,
             }
             return P.f.like(v), stats
     last = ratios[-1] if ratios else float("inf")

@@ -116,6 +116,19 @@ def test_bad_config_field(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, kind", [
+    ("5", "int"), ("[1, 2]", "list"), ('"x"', "str"), ("null", "NoneType"),
+])
+def test_config_that_is_not_an_object_exits_2(text, kind, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["identity-check", "--jets", "10", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"config must be a JSON object, got {kind}" in captured.err
+
+
 @pytest.mark.parametrize("text, reason", [
     ('{"eps0": NaN}', "eps0 must be a finite float, got nan"),
     ('{"eps1": Infinity}', "eps1 must be a finite float, got inf"),

@@ -9,13 +9,11 @@ from fueterlab.bubbletree import synth_sequence
 from fueterlab.fields import GridField, _identity_tables, standard_triholomorphic_field
 from fueterlab.monotone import (
     almost_monotone_sweep,
-    density_estimate,
     energy_ratio,
     _hodge_dual_pairing,
     _subcell_offsets,
     eps_regularity_scan,
     monotonicity_defect,
-    radial_term,
     ratio_profile,
 )
 from fueterlab.quat import StructureTriple
@@ -66,14 +64,14 @@ def test_ball_exits_domain():
 def test_radial_term_cases():
     const_fine = GridField.from_function(lambda p: np.ones(p.shape), 1, 1, 33, L=0.55,
                                          materialize=True)
-    assert radial_term(const_fine, ORIGIN, 0.15, 0.4) == 0.0
+    assert ratio_profile(const_fine, ORIGIN, [0.15, 0.4]).radial_terms[1] == 0.0
     # purely angular field: du(d/dr) = 0 up to discretization
     def angular(p):
         nrm = np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-9)
         return p / nrm
 
     u = GridField.from_function(angular, 1, 1, 41, L=0.55, materialize=True)
-    t = radial_term(u, ORIGIN, 0.15, 0.4)
+    t = ratio_profile(u, ORIGIN, [0.15, 0.4]).radial_terms[1]
     assert t < 0.08 * energy_ratio(u, ORIGIN, 0.4)
 
     # purely radial field: the radial term carries the full annulus energy,
@@ -86,13 +84,14 @@ def test_radial_term_cases():
 
     v = GridField.from_function(radial, 1, 1, 49, L=0.55, materialize=True)
     s, R = 0.15, 0.4
-    got = radial_term(v, ORIGIN, s, R)
+    got = ratio_profile(v, ORIGIN, [s, R]).radial_terms[1]
     # |du(d/dr)|^2 = 4 rho^2; integrand 4 rho^2 * rho^-2 over the annulus
     rr = np.linspace(s, R, 20001)
     oracle = np.trapezoid(4 * rr**2 * rr**-2.0 * 2 * np.pi**2 * rr**3, rr)
     assert abs(got - oracle) < 0.02 * oracle
-    with pytest.raises(ValueError):
-        radial_term(v, ORIGIN, v.h, 0.4)
+    # the defect, which reads this term, refuses an inner radius below 3h
+    with pytest.raises(ValueError, match="need s >= 3h"):
+        monotonicity_defect(v, ORIGIN, v.h, 0.4)
 
 
 def test_monotonicity_defect_triholomorphic_refines():
@@ -178,23 +177,23 @@ def test_almost_monotone_sweep_flat_and_perturbed():
 
 
 def test_density_estimate_smooth_point():
-    # smooth field: ratio = O(r^2); the affine extrapolation returns 0 within
-    # the fit-error envelope (the quadratic leftover ~ ratio at the largest
-    # fitted radius), which itself shrinks to 0 under refinement
+    # smooth field: ratio = O(r^2), so the density, the r -> 0 limit of the
+    # ratio, is 0.  An affine fit on 5h, 6.5h, 8h returns 0 within the
+    # fit-error envelope (the quadratic leftover ~ ratio at the largest fitted
+    # radius), which itself shrinks to 0 under refinement
     poly = standard_triholomorphic_field(seed=2, degree=2)
     thetas, scales = [], []
     for nodes in (33, 65, 129):
         u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.55)
-        est = density_estimate(u, ORIGIN)
-        assert est.reliable
-        thetas.append(abs(est.theta))
-        scales.append(energy_ratio(u, ORIGIN, 8 * u.h))
+        prof = ratio_profile(u, ORIGIN, [5 * u.h, 6.5 * u.h, 8 * u.h])
+        ratios = prof.ratios
+        # close to monotone in r: no dip beyond 5% of the largest ratio
+        assert all(b >= a - 0.05 * max(ratios) for a, b in zip(ratios, ratios[1:]))
+        thetas.append(abs(np.polyfit(prof.radii, ratios, 1)[1]))
+        scales.append(ratios[2])
     for t, s in zip(thetas, scales):
         assert t <= s
     assert thetas[2] < thetas[0]
-    u = GridField.from_function(poly, 1, 1, 33, domain="box", L=0.55)
-    with pytest.raises(ValueError):
-        density_estimate(u, ORIGIN, radii=[2 * u.h, 5 * u.h, 6 * u.h])
 
 
 def test_density_estimate_refinement_stable():
@@ -202,7 +201,8 @@ def test_density_estimate_refinement_stable():
     thetas = []
     for nodes in (65, 129):
         u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.55)
-        thetas.append(density_estimate(u, ORIGIN, radii=[0.1, 0.13, 0.16]).theta)
+        prof = ratio_profile(u, ORIGIN, [0.1, 0.13, 0.16])
+        thetas.append(np.polyfit(prof.radii, prof.ratios, 1)[1])
     scale = abs(thetas[1]) + 1e-3
     assert abs(thetas[0] - thetas[1]) < 0.05 * scale
 
@@ -491,7 +491,13 @@ def _ball_pass_results(u):
 def test_ball_passes_match_the_parent_implementation_bitwise(kind, monkeypatch):
     u = _parity_grids()[kind]
     got = _ball_pass_results(u)
-    monkeypatch.setattr(monotone, "_BallPass", _ParentBallPass)
+
+    def parent_ladder(u, center, radii, bracket=None):
+        radii = sorted(radii)
+        return _ParentBallPass(u, center, radii, annuli=list(zip(radii[:-1], radii[1:])),
+                               bracket=bracket)
+
+    monkeypatch.setattr(monotone, "_BallPass", parent_ladder)
     monkeypatch.setattr(monotone, "_sup_gradient", _parent_sup_gradient)
     want = _ball_pass_results(u)
     assert got == want

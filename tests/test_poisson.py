@@ -158,13 +158,6 @@ def test_fixed_point_non_contraction_diagnosed():
         fixed_point_solve(P, tol=1e-10, max_iter=60)
 
 
-def test_fixed_point_h1_monitor_recorded():
-    P = default_problem(N=12, magnitude=0.05, seed=2)
-    _, stats = fixed_point_solve(P, tol=1e-9, max_iter=120, record_h1=True)
-    assert stats["h1_last_increment"] is not None
-    assert stats["h1_last_increment"] >= 0.0
-
-
 def test_w21_norm_cases():
     c = 2.5
     const = GridField.from_function(lambda p: np.full(p.shape, c / 2.0), 1, 1, 13,
