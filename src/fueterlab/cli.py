@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,6 +58,8 @@ class RunConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.m not in (1, 2):
             raise ValueError("m must be 1 or 2")
+        if self.ell < 2:
+            raise ValueError("config field ell must be at least 2 (members ell - 1 and ell)")
 
 
 def _load_config(args, **defaults) -> RunConfig:
@@ -282,11 +285,14 @@ def _number(kind, text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _positive_int(text):
+def _int_at_least(low, text):
     value = _number(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+_positive_int = functools.partial(_int_at_least, 1)
 
 
 def _finite_float(text):
@@ -352,7 +358,7 @@ def build_parser():
     q = sub.add_parser("extract-bubbles", help="bubble tree from a bundled manifest")
     common(q)
     q.add_argument("--manifest", default="two", choices=sorted(BUNDLED_MANIFESTS))
-    q.add_argument("--ell", type=int, default=None)
+    q.add_argument("--ell", type=functools.partial(_int_at_least, 2), default=None)
     q.set_defaults(func=cmd_extract_bubbles)
 
     return p

@@ -74,6 +74,8 @@ class _BallPass:
             raise ValueError("ball exits the domain interior")
         self.offsets = _subcell_offsets(d, u.h)
         self.offsets_sq = np.sum(self.offsets**2, axis=1)
+        # max|o| and a roundoff margin: nodes farther from the sphere weigh 0 or 1
+        self.reach = math.sqrt(self.offsets_sq.max()) * (1.0 + 1e-9)
 
     def run(self):
         u = self.u
@@ -111,6 +113,7 @@ class _BallPass:
         radial = np.zeros(n_r - 1)
 
         cache = {}
+        d2_buf = np.empty((0, len(self.offsets)))  # subcell distances, grown on demand
 
         def block(i):
             """Extended-window values of slab i."""
@@ -145,23 +148,21 @@ class _BallPass:
             pts_core[:, 0] = x0
             pts = pts_core[sel]
             diff = pts - self.center
-            safe = np.maximum(rho, 1e-300)
-            er = diff / safe[:, None]
-            du_sq = np.einsum("mia,mia->m", du, du)
-            dur = np.einsum("mia,ma->mi", du, er)
-            dur_sq = np.einsum("mi,mi->m", dur, dur)
 
             w_cache = {}
 
             def weight(r):
+                nonlocal d2_buf
                 if r not in w_cache:
                     w = np.zeros(len(rho))
-                    w[rho <= r - self.halfdiag] = 1.0
-                    band = np.nonzero(np.abs(rho - r) <= self.halfdiag)[0]
+                    w[rho <= r - self.reach] = 1.0
+                    band = np.nonzero(np.abs(rho - r) <= self.reach)[0]
                     if len(band):
+                        if len(d2_buf) < len(band):
+                            d2_buf = np.empty((len(band), len(self.offsets)))
                         # |p + o - c|^2 = rho^2 + 2 (p - c) . o + |o|^2, summed
                         # in place (IEEE addition commutes)
-                        d2 = diff[band] @ self.offsets.T  # (B, 3^d)
+                        d2 = np.matmul(diff[band], self.offsets.T, out=d2_buf[: len(band)])
                         d2 *= 2.0
                         d2 += rho_sq_sel[band, None]
                         d2 += self.offsets_sq
@@ -170,25 +171,26 @@ class _BallPass:
                     w_cache[r] = w
                 return w_cache[r]
 
-            br = None
-            if self.bracket is not None:
-                if forms_fn is None:
-                    br = _wedge_pairing(du, S_dom, S_tar)
-                else:
-                    Vs = np.asarray(forms_fn(pts), dtype=float)  # (M, 3, d, d)
-                    br = 0.0
-                    for ell, Wl in enumerate(W):
-                        G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
-                        Kp = _hodge_dual_pairing(Vs[:, ell])
-                        br = br + 0.5 * np.einsum("mab,mab->m", Kp, G)
+            if self.bracket is None:
+                safe = np.maximum(rho, 1e-300)
+                dur = np.einsum("mia,ma->mi", du, diff / safe[:, None])
+                dur_sq = np.einsum("mi,mi->m", dur, dur)
+                sums, values = energy, np.einsum("mia,mia->m", du, du)
+            elif forms_fn is None:
+                sums, values = bracket_sums, _wedge_pairing(du, S_dom, S_tar)
+            else:
+                Vs = np.asarray(forms_fn(pts), dtype=float)  # (M, 3, d, d)
+                values = 0.0
+                for ell, Wl in enumerate(W):
+                    G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
+                    Kp = _hodge_dual_pairing(Vs[:, ell])
+                    values = values + 0.5 * np.einsum("mab,mab->m", Kp, G)
+                sums = bracket_sums
 
             for k, r in enumerate(self.radii):
-                w = weight(float(r))
-                energy[k] += float(w @ du_sq)
-                if br is not None:
-                    bracket_sums[k] += float(w @ br)
-            # the bracket sweep reads no radial terms
-            for k in range(n_r - 1 if br is None else 0):
+                sums[k] += float(weight(float(r)) @ values)
+            # the bracket sweep reads no energies and no radial terms
+            for k in range(n_r - 1 if self.bracket is None else 0):
                 wa = weight(float(self.radii[k + 1])) - weight(float(self.radii[k]))
                 sel = wa > 0
                 if sel.any():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stencil
-from .fields import GridField
+from .fields import GridField, _flat_grad_sq, _flat_windows
 from .norms import ScalarGrid
 
 __all__ = [
@@ -221,66 +221,32 @@ def _centered(v):
 # W^{2,1} norm on grid fields
 
 
-def _sum_of_squares(parts, out, buf):
-    """sum of p**2 over parts, added in the order np.sum(x**2, axis=-1) adds
-    the same numbers along a last axis of len(parts).
-
-    Each part is a callable that writes its values into the flat buffer it
-    is given and returns them; they are squared in place.  The sum is left
-    where the first part writes in `out`; `buf` is scratch."""
-    if len(parts) >= 8:  # where numpy switches to a pairwise sum
-        views = [parts[0](out)] + [p(np.empty_like(buf)) for p in parts[1:]]
-        return np.sum(np.square(np.stack(views, axis=-1)), axis=-1, out=views[0])
-    acc = parts[0](out)
-    acc *= acc
-    for p in parts[1:]:
-        x = p(buf)
-        x *= x
-        acc += x
-    return acc
-
-
 def w21_norm(u: GridField) -> float:
     """sum over interior nodes of (|u| + |grad u| + |grad^2 u|) h^{4m},
     with central first and second (incl. mixed) differences.
 
-    Streams over the plane windows of `GridField.windows`, one component at
-    a time, and never materializes a function-backed grid.  Each window
-    component is copied into a reused flat buffer, where every difference is
-    one pass over contiguous ranges (`stencil.FlatBlock`) into reused
-    buffers; the sums are added in the order of the whole-grid formula, so
-    the value is the same to the last bit."""
+    Streams over the flat windows shared with `dirichlet_energy`
+    (`fields._flat_windows`) and never materializes a function-backed grid.
+    Every difference is one pass over contiguous ranges (`stencil.FlatBlock`)
+    into reused buffers; the sums are added in the order of the whole-grid
+    formula, so the value is the same to the last bit."""
     d = u.dim
     h = u.h
-    N = u.shape[0]
     margin = u.interior_margin()
-    # in-slab: the interior the sum runs over plus the one-node halo
-    ring = slice(None) if u.domain == "torus" else slice(1, N - 1)
-    core = (slice(None),) + (ring,) * (d - 1)
-    total = np.empty((N - 2 * margin,) * d)
-    comps = None
-    for i0, win in u.windows():
-        block = stencil.FlatBlock(win[core + (0,)].shape)
-        if comps is None or comps.shape[1] < block.size:  # reused across windows
-            comps = np.empty((win.shape[-1], block.size))
-            buf, part, grad_sq, hess_sq = np.empty((4, block.size))
-        for c, v in enumerate(comps):
-            np.copyto(v[: block.size].reshape(block.shape), win[core + (c,)])
-        grad = block.at(grad_sq, {})
+    total = np.empty((u.shape[0] - 2 * margin,) * d)
+    for i0, block, comps, (part, buf, grad_sq, hess_sq) in _flat_windows(u, 4):
+        grad = _flat_grad_sq(block, comps, h, grad_sq, part, buf)
         hess = block.at(hess_sq, {})
-        grad[...] = 0.0
         hess[...] = 0.0
         for a in range(d):
-            grad += _sum_of_squares(
-                [functools.partial(block.d1, v, a, h) for v in comps], part, buf)
             for b in range(d):
-                hess += _sum_of_squares(
+                hess += stencil._sum_of_squares(
                     [functools.partial(block.d2, v, a, b, h) for v in comps], part, buf)
-        absu = _sum_of_squares(
+        absu = stencil._sum_of_squares(
             [functools.partial(_copy_range, block, v) for v in comps], part, buf)
         for x in (absu, grad, hess):
             np.sqrt(x, out=x)
-        out = total[i0 - margin : i0 - margin + win.shape[0] - 2]
+        out = total[i0 - margin : i0 - margin + block.shape[0] - 2]
         np.add(block.interior(part), block.interior(grad_sq), out=out)
         out += block.interior(hess_sq)
     return float(total.sum() * h**d)

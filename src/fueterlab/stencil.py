@@ -23,6 +23,9 @@ operand is one contiguous slice `v[lo + off : lo + off + length]`, with
 `lo = sum_a stride_a` and `length = size - 2 lo`.  That range also holds the
 nodes where an offset wraps past the end of a row; their values are
 meaningless, and `FlatBlock.interior` drops them.
+
+`_sum_of_squares` is the one sum of squares over field components; it adds in
+the order of numpy's `np.sum(x**2, axis=-1)`, so the norms keep that form's bits.
 """
 
 from __future__ import annotations
@@ -133,3 +136,22 @@ class FlatBlock:
 
     def interior(self, buf):
         return buf[: self.size].reshape(self.shape)[(slice(1, -1),) * len(self.shape)]
+
+
+def _sum_of_squares(parts, out, buf):
+    """sum of p**2 over parts, added in the order np.sum(x**2, axis=-1) adds
+    the same numbers along a last axis of len(parts).
+
+    Each part is a callable that writes its values into the flat buffer it
+    is given and returns them; they are squared in place.  The sum is left
+    where the first part writes in `out`; `buf` is scratch."""
+    if len(parts) >= 8:  # where numpy switches to a pairwise sum
+        views = [parts[0](out)] + [p(np.empty_like(buf)) for p in parts[1:]]
+        return np.sum(np.square(np.stack(views, axis=-1)), axis=-1, out=views[0])
+    acc = parts[0](out)
+    acc *= acc
+    for p in parts[1:]:
+        x = p(buf)
+        x *= x
+        acc += x
+    return acc

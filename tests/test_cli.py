@@ -143,6 +143,9 @@ def test_config_that_is_not_an_object_exits_2(text, kind, tmp_path, capsys):
     ('{"eps1": -0.1}', "eps1 must be positive"),
     ('{"r_out": 0.0}', "r_out must be positive"),
     ('{"tol_identity": 0.0}', "tol_identity must be positive"),
+    ('{"ell": -3}', "ell must be at least 2"),
+    ('{"ell": 0}', "ell must be at least 2"),
+    ('{"ell": 1}', "ell must be at least 2"),
 ])
 def test_bad_config_values_exit_2_with_the_reason(text, reason, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -255,6 +258,9 @@ def test_deterministic_reports(tmp_path, capsys):
     (["solve-w21", "--magnitude", "nan"], "--magnitude"),
     (["solve-w21", "--magnitude", "-inf"], "--magnitude"),
     (["solve-w21", "--magnitude", "x"], "--magnitude"),
+    (["extract-bubbles", "--ell", "-3"], "--ell"),
+    (["extract-bubbles", "--ell", "0"], "--ell"),
+    (["extract-bubbles", "--ell", "1"], "--ell"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fueterlab import stencil
 from fueterlab.fields import (
     FueterPolynomialMap,
     GridField,
@@ -362,6 +363,44 @@ def test_dirichlet_energy_function_backed_matches_materialized():
     want = dirichlet_energy(dense)
     assert want > 0.0
     assert dirichlet_energy(streamed) == want
+
+
+def _parent_dirichlet_energy(u: GridField) -> float:
+    """sum over interior nodes of |du|^2_F h^{4m}, without the 1/2 factor,
+    one slab at a time over `GridField.windows`, so the full field is never
+    materialized."""
+    N = u.shape[0]
+    margin = u.interior_margin()
+    d = u.dim
+    # the in-slab differences cover the 1-interior of a window's planes
+    core = (slice(1, -1),) * (d - 1)
+    inner = (slice(None) if u.domain == "torus" else slice(margin - 1, N - margin - 1),) * (d - 1)
+    total = 0.0
+    for _, win in u.windows():
+        for k in range(1, win.shape[0] - 1):
+            sm, s0, sp = win[k - 1], win[k], win[k + 1]
+            acc = np.sum(stencil.first(sp[core], sm[core], u.h) ** 2, axis=-1)
+            for a in range(d - 1):
+                acc += np.sum(stencil.d1(s0, a, u.h, False, d - 1) ** 2, axis=-1)
+            total += float(acc[inner].sum())
+    return total * u.h**u.dim
+
+
+@pytest.mark.parametrize("m, n, domain, nodes, dense", [
+    (1, 1, "box", 11, True),
+    (1, 2, "torus", 7, True),
+    (1, 1, "box", 10, False),
+    (1, 1, "torus", 9, False),
+    (2, 1, "box", 6, True),
+])
+def test_dirichlet_energy_matches_the_parent_implementation_bitwise(m, n, domain, nodes, dense):
+    A = np.random.default_rng(nodes).normal(size=(4 * n, 4 * m))
+    u = GridField.from_function(lambda p: np.sin(p @ A.T), m, n, nodes, domain=domain,
+                                materialize=dense)
+    assert u.is_dense() == dense
+    got = dirichlet_energy(u)
+    assert got > 0.0
+    assert got == _parent_dirichlet_energy(u)
 
 
 def test_dirichlet_energy_bubble_scale_invariance():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fueterlab import monotone, stencil
 from fueterlab.bubbletree import synth_sequence
@@ -41,6 +43,49 @@ def test_energy_ratio_affine_matches_ball_volume():
         got = energy_ratio(u, ORIGIN, r)
         want = np.sum(A * A) * (np.pi**2 / 2.0) * r**2
         assert abs(got - want) < 0.01 * want
+
+
+# u(x) = A x has exact central differences, so energy_ratio(u, x, r) r^2 / |A|_F^2
+# is the weighted node volume sum_p w_p h^4 of B_r(x); L = 0.5 on 17 and 33 nodes
+_LINEAR_A = np.random.default_rng(12).normal(size=(4, 4))
+_LINEAR = {N: GridField.from_function(lambda p: p @ _LINEAR_A.T, 1, 1, N, L=0.5)
+           for N in (17, 33)}
+# |volume - pi^2 r^4 / 2| / (h r)^2 peaked at 1.17 on both grids over 1500
+# draws of a centre in the origin's cell (every tenth at the node) and r in
+# [0.08, 0.25]; halving h left 11% of those balls no closer to pi^2 r^4 / 2
+_VOLUME_ERROR_C = 2.0
+
+
+def _weighted_volume(u, x, r):
+    return energy_ratio(u, x, r) * r**2 / np.sum(_LINEAR_A**2)
+
+
+def _node_volume(u, x, r):
+    """h^4 times the number of nodes within r of x."""
+    c = u.axis_coords()
+    sq = [(c - xa) ** 2 for xa in x]
+    rho_sq = sq[0][:, None, None, None] + sq[1][None, :, None, None] + sq[2][None, None, :, None]
+    return np.count_nonzero(rho_sq[..., None] + sq[3] <= r * r) * u.h**4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4),
+       st.lists(st.floats(0.08, 0.25), min_size=2, max_size=4, unique=True))
+def test_ball_weights_measure_the_ball(cell_point, radii):
+    x = np.array(cell_point) * _LINEAR[17].h  # inside the cell at the origin node
+    radii = sorted(radii)
+    for u in _LINEAR.values():
+        halfdiag = math.sqrt(u.dim) * u.h / 2
+        vols = [_weighted_volume(u, x, r) for r in radii]
+        for small, big in zip(vols, vols[1:]):
+            assert big >= small * (1 - 1e-12)
+        for r, vol in zip(radii, vols):
+            # cells of nodes within r - halfdiag lie in the ball, those of
+            # nodes beyond r + halfdiag outside it
+            assert vol >= _node_volume(u, x, r - halfdiag) * (1 - 1e-12)
+            assert vol <= _node_volume(u, x, r + halfdiag) * (1 + 1e-12)
+            # second order in h: halving h quarters the bound on the distance
+            assert abs(vol - np.pi**2 * r**4 / 2) <= _VOLUME_ERROR_C * (u.h * r) ** 2
 
 
 def test_energy_ratio_scale_covariant():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fueterlab import stencil
 from fueterlab.fields import GridField, dirichlet_energy, heat_flow_step
-from fueterlab.poisson import _sum_of_squares, w21_norm
+from fueterlab.poisson import w21_norm
+from fueterlab.stencil import _sum_of_squares
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fueterlab"
 
