@@ -33,6 +33,15 @@ from .quat import StructureTriple
 
 FORMAT_VERSION = "FUETERLAB1"
 
+# the smallest grid each grid command accepts, from --grid or the config field
+# grid, and why
+MIN_GRID = {
+    "monotonicity": (12, "the largest ball spans (grid - 8) / 2 >= 2 spacings"),
+    "norms": (5, "the maximal function needs a ball of radius 2 / grid < 1/2"),
+    "solve-w21": (6, "a node must lie within 1 / grid < 0.2, the source's radius, "
+                     "of the centre"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -79,7 +88,17 @@ def _load_config(args, **defaults) -> RunConfig:
         v = getattr(args, name, None)
         if v is not None:
             values[name] = v
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    small = _small_grid(args.command, cfg.grid)  # a --grid flag passed the parser
+    if small:
+        raise ValueError(f"config field grid {small}")
+    return cfg
+
+
+def _small_grid(command, grid):
+    """Why `grid` is below the minimum of `command`, or None."""
+    low, why = MIN_GRID.get(command, (0, None))
+    return f"must be at least {low} ({why}), got {grid}" if grid < low else None
 
 
 def _emit(payload, args, exit_code=0):
@@ -150,8 +169,6 @@ def cmd_identity_check(args) -> int:
 def cmd_monotonicity(args) -> int:
     cfg = _load_config(args)
     radii = args.radii or [0.15, 0.2, 0.3, 0.4]
-    if cfg.grid < 12:
-        raise ValueError("monotonicity sweep needs at least a 12-node grid")
     # box sized so the largest ball plus the stencil margin stays interior
     L = max(radii) / (1.0 - 7.0 / (cfg.grid - 1))
     if args.field == "constant":
@@ -295,6 +312,14 @@ def _int_at_least(low, text):
 _positive_int = functools.partial(_int_at_least, 1)
 
 
+def _grid(command, text):
+    value = _number(int, text)
+    small = _small_grid(command, value)
+    if small:
+        raise argparse.ArgumentTypeError(small)
+    return value
+
+
 def _finite_float(text):
     value = _number(float, text)
     if not math.isfinite(value):
@@ -323,40 +348,40 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q):
+    def common(q, name):
         q.add_argument("--config", help="JSON file overriding RunConfig fields")
         q.add_argument("--out", help="write the report here instead of stdout")
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--grid", type=int, default=None)
+        q.add_argument("--grid", type=functools.partial(_grid, name), default=None)
         q.add_argument("--m", type=int, default=None, choices=(1, 2))
 
     q = sub.add_parser("identity-check", help="energy identity over random jets")
-    common(q)
+    common(q, "identity-check")
     q.add_argument("--jets", type=_positive_int, default=10000)
     q.add_argument("--field", help="optional FLD1 field to check at grid nodes")
     q.set_defaults(func=cmd_identity_check)
 
     q = sub.add_parser("monotonicity", help="radius sweep CSV on a test field")
-    common(q)
+    common(q, "monotonicity")
     q.add_argument("--field", default="triholomorphic",
                    choices=("triholomorphic", "constant"))
     q.add_argument("--radii", type=_radii, help="comma-separated radii for the sweep")
     q.set_defaults(func=cmd_monotonicity)
 
     q = sub.add_parser("norms", help="randomized norm-machinery suite")
-    common(q)
+    common(q, "norms")
     q.add_argument("--fields", type=_positive_int, default=100)
     q.set_defaults(func=cmd_norms)
 
     q = sub.add_parser("solve-w21", help="perturbed Poisson fixed point")
-    common(q)
+    common(q, "solve-w21")
     q.add_argument("--magnitude", type=_finite_float, default=None)
     q.add_argument("--tol", type=_positive_float, default=1e-10)
     q.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     q.set_defaults(func=cmd_solve_w21)
 
     q = sub.add_parser("extract-bubbles", help="bubble tree from a bundled manifest")
-    common(q)
+    common(q, "extract-bubbles")
     q.add_argument("--manifest", default="two", choices=sorted(BUNDLED_MANIFESTS))
     q.add_argument("--ell", type=functools.partial(_int_at_least, 2), default=None)
     q.set_defaults(func=cmd_extract_bubbles)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,21 @@ __all__ = [
 _DENSE_LIMIT_BYTES = 2_000_000_000
 
 # axis-0 planes per window of GridField.windows: with its halo a window of a
-# 33^4 field stays within a core's cache (there, on 2 cores: w21_norm 0.24 s at
-# 2 planes, 0.31 s at 8, 0.37 s at 29; dirichlet_energy 0.05 s at 2, 0.07 at 29)
+# 33^4 field stays within a core's cache (there, on 2 cores, with one worker /
+# two: w21_norm 0.22 / 0.17 s at 1 plane, 0.21 / 0.14 s at 2, 0.25 / 0.14 s at
+# 4; dirichlet_energy 0.057 / 0.037 s at 1, 0.051 / 0.035 s at 2, 0.056 / 0.030
+# s at 4)
 _WINDOW_PLANES = 2
+
+# nodes a window's flat block needs before the windows of stored values run on
+# more than one worker: shorter numpy calls hand the GIL over more often than
+# they save (2 cores, box, 2 workers against 1: w21_norm and dirichlet_energy
+# 1.02-1.07x the time on 21 nodes, 27,436-node blocks; 0.98-1.01x on 23, 37,044;
+# 0.79-0.92x on 25, 48,668; 0.57-0.61x on 33, 119,164).  A function-backed grid
+# runs on one worker: its planes are evaluated one at a time under the window
+# lock, and a second worker only competes with the BLAS threads of the
+# callable (33 nodes: dirichlet_energy 1.10-1.24x the time, w21_norm 1.00x)
+_FANOUT_SIZE = 40_000
 
 
 def _finite(values):
@@ -200,14 +213,18 @@ class GridField:
         margin = self.interior_margin()
         lo, hi = margin, N - margin
         pad = [(0, 0)] + [(1, 1)] * (self.dim - 1) + [(0, 0)]
-        planes = {}
+        planes, wrap = {}, {}
         for i0 in range(lo, hi, _WINDOW_PLANES):
             idx = [i % N for i in range(i0 - 1, min(i0 + _WINDOW_PLANES, hi) + 1)]
             if self._values is not None and not periodic:
                 yield i0, self._values[idx[0] : idx[-1] + 1]
                 continue
-            # the two planes a window shares with the next are evaluated once
-            planes = {i: planes[i] if i in planes else self.slab(i) for i in idx}
+            # the two planes a window shares with the next are evaluated once,
+            # and so are planes N - 1 and 0, which a torus's last window reads again
+            known = {**wrap, **planes}
+            planes = {i: known[i] if i in known else self.slab(i) for i in idx}
+            if periodic and not wrap:
+                wrap = {i: planes[i] for i in (N - 1, 0)}
             win = np.stack([planes[i] for i in idx])
             yield i0, np.pad(win, pad, mode="wrap") if periodic else win
 
@@ -402,23 +419,57 @@ def triholomorphic_kernel(S_dom, S_tar):
 # grid-level operators
 
 
-def _flat_windows(u: GridField, scratch):
-    """Yield (i0, block, comps, bufs) for each window of `u.windows()`: the
-    `stencil.FlatBlock` over its planes and in-slab interior with a one-node
-    halo, each component raveled into comps[c], and `scratch` more flat
-    buffers; both arrays are reused across windows."""
-    tdim = u.target_dim
-    ring = slice(None) if u.domain == "torus" else slice(1, u.shape[0] - 1)
-    core = (slice(None),) + (ring,) * (u.dim - 1)
-    comps = None
-    for i0, win in u.windows():
-        block = stencil.FlatBlock(win[core + (0,)].shape)
-        if comps is None or comps.shape[1] < block.size:
-            comps = np.empty((tdim, block.size))
-            bufs = np.empty((scratch, block.size))
-        for c in range(tdim):
-            np.copyto(comps[c, : block.size].reshape(block.shape), win[core + (c,)])
-        yield i0, block, comps, bufs
+def _flat_windows(u: GridField, scratch, kernel):
+    """{i0: kernel(i0, block, comps, bufs)} over the windows of `u.windows()`.
+
+    `block` is the `stencil.FlatBlock` over a window's planes and in-slab
+    interior with a one-node halo, comps[c] holds component c of the window
+    raveled, and `bufs` is `scratch` more flat buffers.
+
+    The windows run on one worker per CPU in the affinity mask, at most one
+    per window, when the grid is dense and its blocks hold at least
+    _FANOUT_SIZE nodes, and on one worker otherwise.  The calling thread is
+    one of them, and each reuses comps and bufs of its own, allocated here up
+    front.  The workers take the windows from one generator under a lock; a
+    worker's exception is raised here once every worker has stopped."""
+    N, d = u.shape[0], u.dim
+    periodic = u.domain == "torus"
+    margin = u.interior_margin()
+    count = len(range(margin, N - margin, _WINDOW_PLANES))
+    ring = N + 2 if periodic else N - 2  # in-slab extent of a window's block
+    size = (min(_WINDOW_PLANES, N - 2 * margin) + 2) * ring ** (d - 1)
+    fan_out = u.is_dense() and size >= _FANOUT_SIZE
+    workers = min(len(os.sched_getaffinity(0)), count) if fan_out else 1
+    core = (slice(None),) + (slice(None) if periodic else slice(1, N - 1),) * (d - 1)
+    windows = u.windows()
+    lock = threading.Lock()
+    results, errors = {}, []
+
+    def work(comps, bufs):
+        try:
+            while not errors:
+                with lock:
+                    i0, win = next(windows, (None, None))
+                if win is None:
+                    return
+                block = stencil.FlatBlock(win[core + (0,)].shape)
+                for c in range(u.target_dim):
+                    np.copyto(comps[c, : block.size].reshape(block.shape), win[core + (c,)])
+                results[i0] = kernel(i0, block, comps, bufs)
+        except BaseException as e:  # noqa: BLE001 - raised again by the caller
+            errors.append(e)
+
+    buffers = [(np.empty((u.target_dim, size)), np.empty((scratch, size)))
+               for _ in range(workers)]
+    threads = [threading.Thread(target=work, args=b) for b in buffers[1:]]
+    for t in threads:
+        t.start()
+    work(*buffers[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _flat_grad_sq(block, comps, h, out, part, buf):
@@ -434,12 +485,18 @@ def _flat_grad_sq(block, comps, h, out, part, buf):
 def dirichlet_energy(u: GridField) -> float:
     """sum over interior nodes of |du|^2_F h^{4m}, without the 1/2 factor,
     over the flat windows of `_flat_windows`, so the full field is never
-    materialized; each plane is summed on its own, in plane order."""
-    total = 0.0
-    for _, block, comps, (part, buf, grad_sq) in _flat_windows(u, 3):
+    materialized; each plane is summed on its own, and the plane sums are
+    added in plane order whichever worker took their window."""
+
+    def plane_sums(i0, block, comps, bufs):
+        part, buf, grad_sq = bufs
         _flat_grad_sq(block, comps, u.h, grad_sq, part, buf)
-        for plane in block.interior(grad_sq):
-            total += float(plane.sum())
+        return [float(plane.sum()) for plane in block.interior(grad_sq)]
+
+    total = 0.0
+    for _, sums in sorted(_flat_windows(u, 3, plane_sums).items()):
+        for s in sums:
+            total += s
     return total * u.h**u.dim
 
 

@@ -228,13 +228,16 @@ def w21_norm(u: GridField) -> float:
     Streams over the flat windows shared with `dirichlet_energy`
     (`fields._flat_windows`) and never materializes a function-backed grid.
     Every difference is one pass over contiguous ranges (`stencil.FlatBlock`)
-    into reused buffers; the sums are added in the order of the whole-grid
-    formula, so the value is the same to the last bit."""
+    into reused buffers.  Each window, on whichever worker, writes only its
+    own planes of the node sums, which are then added once in the order of
+    the whole-grid formula, so the value is the same to the last bit."""
     d = u.dim
     h = u.h
     margin = u.interior_margin()
     total = np.empty((u.shape[0] - 2 * margin,) * d)
-    for i0, block, comps, (part, buf, grad_sq, hess_sq) in _flat_windows(u, 4):
+
+    def window(i0, block, comps, bufs):
+        part, buf, grad_sq, hess_sq = bufs
         grad = _flat_grad_sq(block, comps, h, grad_sq, part, buf)
         hess = block.at(hess_sq, {})
         hess[...] = 0.0
@@ -249,6 +252,8 @@ def w21_norm(u: GridField) -> float:
         out = total[i0 - margin : i0 - margin + block.shape[0] - 2]
         np.add(block.interior(part), block.interior(grad_sq), out=out)
         out += block.interior(hess_sq)
+
+    _flat_windows(u, 4, window)
     return float(total.sum() * h**d)
 
 

@@ -271,6 +271,32 @@ def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
     assert f"argument {flag}:" in captured.err
 
 
+# each grid command states its minimum once; below it, --grid and the config
+# field grid exit 2 with the reason (before, norms --grid 1 and solve-w21
+# --grid 3 exited 0 on a single node and a vanishing source)
+@pytest.mark.parametrize("command, low, extra", [
+    ("monotonicity", 12, []),
+    ("norms", 5, ["--fields", "2"]),
+    ("solve-w21", 6, []),
+])
+def test_grid_below_the_command_minimum_exits_2(command, low, extra, tmp_path, capsys):
+    why = cli.MIN_GRID[command][1]
+    for grid in sorted({1, 2, 3, low - 1}):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grid", str(grid)] + extra)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --grid: must be at least {low} ({why}), got {grid}" in captured.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        code = main([command, "--config", str(cfg)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"config field grid must be at least {low} ({why}), got {grid}" in captured.err
+    code, _ = run_cli([command, "--grid", str(low)] + extra, capsys)
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # every exit-1 report carries an error and a detail
 

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from fueterlab import stencil
 from fueterlab.fields import (
     FueterPolynomialMap,
     GridField,
+    _flat_windows,
     _identity_tables,
     differential,
     dirichlet_energy,
@@ -27,6 +32,7 @@ from fueterlab.fields import (
     triholomorphic_suite,
 )
 from fueterlab.monotone import energy_ratio, eps_regularity_scan
+from fueterlab.poisson import w21_norm
 from fueterlab.quat import StructureTriple, kaehler_form
 
 S1 = StructureTriple.standard(1)
@@ -393,14 +399,109 @@ def _parent_dirichlet_energy(u: GridField) -> float:
     (1, 1, "torus", 9, False),
     (2, 1, "box", 6, True),
 ])
-def test_dirichlet_energy_matches_the_parent_implementation_bitwise(m, n, domain, nodes, dense):
+def test_dirichlet_energy_matches_the_parent_implementation_bitwise(m, n, domain, nodes, dense,
+                                                                   workers):
     A = np.random.default_rng(nodes).normal(size=(4 * n, 4 * m))
     u = GridField.from_function(lambda p: np.sin(p @ A.T), m, n, nodes, domain=domain,
                                 materialize=dense)
     assert u.is_dense() == dense
-    got = dirichlet_energy(u)
-    assert got > 0.0
-    assert got == _parent_dirichlet_energy(u)
+    want = _parent_dirichlet_energy(u)
+    for cpus in (1, 4):
+        workers(cpus)
+        got = dirichlet_energy(u)
+        assert got > 0.0
+        assert got == want
+    assert (u._values is not None) == dense
+
+
+# ---------------------------------------------------------------------------
+# the grid norms fanned out over worker threads
+
+
+def _plane_counting_grid(domain, nan_plane=None):
+    """A function-backed sine field on 13 nodes that records the shape of
+    every call; plane `nan_plane` of axis 0 evaluates to NaN."""
+    A = np.random.default_rng(5).normal(size=(4, 4))
+    calls = []
+
+    def fn(p):
+        calls.append(p.shape[:-1])
+        out = np.sin(p @ A.T)
+        if nan_plane is not None and np.all(p[..., 0] == u.axis_coords()[nan_plane]):
+            out[...] = np.nan
+        return out
+
+    u = GridField.from_function(fn, 1, 1, 13, domain=domain)
+    return u, calls
+
+
+@pytest.mark.parametrize("domain", ["box", "torus"])
+def test_fanned_out_norms_evaluate_each_plane_once(domain, workers):
+    # more workers than cores and a short switch interval, so that a window
+    # or a plane taken twice or lost would show in the counts or the bits
+    u, calls = _plane_counting_grid(domain)
+    planes = 13 if domain == "torus" else 11  # a box reads planes 1 .. N - 2
+    norms = (dirichlet_energy, w21_norm)
+    want = [norm(u) for norm in norms]
+    before = threading.active_count()
+    workers(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for norm, value in zip(norms, want):
+            calls.clear()
+            assert norm(u) == value
+            assert sorted(calls) == [(13, 13, 13)] * planes
+            assert sum(math.prod(c) for c in calls) == planes * 13**3
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("nan_plane", [1, 6, 11])
+def test_a_nan_on_any_plane_raises_from_both_fanned_out_norms(nan_plane, workers):
+    u, _ = _plane_counting_grid("box", nan_plane)
+    before = threading.active_count()
+    workers(4)
+    for norm in (dirichlet_energy, w21_norm):
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            norm(u)
+        assert threading.active_count() == before
+
+
+def test_an_error_in_a_worker_thread_reaches_the_caller(workers):
+    u = _sine_grid(9, True)  # three windows
+    raised = threading.Event()
+
+    def kernel(i0, block, comps, bufs):
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(5.0)  # leaves the other windows to the worker threads
+            return None
+        raised.set()
+        raise RuntimeError(f"window {i0}")
+
+    before = threading.active_count()
+    workers(4)
+    with pytest.raises(RuntimeError, match="^window "):
+        _flat_windows(u, 1, kernel)
+    assert threading.active_count() == before
+
+
+def test_worker_count_comes_only_from_the_affinity_mask():
+    # no environment variable sets it and no executor runs it (concurrent.futures
+    # would also add its import to every CLI process)
+    src = Path(__file__).resolve().parent.parent / "src" / "fueterlab"
+    offenders = [
+        f"{path.name}:{k}"
+        for path in sorted(src.glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\benviron\b|\bgetenv\b|concurrent\.futures|from concurrent\b", line)
+    ]
+    assert offenders == []
+    probe = "import sys, fueterlab.cli; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src.parent)), check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_dirichlet_energy_bubble_scale_invariance():

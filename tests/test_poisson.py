@@ -179,6 +179,49 @@ def test_w21_norm_cases():
     assert np.max(np.abs(lap[1:-1, 1:-1, 1:-1, 1:-1])) < 1e-9
 
 
+def _parent_w21_norm(u: GridField) -> float:
+    """sum over interior nodes of (|u| + |grad u| + |grad^2 u|) h^{4m},
+    with central first and second (incl. mixed) differences."""
+    vals = u.values
+    d = u.dim
+    h = u.h
+    periodic = u.domain == "torus"
+    grad_sq = 0.0
+    hess_sq = 0.0
+    for a in range(d):
+        grad_sq = grad_sq + np.sum(stencil.d1(vals, a, h, periodic, d) ** 2, axis=-1)
+        for b in range(d):
+            hess_sq = hess_sq + np.sum(stencil.d2(vals, a, b, h, periodic, d) ** 2, axis=-1)
+    # on a box the differences cover the 1-interior, and the sum runs over
+    # the 2-interior: one more layer in from there
+    sl = tuple(slice(None) if periodic else slice(1, -1) for _ in range(d))
+    absu = np.linalg.norm(vals[sl][sl], axis=-1)
+    total = absu + np.sqrt(grad_sq)[sl] + np.sqrt(hess_sq)[sl]
+    return float(total.sum() * h**d)
+
+
+@pytest.mark.parametrize("m, n, domain, nodes, dense", [
+    (1, 1, "box", 9, True),  # 5 interior planes: 3 windows
+    (1, 1, "box", 7, False),  # 2 windows, fewer than the 4 CPUs
+    (1, 2, "torus", 7, True),
+    (1, 1, "torus", 5, False),  # 3 windows
+    (2, 1, "box", 6, True),  # one window
+])
+def test_w21_norm_matches_the_parent_implementation_bitwise(m, n, domain, nodes, dense,
+                                                            workers):
+    A = np.random.default_rng(nodes).normal(size=(4 * n, 4 * m))
+    u = GridField.from_function(lambda p: np.sin(p @ A.T), m, n, nodes, domain=domain,
+                                materialize=dense)
+    # the whole-grid parent materializes its field, so it reads a copy
+    want = _parent_w21_norm(GridField.from_function(u._fn, m, n, nodes, domain=domain))
+    for cpus in (1, 4):
+        workers(cpus)
+        got = w21_norm(u)
+        assert got > 0.0
+        assert got == want
+    assert (u._values is not None) == dense
+
+
 def test_w21_regression_bound_over_suite():
     for poly in triholomorphic_suite():
         for nodes in (13, 21):
