@@ -263,9 +263,6 @@ def cmd_extract_bubbles(args) -> int:
     from .bubbletree import NoConcentrationError, QuantizeConfig, quantize
 
     cfg = _load_config(args, seed=5)
-    if args.manifest not in BUNDLED_MANIFESTS:
-        sys.stderr.write(f"unknown manifest {args.manifest!r}\n")
-        return 2
     seq = bundled_sequence(args.manifest, seed=cfg.seed)
     qcfg = QuantizeConfig(eps0=cfg.eps0, eps1=cfg.eps1, r_out=cfg.r_out)
     try:
@@ -352,11 +349,12 @@ def build_parser():
         q.add_argument("--config", help="JSON file overriding RunConfig fields")
         q.add_argument("--out", help="write the report here instead of stdout")
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--grid", type=functools.partial(_grid, name), default=None)
-        q.add_argument("--m", type=int, default=None, choices=(1, 2))
+        if name in MIN_GRID:  # the commands that read grid
+            q.add_argument("--grid", type=functools.partial(_grid, name), default=None)
 
     q = sub.add_parser("identity-check", help="energy identity over random jets")
     common(q, "identity-check")
+    q.add_argument("--m", type=int, default=None, choices=(1, 2))
     q.add_argument("--jets", type=_positive_int, default=10000)
     q.add_argument("--field", help="optional FLD1 field to check at grid nodes")
     q.set_defaults(func=cmd_identity_check)

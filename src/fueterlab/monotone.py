@@ -2,8 +2,10 @@
 almost-monotone quantity, and the eps-regularity detector.
 
 Ball quadrature uses cell-fraction weights: cells cut by the sphere get the
-fraction of 3^{4m} subcell centers inside the ball.  All passes stream over
-axis-0 slabs, so function-backed grids at fine spacings stay within memory.
+fraction of 3^{4m} subcell centers inside the ball.  Every ball quantity
+reads one stream of axis-0 slabs with their weights (`_cell_weights` over
+`_ball_slabs`) and sums its own integrand, so function-backed grids at fine
+spacings stay within memory.
 """
 
 from __future__ import annotations
@@ -51,89 +53,50 @@ def _hodge_dual_pairing(V):
     return K - np.swapaxes(K, -1, -2)
 
 
-class _BallPass:
-    """One streaming pass over B_rmax(center) on a sorted radius ladder: ball
-    sums at every radius, the radial term on every annulus (radii[k-1], radii[k])."""
+def _ball_slabs(u: GridField, center, reach):
+    """Yield (pts, rho_sq, du) for each axis-0 slab of the nodes within `reach`
+    of center: their points, squared distances |p - c|^2 and central-difference
+    du rows of shape (M, 4n, 4m).  Each slab's values are read once."""
+    center = np.asarray(center, dtype=float)
+    d = u.dim
+    h = u.h
+    if u.domain != "box":
+        raise NotImplementedError("ball quadrature expects a box domain")
+    if center.shape != (d,):
+        raise ValueError("center must be a point of the domain")
+    if reach + 2 * h > u.L - np.abs(center).max():
+        raise ValueError("ball exits the domain interior")
+    tdim = u.target_dim
+    coords = u.axis_coords()
+    # per-axis index windows: core (quadrature nodes) and extended (stencil)
+    lo = [np.searchsorted(coords, center[a] - reach - 1e-12) for a in range(d)]
+    hi = [np.searchsorted(coords, center[a] + reach + 1e-12, side="right") for a in range(d)]
+    core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
+    ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(1, d))
+    core = (slice(1, -1),) * (d - 1)  # the core window inside the extended one
 
-    def __init__(self, u: GridField, center, radii, bracket=None):
-        self.u = u
-        self.center = np.asarray(center, dtype=float)
-        self.radii = np.asarray(sorted(radii), dtype=float)
-        self.bracket = bracket  # None or (S_dom, S_tar, forms_fn)
-        d = u.dim
-        if u.domain != "box":
-            raise NotImplementedError("ball quadrature expects a box domain")
-        if self.center.shape != (d,):
-            raise ValueError("center must be a point of the domain")
-        if not len(self.radii):
-            raise ValueError("nothing to integrate")
-        self.halfdiag = u.h * math.sqrt(d) / 2.0
-        self.rmax = rmax = float(self.radii[-1])
-        room = u.L - np.abs(self.center).max()
-        if rmax + self.halfdiag + 2 * u.h > room:
-            raise ValueError("ball exits the domain interior")
-        self.offsets = _subcell_offsets(d, u.h)
-        self.offsets_sq = np.sum(self.offsets**2, axis=1)
-        # max|o| and a roundoff margin: nodes farther from the sphere weigh 0 or 1
-        self.reach = math.sqrt(self.offsets_sq.max()) * (1.0 + 1e-9)
+    # squared distance and coordinates over the remaining axes
+    sq_rest = 0.0
+    for a, cc in enumerate(core_coords):
+        shp = [1] * (d - 1)
+        shp[a] = len(cc)
+        sq_rest = sq_rest + ((cc - center[1 + a]) ** 2).reshape(shp)
+    du_core = np.empty((d,) + sq_rest.shape + (tdim,))
+    sq_rest = sq_rest.ravel()
+    # core-window points; the axis-0 coordinate is set per slab
+    pts_core = np.empty((len(sq_rest), d))
+    for a, g in enumerate(np.meshgrid(*core_coords, indexing="ij")):
+        pts_core[:, 1 + a] = g.ravel()
 
-    def run(self):
-        u = self.u
-        d = u.dim
-        h = u.h
-        tdim = u.target_dim
-        coords = u.axis_coords()
-        reach = self.rmax + self.halfdiag
-        # per-axis index windows: core (quadrature nodes) and extended (stencil)
-        lo = [np.searchsorted(coords, self.center[a] - reach - 1e-12) for a in range(d)]
-        hi = [np.searchsorted(coords, self.center[a] + reach + 1e-12, side="right") for a in range(d)]
-        lo_e = [v - 1 for v in lo]
-        hi_e = [v + 1 for v in hi]
-
-        core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
-        ext = tuple(slice(lo_e[a], hi_e[a]) for a in range(1, d))
-        core = (slice(1, -1),) * (d - 1)  # the core window inside the extended one
-
-        # squared distance and coordinates over the remaining axes
-        sq_rest = 0.0
-        for a, cc in enumerate(core_coords):
-            shp = [1] * (d - 1)
-            shp[a] = len(cc)
-            sq_rest = sq_rest + ((cc - self.center[1 + a]) ** 2).reshape(shp)
-        du_core = np.empty((d,) + sq_rest.shape + (tdim,))
-        sq_rest = sq_rest.ravel()
-        # core-window points; the axis-0 coordinate is set per slab
-        pts_core = np.empty((len(sq_rest), d))
-        for a, g in enumerate(np.meshgrid(*core_coords, indexing="ij")):
-            pts_core[:, 1 + a] = g.ravel()
-
-        n_r = len(self.radii)
-        energy = np.zeros(n_r)
-        bracket_sums = np.zeros(n_r)
-        radial = np.zeros(n_r - 1)
-
-        cache = {}
-        d2_buf = np.empty((0, len(self.offsets)))  # subcell distances, grown on demand
-
-        def block(i):
-            """Extended-window values of slab i."""
-            if i not in cache:
-                cache[i] = u.block((i,) + ext)
-            return cache[i]
-
-        if self.bracket is not None:
-            S_dom, S_tar, forms_fn = self.bracket
-            W = _identity_tables(S_dom, S_tar)[1]
-
-        for i in range(lo[0], hi[0]):
-            x0 = coords[i]
-            dx0sq = (x0 - self.center[0]) ** 2
-            rho_sq = dx0sq + sq_rest
-            sel = np.nonzero(rho_sq <= (self.rmax + self.halfdiag) ** 2)[0]
-            if not len(sel):
-                cache.pop(i - 1, None)
-                continue
-            bm, b0, bp = block(i - 1), block(i), block(i + 1)
+    cache = {}  # extended-window values of the slabs i - 1, i and i + 1
+    for i in range(lo[0], hi[0]):
+        rho_sq = (coords[i] - center[0]) ** 2 + sq_rest
+        sel = np.nonzero(rho_sq <= reach**2)[0]
+        if len(sel):
+            for j in (i - 1, i, i + 1):
+                if j not in cache:
+                    cache[j] = u.block((j,) + ext)
+            bm, b0, bp = cache[i - 1], cache[i], cache[i + 1]
             # du on the whole core window by box slices, then the ball nodes' rows
             stencil.first(bp[core], bm[core], h, out=du_core[0])
             for a in range(d - 1):
@@ -142,69 +105,43 @@ class _BallPass:
             du = np.empty((len(sel), tdim, d))
             for a in range(d):
                 du[:, :, a] = du_core[a].reshape(-1, tdim)[sel]
-            rho_sq_sel = rho_sq[sel]
-            rho = np.sqrt(rho_sq_sel)
+            pts_core[:, 0] = coords[i]
+            yield pts_core[sel], rho_sq[sel], du
+        cache.pop(i - 1, None)
 
-            pts_core[:, 0] = x0
-            pts = pts_core[sel]
-            diff = pts - self.center
 
-            w_cache = {}
-
-            def weight(r):
-                nonlocal d2_buf
-                if r not in w_cache:
-                    w = np.zeros(len(rho))
-                    w[rho <= r - self.reach] = 1.0
-                    band = np.nonzero(np.abs(rho - r) <= self.reach)[0]
-                    if len(band):
-                        if len(d2_buf) < len(band):
-                            d2_buf = np.empty((len(band), len(self.offsets)))
-                        # |p + o - c|^2 = rho^2 + 2 (p - c) . o + |o|^2, summed
-                        # in place (IEEE addition commutes)
-                        d2 = np.matmul(diff[band], self.offsets.T, out=d2_buf[: len(band)])
-                        d2 *= 2.0
-                        d2 += rho_sq_sel[band, None]
-                        d2 += self.offsets_sq
-                        # the count over 3^d is exactly the mean of the booleans
-                        w[band] = np.count_nonzero(d2 <= r * r, axis=-1) / d2.shape[1]
-                    w_cache[r] = w
-                return w_cache[r]
-
-            if self.bracket is None:
-                safe = np.maximum(rho, 1e-300)
-                dur = np.einsum("mia,ma->mi", du, diff / safe[:, None])
-                dur_sq = np.einsum("mi,mi->m", dur, dur)
-                sums, values = energy, np.einsum("mia,mia->m", du, du)
-            elif forms_fn is None:
-                sums, values = bracket_sums, _wedge_pairing(du, S_dom, S_tar)
-            else:
-                Vs = np.asarray(forms_fn(pts), dtype=float)  # (M, 3, d, d)
-                values = 0.0
-                for ell, Wl in enumerate(W):
-                    G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
-                    Kp = _hodge_dual_pairing(Vs[:, ell])
-                    values = values + 0.5 * np.einsum("mab,mab->m", Kp, G)
-                sums = bracket_sums
-
-            for k, r in enumerate(self.radii):
-                sums[k] += float(weight(float(r)) @ values)
-            # the bracket sweep reads no energies and no radial terms
-            for k in range(n_r - 1 if self.bracket is None else 0):
-                wa = weight(float(self.radii[k + 1])) - weight(float(self.radii[k]))
-                sel = wa > 0
-                if sel.any():
-                    radial[k] += float(
-                        (wa[sel] * dur_sq[sel]) @ (safe[sel] ** (2 - d))
-                    )
-            cache.pop(i - 1, None)
-
-        cell = h**d
-        return {
-            "energy": energy * cell,
-            "radial": radial * cell,
-            "bracket": bracket_sums * cell,
-        }
+def _cell_weights(u: GridField, center, radii):
+    """`_ball_slabs` out to the largest radius, each slab with one array of M
+    cell-fraction weights per radius (one 2-D array raised the peak RSS of the
+    65^4 defect by 7 MB): 1 for cells inside B_r(center), the fraction of
+    3^{4m} subcell centres inside for cells the sphere cuts."""
+    if not len(radii):
+        raise ValueError("nothing to integrate")
+    offsets = _subcell_offsets(u.dim, u.h)
+    offsets_sq = np.sum(offsets**2, axis=1)
+    # max|o| and a roundoff margin: nodes farther from the sphere weigh 0 or 1
+    band = math.sqrt(offsets_sq.max()) * (1.0 + 1e-9)
+    d2_buf = np.empty((0, len(offsets)))  # subcell distances, grown on demand
+    halfdiag = u.h * math.sqrt(u.dim) / 2.0
+    for pts, rho_sq, du in _ball_slabs(u, center, max(radii) + halfdiag):
+        rho = np.sqrt(rho_sq)
+        diff = pts - center
+        w = [np.zeros(len(rho)) for _ in radii]
+        for k, r in enumerate(radii):
+            w[k][rho <= r - band] = 1.0
+            near = np.nonzero(np.abs(rho - r) <= band)[0]
+            if len(near):
+                if len(d2_buf) < len(near):
+                    d2_buf = np.empty((len(near), len(offsets)))
+                # |p + o - c|^2 = rho^2 + 2 (p - c) . o + |o|^2, summed in
+                # place (IEEE addition commutes)
+                d2 = np.matmul(diff[near], offsets.T, out=d2_buf[: len(near)])
+                d2 *= 2.0
+                d2 += rho_sq[near, None]
+                d2 += offsets_sq
+                # the count over 3^d is exactly the mean of the booleans
+                w[k][near] = np.count_nonzero(d2 <= r * r, axis=-1) / d2.shape[1]
+        yield pts, rho_sq, du, w
 
 
 @dataclass
@@ -225,17 +162,32 @@ class RatioProfile:
 
 
 def _profile(u: GridField, x, radii) -> RatioProfile:
-    """The ball pass and ratio/defect arithmetic behind `energy_ratio`,
-    `monotonicity_defect` and `ratio_profile`, which never call each other."""
+    """The ball sums and ratio/defect arithmetic behind `energy_ratio`,
+    `monotonicity_defect` and `ratio_profile`, which never call each other:
+    the energy in every ball of the sorted ladder, the radial term on every
+    annulus (radii[k-1], radii[k])."""
     radii = sorted(float(r) for r in radii)
-    out = _BallPass(u, x, radii).run()
+    x = np.asarray(x, dtype=float)
     d = u.dim
-    ratios = [out["energy"][k] / radii[k] ** (d - 2) for k in range(len(radii))]
-    radial_terms = [0.0] + list(out["radial"])
-    defects = [0.0] + [
-        ratios[k + 1] - ratios[k] - 2.0 * out["radial"][k] for k in range(len(radii) - 1)
-    ]
-    return RatioProfile(np.asarray(x, dtype=float), radii, ratios, radial_terms, defects)
+    energy = np.zeros(len(radii))
+    radial = np.zeros(len(radii[1:]))  # one per annulus, none for an empty ladder
+    for pts, rho_sq, du, w in _cell_weights(u, x, radii):
+        safe = np.maximum(np.sqrt(rho_sq), 1e-300)
+        dur = np.einsum("mia,ma->mi", du, (pts - x) / safe[:, None])
+        dur_sq = np.einsum("mi,mi->m", dur, dur)
+        du_sq = np.einsum("mia,mia->m", du, du)
+        for k in range(len(radii)):
+            energy[k] += float(w[k] @ du_sq)
+        for k in range(len(radii) - 1):
+            wa = w[k + 1] - w[k]
+            sel = wa > 0
+            if sel.any():
+                radial[k] += float((wa[sel] * dur_sq[sel]) @ (safe[sel] ** (2 - d)))
+    energy *= u.h**d
+    radial *= u.h**d
+    ratios = [e / r ** (d - 2) for e, r in zip(energy, radii)]
+    defects = [0.0] + [b - a - 2.0 * t for a, b, t in zip(ratios, ratios[1:], radial)]
+    return RatioProfile(x, radii, ratios, [0.0] + list(radial), defects)
 
 
 def energy_ratio(u: GridField, x, r: float) -> float:
@@ -284,13 +236,25 @@ def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
     if perturbation is not None and u.m != 1:
         raise ValueError("position-dependent forms are supported for m=1 only")
     radii = sorted((float(r) for r in radii), reverse=True)
-    bracket = (StructureTriple.standard(u.m), StructureTriple.standard(u.n), perturbation)
-    out = _BallPass(u, x, radii, bracket=bracket).run()
+    S_dom, S_tar = StructureTriple.standard(u.m), StructureTriple.standard(u.n)
+    W = _identity_tables(S_dom, S_tar)[1]
     d = u.dim
-    m = u.m
-    by_r = dict(zip(sorted(radii), out["bracket"]))
-    values = [(1.0 + (d - 2) * r) / r ** (d - 2) * by_r[r] for r in radii]
-    norm = -2.0 / math.factorial(2 * m - 1)
+    sums = np.zeros(len(radii))
+    for pts, _, du, w in _cell_weights(u, x, radii):
+        if perturbation is None:
+            bracket = _wedge_pairing(du, S_dom, S_tar)
+        else:
+            Vs = np.asarray(perturbation(pts), dtype=float)  # (M, 3, d, d)
+            bracket = 0.0
+            for ell, Wl in enumerate(W):
+                G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
+                Kp = _hodge_dual_pairing(Vs[:, ell])
+                bracket = bracket + 0.5 * np.einsum("mab,mab->m", Kp, G)
+        for k in range(len(radii)):
+            sums[k] += float(w[k] @ bracket)
+    sums *= u.h**d
+    values = [(1.0 + (d - 2) * r) / r ** (d - 2) * s for r, s in zip(radii, sums)]
+    norm = -2.0 / math.factorial(2 * u.m - 1)
     energylike = [norm * v for v in values]
     violation = 0.0
     for big, small in zip(energylike[:-1], energylike[1:]):

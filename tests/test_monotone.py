@@ -102,8 +102,21 @@ def test_energy_ratio_scale_covariant():
 
 
 def test_ball_exits_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exits the domain"):
         energy_ratio(CONST, ORIGIN, 0.6)
+
+
+@pytest.mark.parametrize("ball", [ratio_profile, almost_monotone_sweep],
+                         ids=["ratio_profile", "almost_monotone_sweep"])
+def test_ball_input_checks(ball):
+    torus = GridField.from_function(lambda p: np.ones(p.shape), 1, 1, 17, domain="torus",
+                                    L=0.55)
+    with pytest.raises(NotImplementedError, match="box domain"):
+        ball(torus, ORIGIN, [0.1])
+    with pytest.raises(ValueError, match="center must be a point"):
+        ball(CONST, np.zeros(3), [0.1])
+    with pytest.raises(ValueError, match="nothing to integrate"):
+        ball(CONST, ORIGIN, [])
 
 
 def test_radial_term_cases():
@@ -516,7 +529,54 @@ def _tilted_forms(pts):
     return out
 
 
-def _ball_pass_results(u):
+def test_perturbed_forms_are_read_at_the_nodes():
+    # the forms see the grid's own coordinates, bit for bit: on this grid
+    # (p - x) + x rounds off some of them, by too little to move the sweep's sums
+    u = _parity_grids()["member"]
+    seen = []
+
+    def forms(pts):
+        seen.append(pts.copy())
+        return _tilted_forms(pts)
+
+    almost_monotone_sweep(u, [0.003, -0.006, 0.0045, 0.0015], [3 * u.h, 6 * u.h],
+                          perturbation=forms)
+    assert np.isin(np.concatenate(seen), u.axis_coords()).all()
+
+
+# the parent's `_profile` and `almost_monotone_sweep`, reading that single pass
+
+
+def _parent_profile(u, x, radii):
+    radii = sorted(float(r) for r in radii)
+    out = _ParentBallPass(u, x, radii, annuli=list(zip(radii[:-1], radii[1:]))).run()
+    d = u.dim
+    ratios = [out["energy"][k] / radii[k] ** (d - 2) for k in range(len(radii))]
+    radial_terms = [0.0] + list(out["radial"])
+    defects = [0.0] + [
+        ratios[k + 1] - ratios[k] - 2.0 * out["radial"][k] for k in range(len(radii) - 1)
+    ]
+    return monotone.RatioProfile(np.asarray(x, dtype=float), radii, ratios, radial_terms,
+                                 defects)
+
+
+def _parent_sweep(u, x, radii, perturbation=None):
+    radii = sorted((float(r) for r in radii), reverse=True)
+    bracket = (StructureTriple.standard(u.m), StructureTriple.standard(u.n), perturbation)
+    out = _ParentBallPass(u, x, sorted(radii), bracket=bracket).run()
+    d = u.dim
+    m = u.m
+    by_r = dict(zip(sorted(radii), out["bracket"]))
+    values = [(1.0 + (d - 2) * r) / r ** (d - 2) * by_r[r] for r in radii]
+    norm = -2.0 / math.factorial(2 * m - 1)
+    energylike = [norm * v for v in values]
+    violation = 0.0
+    for big, small in zip(energylike[:-1], energylike[1:]):
+        violation = max(violation, small - big)
+    return values, float(violation)
+
+
+def _ball_pass_results(u, sweep=almost_monotone_sweep):
     h = u.h
     x = np.array([0.003, -0.006, 0.0045, 0.0015])
     # eps0 at the median ratio, so both branches of the scan run
@@ -526,8 +586,8 @@ def _ball_pass_results(u):
     return [
         (prof.ratios, prof.radial_terms, prof.defects),
         monotonicity_defect(u, x, 3 * h, 6 * h),
-        almost_monotone_sweep(u, x, [3 * h, 5 * h, 6 * h]),
-        almost_monotone_sweep(u, x, [3 * h, 5 * h, 6 * h], perturbation=_tilted_forms),
+        sweep(u, x, [3 * h, 5 * h, 6 * h]),
+        sweep(u, x, [3 * h, 5 * h, 6 * h], perturbation=_tilted_forms),
         (rep.flagged, rep.unflagged, rep.violations),
     ]
 
@@ -536,15 +596,11 @@ def _ball_pass_results(u):
 def test_ball_passes_match_the_parent_implementation_bitwise(kind, monkeypatch):
     u = _parity_grids()[kind]
     got = _ball_pass_results(u)
-
-    def parent_ladder(u, center, radii, bracket=None):
-        radii = sorted(radii)
-        return _ParentBallPass(u, center, radii, annuli=list(zip(radii[:-1], radii[1:])),
-                               bracket=bracket)
-
-    monkeypatch.setattr(monotone, "_BallPass", parent_ladder)
+    # the profile behind the three ratio functions, the scan's gradient bound
+    # and the sweep, each from the parent's single pass
+    monkeypatch.setattr(monotone, "_profile", _parent_profile)
     monkeypatch.setattr(monotone, "_sup_gradient", _parent_sup_gradient)
-    want = _ball_pass_results(u)
+    want = _ball_pass_results(u, sweep=_parent_sweep)
     assert got == want
     flagged, unflagged, _ = got[-1]
     assert flagged and unflagged
