@@ -5,17 +5,14 @@ concentrating sequences.
 """
 
 from .quat import (
-    Quaternion,
     SphereStructure,
     StructureTriple,
     apply_structure,
     kaehler_form,
-    quat_mul,
 )
 from .exterior import KForm, contract, pullback, tangential_part, wedge, wedge_power
 from .fields import (
     GridField,
-    Jet,
     differential,
     dirichlet_energy,
     energy_identity_defects,

@@ -590,7 +590,7 @@ def _bubble_radial_density(seq, b: BubbleSpec, ell, rho):
     lam = b.profile.amplitude**2
     y = rho / d
     chi, dchi = _chi_radial(seq, rho + np.linalg.norm(b.center))
-    g2 = lam * 8.0 / (1.0 + y * y) ** 2 / d**2
+    g2 = b.profile.energy_density(y) / d**2
     dev2 = lam * 4.0 / (1.0 + y * y)
     ddev2 = -lam * 8.0 * y / (1.0 + y * y) ** 2 / d
     return chi * chi * g2 + dchi * dchi * dev2 + chi * dchi * ddev2
@@ -1191,8 +1191,8 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
 # bubble structure and calibration
 
 
-def bubble_structure(j):
-    """Recover (a, b, c) from a rank-2 jet: with e, v the images of the
+def bubble_structure(du):
+    """Recover (a, b, c) from a rank-2 jet du: with e, v the images of the
     oriented domain pair, (a, b, c) solves v = -(aI + bJ + cK) e.
 
     Returns (SphereStructure, holomorphicity residual relative to |du|);
@@ -1200,7 +1200,7 @@ def bubble_structure(j):
     holomorphic for +(aI+bJ+cK) must have rank at least 4, so a rank-2 bubble
     jet forces the minus sign).
     """
-    du = j.du if hasattr(j, "du") else np.asarray(j, dtype=float)
+    du = np.asarray(du, dtype=float)
     dn = du.shape[0]
     S_tar = StructureTriple.standard(dn // 4)
     _, s, Vt = np.linalg.svd(du, full_matrices=False)

@@ -33,8 +33,17 @@ from .quat import StructureTriple
 
 FORMAT_VERSION = "FUETERLAB1"
 
-# the smallest grid each grid command accepts, from --grid or the config field
-# grid, and why
+# the RunConfig fields each command reads, from --config or from the flag of
+# the same name; any other config field exits 2
+READS = {
+    "identity-check": ("seed", "m", "tol_identity"),
+    "monotonicity": ("seed", "grid"),
+    "norms": ("seed", "grid"),
+    "solve-w21": ("seed", "grid", "magnitude"),
+    "extract-bubbles": ("seed", "ell", "eps0", "eps1", "r_out"),
+}
+
+# the smallest grid each command that reads grid accepts, and why
 MIN_GRID = {
     "monotonicity": (12, "the largest ball spans (grid - 8) / 2 >= 2 spacings"),
     "norms": (5, "the maximal function needs a ball of radius 2 / grid < 1/2"),
@@ -72,19 +81,20 @@ class RunConfig:
 
 
 def _load_config(args, **defaults) -> RunConfig:
-    """RunConfig from the defaults, then --config, then the flags."""
-    values = dict(defaults)
+    """RunConfig from the defaults, then --config, then the flags.  The values
+    are checked first; then a config field the command does not read exits 2."""
+    raw = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-        known = {f.name for f in dc_fields(RunConfig)}
-        bad = set(raw) - known
+        bad = set(raw) - {f.name for f in dc_fields(RunConfig)}
         if bad:
             raise ValueError(f"unknown config fields: {sorted(bad)}")
-        values.update(raw)
-    for name in ("seed", "grid", "m", "ell", "magnitude"):
+    values = dict(defaults, **raw)
+    reads = READS[args.command]
+    for name in reads:
         v = getattr(args, name, None)
         if v is not None:
             values[name] = v
@@ -92,6 +102,9 @@ def _load_config(args, **defaults) -> RunConfig:
     small = _small_grid(args.command, cfg.grid)  # a --grid flag passed the parser
     if small:
         raise ValueError(f"config field grid {small}")
+    unread = sorted(set(raw) - set(reads))
+    if unread:
+        raise ValueError(f"config fields not read by {args.command}: {unread}")
     return cfg
 
 
@@ -144,7 +157,7 @@ def cmd_identity_check(args) -> int:
         step = max(1, (N - 4) // 3)
         nodes = [tuple(i) for i in np.ndindex(*(len(range(2, N - 2, step)),) * u.dim)]
         picks = [tuple(range(2, N - 2, step)[k] for k in node) for node in nodes]
-        As = np.stack([differential(u, nd).du for nd in picks])
+        As = np.stack([differential(u, nd) for nd in picks])
         defects_u = energy_identity_defects(As, Sd, St)
         max_defect = max(max_defect, float(np.max(np.abs(defects_u))))
         tested += len(picks)
@@ -348,13 +361,15 @@ def build_parser():
     def common(q, name):
         q.add_argument("--config", help="JSON file overriding RunConfig fields")
         q.add_argument("--out", help="write the report here instead of stdout")
-        q.add_argument("--seed", type=int, default=None)
-        if name in MIN_GRID:  # the commands that read grid
-            q.add_argument("--grid", type=functools.partial(_grid, name), default=None)
+        flags = dict(seed=dict(type=int), grid=dict(type=functools.partial(_grid, name)),
+                     m=dict(type=int, choices=(1, 2)), magnitude=dict(type=_finite_float),
+                     ell=dict(type=functools.partial(_int_at_least, 2)))
+        for field in READS[name]:  # a command defines the flags of the fields it reads
+            if field in flags:
+                q.add_argument(f"--{field}", default=None, **flags[field])
 
     q = sub.add_parser("identity-check", help="energy identity over random jets")
     common(q, "identity-check")
-    q.add_argument("--m", type=int, default=None, choices=(1, 2))
     q.add_argument("--jets", type=_positive_int, default=10000)
     q.add_argument("--field", help="optional FLD1 field to check at grid nodes")
     q.set_defaults(func=cmd_identity_check)
@@ -373,7 +388,6 @@ def build_parser():
 
     q = sub.add_parser("solve-w21", help="perturbed Poisson fixed point")
     common(q, "solve-w21")
-    q.add_argument("--magnitude", type=_finite_float, default=None)
     q.add_argument("--tol", type=_positive_float, default=1e-10)
     q.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     q.set_defaults(func=cmd_solve_w21)
@@ -381,7 +395,6 @@ def build_parser():
     q = sub.add_parser("extract-bubbles", help="bubble tree from a bundled manifest")
     common(q, "extract-bubbles")
     q.add_argument("--manifest", default="two", choices=sorted(BUNDLED_MANIFESTS))
-    q.add_argument("--ell", type=functools.partial(_int_at_least, 2), default=None)
     q.set_defaults(func=cmd_extract_bubbles)
 
     return p

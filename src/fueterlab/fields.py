@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .quat import ONE, QI, QJ, QK, StructureTriple, kaehler_form, quat_mul_array
 
 __all__ = [
     "GridField",
-    "Jet",
     "differential",
     "triholo_residual",
     "dirichlet_energy",
@@ -270,19 +268,6 @@ class GridField:
         )
 
 
-@dataclass
-class Jet:
-    """Pointwise differential: du is a 4n x 4m matrix (target per domain length)."""
-
-    point: tuple
-    du: np.ndarray
-
-    def __post_init__(self):
-        self.du = np.asarray(self.du, dtype=float)
-        if not np.all(np.isfinite(self.du)):
-            raise ValueError("jet entries must be finite")
-
-
 def _neighbor(u, node, axis, step):
     node = list(node)
     node[axis] += step
@@ -291,33 +276,39 @@ def _neighbor(u, node, axis, step):
     return u.block(tuple(node))
 
 
-def differential(u: GridField, node) -> Jet:
-    """Central-difference jet at a node: column a is (u(+h e_a) - u(-h e_a)) / 2h."""
+def differential(u: GridField, node) -> np.ndarray:
+    """Central-difference jet at a node, the (4n, 4m) array whose column a is
+    (u(+h e_a) - u(-h e_a)) / 2h.  The field values are finite, but their
+    differences can overflow; such a jet raises ValueError."""
     node = tuple(int(i) for i in node)
     if not u.is_interior(node):
         raise ValueError(f"node {node} too close to the box boundary for the stencil")
     cols = []
     for a in range(u.dim):
         cols.append(stencil.first(_neighbor(u, node, a, +1), _neighbor(u, node, a, -1), u.h))
-    return Jet(node, np.stack(cols, axis=1))
+    du = np.stack(cols, axis=1)
+    if not np.isfinite(du).all():
+        raise ValueError(f"jet entries at node {node} must be finite (the differences overflow)")
+    return du
 
 
 # ---------------------------------------------------------------------------
 # pointwise algebra: residual and energy identity
 
 
-def triholo_residual(j, S_dom: StructureTriple, S_tar: StructureTriple, connection=None):
-    """R = du - I du i - J du j - K du k - (optional zeroth-order term).
+def triholo_residual(A, S_dom: StructureTriple, S_tar: StructureTriple, connection=None):
+    """R = du - I du i - J du j - K du k - (optional zeroth-order term), for
+    one jet of shape (4n, 4m) or a batch of shape (..., 4n, 4m).
 
     The map is flagged triholomorphic at the node when ||R||_F is below the
     caller's tolerance.
     """
-    A = j.du if isinstance(j, Jet) else np.asarray(j, dtype=float)
-    if A.shape != (S_tar.dim, S_dom.dim):
-        raise ValueError(f"jet shape {A.shape} does not match ({S_tar.dim}, {S_dom.dim})")
+    A = np.asarray(A, dtype=float)
+    if A.shape[-2:] != (S_tar.dim, S_dom.dim):
+        raise ValueError(f"jet shape {A.shape} does not match (..., {S_tar.dim}, {S_dom.dim})")
     R = A.copy()
     for St, Sd in zip(S_tar.mats(), S_dom.mats()):
-        R -= St @ A @ Sd
+        R -= np.einsum("ij,...jk,kl->...il", St, A, Sd)
     if connection is not None:
         C = np.asarray(connection, dtype=float)
         if C.shape != A.shape:
@@ -380,9 +371,7 @@ def energy_identity_defects(As, S_dom: StructureTriple, S_tar: StructureTriple):
     """
     As = np.asarray(As, dtype=float)
     lhs = -_wedge_pairing(As, S_dom, S_tar) / math.factorial(2 * S_dom.d - 1)
-    R = As.copy()
-    for St, Sd in zip(S_tar.mats(), S_dom.mats()):
-        R -= np.einsum("ij,njk,kl->nil", St, As, Sd)
+    R = triholo_residual(As, S_dom, S_tar)
     rhs = 0.5 * np.einsum("nab,nab->n", As, As) - 0.125 * np.einsum("nab,nab->n", R, R)
     return lhs - rhs
 
@@ -663,7 +652,7 @@ def load_fld1(path) -> GridField:
 # z_l(x) = -(x_l + e_l x0), their powers, symmetrized mixed products, and
 # right quaternion coefficients.
 
-_UNITS = [ONE.as_array(), QI.as_array(), QJ.as_array(), QK.as_array()]
+_UNITS = [ONE, QI, QJ, QK]
 
 
 def _z_value(pts, ell):

@@ -1,5 +1,8 @@
 """Quaternion algebra and flat quaternionic structure triples on R^{4d}.
 
+A quaternion w + x i + y j + z k is a float array with last axis (w, x, y, z);
+`quat_mul_array` is the Hamilton product, and ONE, QI, QJ, QK are read-only.
+
 The three structures act by componentwise LEFT quaternion multiplication by
 i, j, k under R^{4d} = H^d.  Left multiplication realizes the composition
 rule i o j o k = -Id (right multiplication would give +Id).
@@ -14,12 +17,10 @@ import numpy as np
 from .exterior import KForm, form_from_matrix
 
 __all__ = [
-    "Quaternion",
     "ONE",
     "QI",
     "QJ",
     "QK",
-    "quat_mul",
     "quat_mul_array",
     "left_mult_matrix",
     "StructureTriple",
@@ -28,65 +29,9 @@ __all__ = [
     "kaehler_form",
 ]
 
-
-class Quaternion:
-    """A quaternion w + x*i + y*j + z*k with real components."""
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w, x, y, z):
-        self.w = float(w)
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
-
-    def as_array(self):
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def norm(self):
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-    def __add__(self, q):
-        return Quaternion(self.w + q.w, self.x + q.x, self.y + q.y, self.z + q.z)
-
-    def __sub__(self, q):
-        return Quaternion(self.w - q.w, self.x - q.x, self.y - q.y, self.z - q.z)
-
-    def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, q):
-        if isinstance(q, Quaternion):
-            return quat_mul(self, q)
-        return Quaternion(self.w * q, self.x * q, self.y * q, self.z * q)
-
-    def __rmul__(self, s):
-        return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
-
-    def __eq__(self, q):
-        return (self.w, self.x, self.y, self.z) == (q.w, q.x, q.y, q.z)
-
-    def isclose(self, q, tol=1e-12):
-        return (self - q).norm() <= tol
-
-    def __repr__(self):
-        return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
-
-
-ONE = Quaternion(1, 0, 0, 0)
-QI = Quaternion(0, 1, 0, 0)
-QJ = Quaternion(0, 0, 1, 0)
-QK = Quaternion(0, 0, 0, 1)
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product; the units satisfy i*j = k, j*k = i, k*i = j, ijk = -1."""
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+_UNITS = np.eye(4)
+_UNITS.flags.writeable = False
+ONE, QI, QJ, QK = _UNITS
 
 
 def quat_mul_array(p, q):
@@ -106,11 +51,9 @@ def quat_mul_array(p, q):
     )
 
 
-def left_mult_matrix(u: Quaternion) -> np.ndarray:
-    """4x4 matrix of q -> u*q in the basis (1, i, j, k)."""
-    basis = np.eye(4)
-    cols = [quat_mul_array(u.as_array(), basis[b]) for b in range(4)]
-    return np.stack(cols, axis=1)
+def left_mult_matrix(u) -> np.ndarray:
+    """4x4 matrix of q -> u*q in the basis (1, i, j, k), for a (4,) array u."""
+    return quat_mul_array(u, np.eye(4)).T
 
 
 @dataclass(frozen=True)
@@ -153,10 +96,6 @@ class StructureTriple:
         except KeyError:
             raise ValueError(f"unknown structure {which!r}, expected 'i', 'j' or 'k'")
 
-    def combination(self, a: float, b: float, c: float) -> np.ndarray:
-        """The matrix of a*i + b*j + c*k."""
-        return a * self.i_mat + b * self.j_mat + c * self.k_mat
-
 
 @dataclass(frozen=True)
 class SphereStructure:
@@ -175,7 +114,8 @@ class SphereStructure:
         return np.array([self.a, self.b, self.c])
 
     def matrix(self, triple: StructureTriple) -> np.ndarray:
-        return triple.combination(self.a, self.b, self.c)
+        """The matrix of a*i + b*j + c*k."""
+        return self.a * triple.i_mat + self.b * triple.j_mat + self.c * triple.k_mat
 
 
 def apply_structure(S: StructureTriple, coeffs: SphereStructure, v) -> np.ndarray:

@@ -157,6 +157,24 @@ def test_bad_config_values_exit_2_with_the_reason(text, reason, tmp_path, capsys
     assert f"config field {reason}" in captured.err
 
 
+# a command reads only its own config fields (cli.READS); after the value
+# checks, any other field exits 2 naming it (before, each was taken and ignored)
+@pytest.mark.parametrize("argv, text, field", [
+    (["identity-check", "--jets", "10"], '{"grid": 1}', "grid"),
+    (["norms", "--fields", "2", "--grid", "8"], '{"m": 2}', "m"),
+    (["solve-w21"], '{"ell": 8}', "ell"),
+    (["extract-bubbles"], '{"seed": 5, "magnitude": 0.05, "grid": 16}', "grid', 'magnitude"),
+])
+def test_config_fields_the_command_does_not_read_exit_2(argv, text, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"config fields not read by {argv[0]}: ['{field}']" in captured.err
+
+
 def test_monotonicity_constant_field(capsys):
     code, out = run_cli(
         ["monotonicity", "--field", "constant", "--grid", "17"], capsys

@@ -52,11 +52,12 @@ def test_differential_exact_on_affine():
     A = rng.normal(size=(4, 4))
     b = rng.normal(size=4)
     u = GridField.from_function(lambda p: p @ A.T + b, 1, 1, 9, L=0.5, materialize=True)
-    j = differential(u, (4, 4, 4, 4))
-    assert np.max(np.abs(j.du - A)) < 1e-12
+    du = differential(u, (4, 4, 4, 4))
+    assert du.shape == (4, 4)
+    assert np.max(np.abs(du - A)) < 1e-12
     const = GridField.from_function(lambda p: np.broadcast_to(b, p.shape), 1, 1, 9, L=0.5,
                                     materialize=True)
-    assert np.max(np.abs(differential(const, (4, 4, 4, 4)).du)) == 0.0
+    assert np.max(np.abs(differential(const, (4, 4, 4, 4)))) == 0.0
 
 
 def test_differential_quartic_error_order():
@@ -66,11 +67,21 @@ def test_differential_quartic_error_order():
         u = grid_from_poly(poly, nodes)
         mid = tuple(s // 2 for s in u.shape)
         x = u.axis_coords()[list(mid)]
-        got = differential(u, mid).du
+        got = differential(u, mid)
         want = poly.jacobian(x[None])[0]
         errs.append(np.max(np.abs(got - want)))
     slope = np.polyfit(np.log([0.125, 0.0625, 0.03125]), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.25
+
+
+def test_differential_rejects_an_overflowing_jet():
+    # finite values whose central difference overflows to inf
+    values = np.zeros((9,) * 4 + (4,))
+    values[5, 4, 4, 4, 0] = 1e308
+    values[3, 4, 4, 4, 0] = -1e308
+    u = GridField.from_array(values, 1, 1)
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        differential(u, (4, 4, 4, 4))
 
 
 def test_differential_boundary_error():
@@ -216,6 +227,20 @@ def test_triholo_residual_connection_term():
     A = rng.normal(size=(4, 4))
     C = triholo_residual(A, S1, S1)
     assert np.max(np.abs(triholo_residual(A, S1, S1, connection=C))) < 1e-14
+
+
+def test_triholo_residual_of_a_batch_is_the_residual_of_each_jet():
+    rng = np.random.default_rng(4)
+    for S_dom, S_tar in ((S1, S1), (S2, S1), (S1, S2)):
+        As = rng.normal(size=(3, 5, S_tar.dim, S_dom.dim))
+        R = triholo_residual(As, S_dom, S_tar)
+        for idx in np.ndindex(3, 5):
+            A = want = As[idx]
+            for St, Sd in zip(S_tar.mats(), S_dom.mats()):
+                want = want - St @ A @ Sd
+            assert np.array_equal(R[idx], want)
+    with pytest.raises(ValueError, match="does not match"):
+        triholo_residual(np.zeros((2, 4, 8)), S1, S1)
 
 
 def test_kernel_oracle_dimension_and_basis():

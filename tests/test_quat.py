@@ -1,44 +1,78 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fueterlab.quat import (
     ONE,
     QI,
     QJ,
     QK,
-    Quaternion,
     SphereStructure,
     StructureTriple,
     apply_structure,
     kaehler_form,
-    quat_mul,
+    left_mult_matrix,
     quat_mul_array,
 )
 
+quaternions = st.lists(st.floats(-10, 10), min_size=4, max_size=4).map(np.array)
+
+
+def close(p, q, tol=1e-12):
+    return np.linalg.norm(p - q) <= tol
+
 
 def test_unit_table():
-    assert quat_mul(QI, QJ).isclose(QK)
-    assert quat_mul(QJ, QK).isclose(QI)
-    assert quat_mul(QK, QI).isclose(QJ)
-    assert quat_mul(QI, QI).isclose(-ONE)
-    assert quat_mul(QJ, QJ).isclose(-ONE)
-    assert quat_mul(QK, QK).isclose(-ONE)
-    ijk = quat_mul(quat_mul(QI, QJ), QK)
-    assert ijk.isclose(-ONE)
+    assert close(quat_mul_array(QI, QJ), QK)
+    assert close(quat_mul_array(QJ, QK), QI)
+    assert close(quat_mul_array(QK, QI), QJ)
+    assert close(quat_mul_array(QI, QI), -ONE)
+    assert close(quat_mul_array(QJ, QJ), -ONE)
+    assert close(quat_mul_array(QK, QK), -ONE)
+    ijk = quat_mul_array(quat_mul_array(QI, QJ), QK)
+    assert close(ijk, -ONE)
+
+
+def test_units_are_read_only():
+    with pytest.raises(ValueError):
+        QI[0] = 1.0
 
 
 def test_identity_and_associativity():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        p, q, r = (Quaternion(*rng.normal(size=4)) for _ in range(3))
-        assert quat_mul(ONE, q).isclose(q)
-        lhs = quat_mul(quat_mul(p, q), r)
-        rhs = quat_mul(p, quat_mul(q, r))
-        assert lhs.isclose(rhs, tol=1e-10)
+        p, q, r = rng.normal(size=(3, 4))
+        assert close(quat_mul_array(ONE, q), q)
+        lhs = quat_mul_array(quat_mul_array(p, q), r)
+        rhs = quat_mul_array(p, quat_mul_array(q, r))
+        assert close(lhs, rhs, tol=1e-10)
         # distributivity
-        s = quat_mul(p, q + r)
-        t = quat_mul(p, q) + quat_mul(p, r)
-        assert s.isclose(t, tol=1e-10)
+        s = quat_mul_array(p, q + r)
+        t = quat_mul_array(p, q) + quat_mul_array(p, r)
+        assert close(s, t, tol=1e-10)
+
+
+# the same laws on hypothesis-drawn quaternions with entries in [-10, 10], to
+# the same absolute tolerance: the products stay below 8e3, where an ulp is 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(quaternions, quaternions, quaternions)
+def test_associativity_and_distributivity_properties(p, q, r):
+    lhs = quat_mul_array(quat_mul_array(p, q), r)
+    assert close(lhs, quat_mul_array(p, quat_mul_array(q, r)), tol=1e-10)
+    s = quat_mul_array(p, q + r)
+    assert close(s, quat_mul_array(p, q) + quat_mul_array(p, r), tol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quaternions, quaternions)
+def test_norm_and_left_matrix_properties(p, q):
+    pq = quat_mul_array(p, q)
+    assert abs(np.linalg.norm(pq) - np.linalg.norm(p) * np.linalg.norm(q)) < 1e-10
+    assert close(left_mult_matrix(p) @ q, pq, tol=1e-10)
+    assert close(quat_mul_array(ONE, q), q) and close(quat_mul_array(q, ONE), q)
 
 
 def test_norm_multiplicativity():
