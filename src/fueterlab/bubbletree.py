@@ -19,6 +19,7 @@ import numpy as np
 
 from . import stencil
 from .norms import ScalarGrid, hl_maximal, lorentz_21
+from .poisson import smoothstep, smoothstep_slope
 from .quat import SphereStructure, StructureTriple
 
 __all__ = [
@@ -167,9 +168,6 @@ class BubbleSpec:
 class SequenceManifest:
     energies: list
     theta: float
-    centers: list
-    rates: list
-    structures: list
 
 
 class _ConstantBase:
@@ -206,21 +204,17 @@ class _Noise:
     x2_scale: float
     direction: np.ndarray
 
-    def eta(self, x1):
-        from .poisson import smoothstep
+    def _rho(self, x1):
+        return np.linalg.norm(np.asarray(x1, dtype=float) - self.center_x1, axis=-1)
 
-        rho = np.linalg.norm(np.asarray(x1, dtype=float) - self.center_x1, axis=-1)
-        return self.amplitude * (1.0 - smoothstep(rho / self.radius))
+    def eta(self, x1):
+        return self.amplitude * (1.0 - smoothstep(self._rho(x1) / self.radius))
 
     def grad_eta_sq(self, x1):
-        h = 1e-6
-        x1 = np.asarray(x1, dtype=float)
-        out = 0.0
-        for a in range(2):
-            e = np.zeros(2)
-            e[a] = h
-            out = out + stencil.first(self.eta(x1 + e), self.eta(x1 - e), h) ** 2
-        return out
+        """|grad eta|^2: eta is radial in X1, so its gradient has the length
+        amplitude * smoothstep'(rho / radius) / radius."""
+        return (self.amplitude * smoothstep_slope(self._rho(x1) / self.radius)
+                / self.radius) ** 2
 
     def psi(self, x2):
         r2 = np.sum(np.asarray(x2, dtype=float) ** 2, axis=-1)
@@ -322,13 +316,7 @@ class ConcentratingSequence:
 
     def _build_manifest(self):
         energies = [b.profile.total_energy() for b in self.bubbles]
-        return SequenceManifest(
-            energies=energies,
-            theta=float(sum(energies)),
-            centers=[b.center.copy() for b in self.bubbles],
-            rates=[b.rate for b in self.bubbles],
-            structures=[b.profile.structure for b in self.bubbles],
-        )
+        return SequenceManifest(energies=energies, theta=float(sum(energies)))
 
     @property
     def x1_invariant(self):
@@ -568,13 +556,8 @@ def slice_select(seq: ConcentratingSequence, ell, grid_n=9, r_out=0.25) -> Slice
 
 def _chi_radial(seq, rho):
     """The cutoff 1 - smoothstep(|X2| / R - 1) at |X2| = rho, and its derivative."""
-    from .poisson import smoothstep
-
-    rho = np.asarray(rho, dtype=float)
-    s = np.clip(rho / seq.cutoff_radius - 1.0, 0.0, 1.0)
-    chi = 1.0 - smoothstep(s)
-    dchi = -(30.0 * s**2 * (s - 1.0) ** 2) / seq.cutoff_radius
-    return chi, dchi
+    s = np.clip(np.asarray(rho, dtype=float) / seq.cutoff_radius - 1.0, 0.0, 1.0)
+    return 1.0 - smoothstep(s), -smoothstep_slope(s) / seq.cutoff_radius
 
 
 def _bubble_radial_density(seq, b: BubbleSpec, ell, rho):
@@ -786,21 +769,23 @@ def _paraboloid_step(f, step):
         return None
 
 
-def _refine_center(sl: _SliceMap, c0, scale):
-    """Sharpen the bubble center by fitting a paraboloid to the energy density
-    on a shrinking 3x3 stencil; the density peak is smooth and near-quadratic
-    at the core, so a few rounds reach a small fraction of the core scale."""
-    c = np.asarray(c0, dtype=float).copy()
-    step = 0.3 * scale
-    for _ in range(3):
+def _paraboloid_descent(f, c, step, rounds, shrink, reach):
+    """Walk c to the vertex of the paraboloid fitted to f on a 3x3 stencil of
+    spacing `step`, for `rounds` rounds; each move is clipped to `reach`
+    steps per axis and the stencil shrinks by `shrink` after it.  f maps
+    (3, 3, 2) points to (3, 3) values.  Stops early on a non-finite stencil or
+    a singular Hessian."""
+    c = np.asarray(c, dtype=float)
+    for _ in range(rounds):
         ax = np.array([-step, 0.0, step])
-        pts = c + np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-        move = _paraboloid_step(sl.grad_sq(pts), step)
+        vals = f(c + np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1))
+        if not np.all(np.isfinite(vals)):
+            break
+        move = _paraboloid_step(vals, step)
         if move is None:
             break
-        move = np.clip(move, -step, step)
-        c = c + move
-        step *= 0.1
+        c = c + np.clip(move, -reach * step, reach * step)
+        step *= shrink
     return c
 
 
@@ -819,8 +804,10 @@ def _center_structure(sl: _SliceMap, center, probe_scale):
     sharp center probe serves every bubble in the chain.  The reading drifts
     linearly with the centering error, so after the density-peak refinement
     the holomorphy residual itself is polished to its (quadratic) minimum.
+    Both are paraboloid descents; on the near-quadratic core a few rounds
+    reach a small fraction of the core scale.
     """
-    center = _refine_center(sl, center, probe_scale)
+    center = _paraboloid_descent(sl.grad_sq, center, 0.3 * probe_scale, 3, 0.1, 1)
     h = probe_scale * 1e-3
 
     def residual_sq(c):
@@ -830,21 +817,8 @@ def _center_structure(sl: _SliceMap, center, probe_scale):
             return np.inf
         return res * res
 
-    step = probe_scale * 3e-2
-    for _ in range(4):
-        ax = np.array([-step, 0.0, step])
-        vals = np.empty((3, 3))
-        for i, dx in enumerate(ax):
-            for jj, dy in enumerate(ax):
-                vals[i, jj] = residual_sq(center + np.array([dx, dy]))
-        if not np.all(np.isfinite(vals)):
-            break
-        move = _paraboloid_step(vals, step)
-        if move is None:
-            break
-        move = np.clip(move, -2 * step, 2 * step)
-        center = center + move
-        step *= 0.05
+    center = _paraboloid_descent(lambda pts: np.apply_along_axis(residual_sq, -1, pts),
+                                 center, 3e-2 * probe_scale, 4, 0.05, 2)
     try:
         return bubble_structure(_probe_jet(sl, center, h))
     except ValueError:
@@ -856,9 +830,14 @@ def _center_structure(sl: _SliceMap, center, probe_scale):
 
 
 class NeckView:
-    """Resampled member on the elongated neck:
-    W(t, theta) = u(c + e^{-t} e^{i theta}), t increasing from -log(outer) to
-    -log(inner)."""
+    """The member on the neck in the cylinder chart X2 = c + e^{-t} e^{i theta},
+    t increasing from -log(outer) to -log(inner).
+
+    The chart is conformal with factor |X2 - c| = e^{-t}, so the cylinder
+    density |grad_(t,theta) u|^2 equals e^{-2t} |grad_{X2} u|^2; `g` holds it,
+    from the analytic slice gradient, at the samples t[1:-1] x theta.  `t`
+    carries one more sample beyond each end: `neck_scan` starts its windows
+    at t[0], and the energies cover the full requested annulus."""
 
     def __init__(self, seq, ell, x1, center, inner, outer, ntheta=48):
         if not inner < outer:
@@ -868,36 +847,16 @@ class NeckView:
         self.center = np.asarray(center, dtype=float)
         t0, t1 = -math.log(outer), -math.log(inner)
         nt = min(4000, max(96, int((t1 - t0) / 0.04)))
-        # one extra sample beyond each end so the central-difference energy
-        # covers the full requested window
         dt = (t1 - t0) / (nt - 1)
         self.t = np.linspace(t0 - dt, t1 + dt, nt + 2)
         self.theta = np.linspace(0, 2 * np.pi, ntheta, endpoint=False)
-        sl = seq.slice_map(ell, x1)
-        rad = np.exp(-self.t)
+        rad = np.exp(-self.t[1:-1])
         pts = self.center + rad[:, None, None] * np.stack(
             [np.cos(self.theta), np.sin(self.theta)], axis=-1
         )[None]
-        self.W = sl.value(pts)
-        self._sl = sl
-
-    @property
-    def dt(self):
-        return self.t[1] - self.t[0]
-
-    @property
-    def dtheta(self):
-        return self.theta[1] - self.theta[0]
-
-    def grad_sq_samples(self):
-        """|grad_(t,theta) W|^2 at interior t-samples by central differences."""
-        # t is an interval axis (trimmed by the stencil), theta a periodic one
-        Wt = stencil.d1(self.W, 0, self.dt, False, ndim=1)
-        Wth = stencil.d1(self.W, 1, self.dtheta, True)
-        return np.sum(Wt**2, axis=-1) + np.sum(Wth[1:-1] ** 2, axis=-1)
+        self.g = (rad * rad)[:, None] * seq.slice_map(ell, x1).grad_sq(pts)
 
     def cylinder_energy(self, t_lo=None, t_hi=None):
-        g = self.grad_sq_samples()
         tt = self.t[1:-1]
         mask = np.ones(len(tt), dtype=bool)
         if t_lo is not None:
@@ -906,7 +865,8 @@ class NeckView:
             mask &= tt <= t_hi + 1e-12
         if mask.sum() < 2:
             return 0.0
-        return float(np.trapezoid(g[mask].sum(axis=1) * self.dtheta, tt[mask]))
+        dtheta = 2 * np.pi / len(self.theta)
+        return float(np.trapezoid(self.g[mask].sum(axis=1) * dtheta, tt[mask]))
 
     def window_energy(self, t_start):
         """Scan quantity on the unit window [t_start, t_start + 1]: the
@@ -988,7 +948,7 @@ def neck_l2inf_check(view: NeckView):
     """sup over the neck of |X2 - c| |grad_{X2} u|, evaluated in the cylinder
     chart where it equals sup |grad W| exactly.
     Checks the paper's L^{2,infty} neck estimate: the sup tends to 0 along the sequence."""
-    return float(np.sqrt(view.grad_sq_samples().max()))
+    return float(np.sqrt(view.g.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ class GridField:
         self.n = int(n)
         self.domain = domain
         self.L = float(L)
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {L!r}")
         shape = tuple(int(s) for s in shape)
         if len(shape) != 4 * self.m:
             raise ValueError(f"grid needs {4 * self.m} axes, got {len(shape)}")
@@ -629,6 +631,9 @@ def load_fld1(path) -> GridField:
         domain = kv["domain"]
         L = float(kv["L"])
         shape = tuple(int(s) for s in kv["dims"].split(","))
+        for key, least in (("m", m), ("n", n), ("dims", min(shape))):
+            if least < 1:
+                raise ValueError(f"header field {key} must be at least 1, got {kv[key]}")
         count = int(np.prod(shape)) * 4 * n
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != 8 * count:

@@ -27,6 +27,7 @@ __all__ = [
     "w21_norm",
     "W21_SUITE_C",
     "smoothstep",
+    "smoothstep_slope",
     "radial_cutoff",
     "default_problem",
     "manufactured_problem",
@@ -272,6 +273,12 @@ def smoothstep(s):
     """Quintic smoothstep: 0 below 0, 1 above 1, C^2 in between."""
     s = np.clip(s, 0.0, 1.0)
     return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
+
+
+def smoothstep_slope(s):
+    """The derivative of `smoothstep`: 30 s^2 (s - 1)^2 on [0, 1], 0 outside."""
+    s = np.clip(s, 0.0, 1.0)
+    return 30.0 * s**2 * (s - 1.0) ** 2
 
 
 def radial_cutoff(shape, h, inner, outer, center=None):

@@ -22,7 +22,7 @@ from fueterlab.bubbletree import (
     slice_select,
     synth_sequence,
 )
-from fueterlab import bubbletree
+from fueterlab import bubbletree, stencil
 from fueterlab.bubbletree import SliceChoice, _disk_energy, _slice_lorentz
 from fueterlab.norms import ScalarGrid, hl_maximal
 from fueterlab.quat import SphereStructure, StructureTriple
@@ -288,26 +288,26 @@ def test_rescale_constant_sequence_raises():
 # necks
 
 
-def test_neck_view_angular_field_independent_of_t():
+def test_neck_view_density_is_the_conformal_chart_identity():
+    # u = (cos theta, sin theta, 0, 0) = X2 / |X2| has |grad u| = 1 / |X2|, so
+    # its cylinder density |X2|^2 |grad u|^2 is 1 at every sample
     def base_value(x2):
-        theta = np.arctan2(x2[..., 1], np.maximum(np.abs(x2[..., 0]), 1e-30)
-                           * np.sign(x2[..., 0] + (x2[..., 0] == 0)))
         out = np.zeros(x2.shape[:-1] + (4,))
-        out[..., 0] = np.cos(theta)
-        out[..., 1] = np.sin(theta)
+        out[..., :2] = x2 / np.linalg.norm(x2, axis=-1)[..., None]
         return out
 
     def base_grad(x2):
-        r2 = np.maximum(np.sum(x2**2, axis=-1), 1e-30)
+        x, y = x2[..., 0], x2[..., 1]
+        r3 = np.linalg.norm(x2, axis=-1) ** 3
         out = np.zeros(x2.shape[:-1] + (4, 2))
-        # grad of cos(theta), sin(theta): tangential, magnitude 1/r
-        out[..., 0, 0] = x2[..., 1] * x2[..., 1] / r2**1.5 * 0  # filled below
+        out[..., 0, 0], out[..., 0, 1] = y * y / r3, -x * y / r3
+        out[..., 1, 0], out[..., 1, 1] = -x * y / r3, x * x / r3
         return out
 
     seq = ConcentratingSequence([], base=SmoothBase(base_value, base_grad))
     view = neck_view(seq, 0, (0.0, 0.0), np.zeros(2), 0.01, 0.2)
-    spread_t = np.max(np.abs(view.W - view.W.mean(axis=0)))
-    assert spread_t < 1e-9
+    assert view.g.shape == (len(view.t) - 2, len(view.theta))
+    assert np.max(np.abs(view.g - 1.0)) < 1e-12
 
 
 def test_neck_view_energy_matches_annulus():
@@ -342,6 +342,48 @@ def test_disk_energy_annulus_matches_reference_bitwise_and_guards():
     for lo in (0.1, 0.2):
         with pytest.raises(ValueError):
             _disk_energy(sl, c, 0.1, rmin=lo)
+
+
+def _quadratic(vertex, C):
+    def f(pts):
+        x = pts - vertex
+        return 1.5 + 0.5 * np.einsum("...i,ij,...j->...", x, C, x)
+    return f
+
+
+def test_paraboloid_descent_reaches_the_vertex_and_stops_on_a_bad_stencil():
+    rng = np.random.default_rng(11)
+    for sign in (1.0, -1.0):  # the density refinement climbs to a maximum
+        for _ in range(10):
+            B = rng.normal(size=(2, 2))
+            C = sign * (B @ B.T + 0.5 * np.eye(2))
+            start = rng.uniform(-0.3, 0.3, size=2)
+            step = rng.uniform(0.05, 0.5)
+            vertex = start + rng.uniform(-step, step, size=2)
+            got = bubbletree._paraboloid_descent(_quadratic(vertex, C), start, step, 3, 0.1, 1)
+            assert np.max(np.abs(got - vertex)) < 1e-12
+    # a far vertex: each move is clipped to `reach` steps per axis
+    f = _quadratic(np.array([5.0, -5.0]), np.eye(2))
+    got = bubbletree._paraboloid_descent(f, np.zeros(2), 0.1, 1, 0.5, 2)
+    assert np.array_equal(got, [0.2, -0.2])
+    # a singular Hessian or a non-finite value ends the walk where it stands
+    calls = []
+
+    def flat(pts):
+        calls.append(pts)
+        return np.ones(pts.shape[:-1])
+
+    def hole(pts):
+        calls.append(pts)
+        out = f(pts)
+        out[0, 2] = np.inf
+        return out
+
+    for bad in (flat, hole):
+        calls.clear()
+        start = np.array([0.1, 0.2])
+        assert np.array_equal(bubbletree._paraboloid_descent(bad, start, 0.1, 4, 0.1, 2), start)
+        assert len(calls) == 1
 
 
 def test_paraboloid_step_reaches_the_vertex_of_a_quadratic():
@@ -419,17 +461,71 @@ def test_neck_l2inf_decreases_and_matches_charts():
                          ntheta=32)
         vals.append(neck_l2inf_check(view))
     assert vals[0] > vals[1] > vals[2]
-    # chart equivalence: |X2| |grad u| at polar samples equals |grad W|
+    # chart equivalence: sup |X2| |grad u| from the analytic gradient matches
+    # sup |grad W| from central differences of the resampled member
     ell = 8
     delta = seq.bubbles[0].scale(ell)
     view = neck_view(seq, ell, (0.0, 0.0), np.zeros(2), 20 * delta, 0.2, ntheta=64)
-    sl = seq.slice_map(ell)
-    rad = np.exp(-view.t[1:-1])
-    pts = rad[:, None, None] * np.stack(
+    differenced = np.sqrt(_parent_neck_grad_sq(seq, ell, (0.0, 0.0), view).max())
+    assert abs(differenced - neck_l2inf_check(view)) < 0.02 * differenced
+
+
+def _parent_neck_grad_sq(seq, ell, x1, view):
+    """|grad_(t,theta) W|^2 at t[1:-1] x theta by central differences of the
+    resampled member W(t, theta) = u(c + e^{-t} e^{i theta}): the density that
+    `NeckView.g` replaced (verbatim, the attributes W, dt, dtheta as locals)."""
+    rad = np.exp(-view.t)
+    pts = view.center + rad[:, None, None] * np.stack(
         [np.cos(view.theta), np.sin(view.theta)], axis=-1
     )[None]
-    direct = np.sqrt(sl.grad_sq(pts)) * rad[:, None]
-    assert abs(np.max(direct) - neck_l2inf_check(view)) < 0.02 * np.max(direct)
+    W = seq.slice_map(ell, x1).value(pts)
+    dt = view.t[1] - view.t[0]
+    dtheta = view.theta[1] - view.theta[0]
+    # t is an interval axis (trimmed by the stencil), theta a periodic one
+    Wt = stencil.d1(W, 0, dt, False, ndim=1)
+    Wth = stencil.d1(W, 1, dtheta, True)
+    return np.sum(Wt**2, axis=-1) + np.sum(Wth[1:-1] ** 2, axis=-1)
+
+
+def _parent_scan_series(seq, ell, x1, view):
+    """The `neck_scan` series of unit-window energies on the differenced
+    density (the parent's cylinder_energy and window_energy, verbatim)."""
+    g = _parent_neck_grad_sq(seq, ell, x1, view)
+    tt = view.t[1:-1]
+    dtheta = view.theta[1] - view.theta[0]
+    series = []
+    for s in np.arange(view.t[0], view.t[-1] - 1.0, 0.2):
+        mask = (tt >= s - 1e-12) & (tt <= s + 1.0 + 1e-12)
+        e = 0.0 if mask.sum() < 2 else float(np.trapezoid(g[mask].sum(axis=1) * dtheta, tt[mask]))
+        series.append((s, bubbletree._x1_ball_volume(seq.m) * e))
+    return series
+
+
+@pytest.mark.parametrize("manifest", ["two", "three"])
+def test_qualified_peaks_match_the_differenced_density(monkeypatch, manifest):
+    from fueterlab.cli import bundled_sequence
+
+    views = []
+
+    def recorded(*args, **kw):
+        views.append((args, bubbletree.NeckView(*args, **kw)))
+        return views[-1][1]
+
+    monkeypatch.setattr(bubbletree, "neck_view", recorded)
+    eps1 = QuantizeConfig().eps1
+    seq = bundled_sequence(manifest)
+    for ell in range(6, 13):
+        views.clear()
+        quantize(seq, [ell - 1, ell])
+        [((_, _, x1, *_), view)] = views
+        got = bubbletree._qualified_peaks(neck_scan(view, eps1)[2], eps1)
+        want = bubbletree._qualified_peaks(_parent_scan_series(seq, ell, x1, view), eps1)
+        if ell >= 8:  # the scan finds every bubble above the deepest one
+            assert len(got) == len(seq.bubbles) - 1, (manifest, ell)
+        assert [(p["t"], p["t_left"], p["t_right"]) for p in got] == [
+            (p["t"], p["t_left"], p["t_right"]) for p in want]
+        for p, q in zip(got, want):
+            assert abs(p["energy"] - q["energy"]) < 0.02 * q["energy"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,24 @@ def test_identity_check_rejects_short_payload(tmp_path, capsys):
     path = tmp_path / "u.fld1"
     path.write_bytes(_valid_fld1(path)[:-8])
     assert "payload has" in _field_check_fails(path, capsys)
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("L", "-0.5", "L must be finite and positive, got -0.5"),
+    ("L", "inf", "L must be finite and positive, got inf"),
+    ("L", "nan", "L must be finite and positive, got nan"),
+    ("L", "0", "L must be finite and positive, got 0.0"),
+    ("m", "0", "header field m must be at least 1, got 0"),
+    ("n", "0", "header field n must be at least 1, got 0"),
+    ("dims", "6,0,6,6", "header field dims must be at least 1, got 6,0,6,6"),
+])
+def test_identity_check_rejects_a_bad_header_field(tmp_path, capsys, key, value, reason):
+    path = tmp_path / "u.fld1"
+    header, payload = _valid_fld1(path, nodes=6).split(b"\n", 1)
+    header = re.sub(rf" {key}=\S+", f" {key}={value}", header.decode("ascii"))
+    # n = 0 or a zero dim leaves an empty payload, the size its header asks for
+    path.write_bytes(header.encode("ascii") + b"\n" + (b"" if key in ("n", "dims") else payload))
+    assert reason in _field_check_fails(path, capsys)
 
 
 def test_identity_check_rejects_nan_at_an_unsampled_node(tmp_path, capsys):
