@@ -148,7 +148,7 @@ def cmd_identity_check(args) -> int:
     if args.field:
         try:
             u = load_fld1(args.field)
-        except (OSError, ValueError, KeyError) as e:
+        except (OSError, ValueError) as e:
             sys.stderr.write(f"bad field file: {e}\n")
             return 2
         Sd = StructureTriple.standard(u.m)

@@ -1,6 +1,6 @@
-"""Exterior algebra on R^n: k-forms, wedge, interior product, pullback,
-tangential parts, and the radial scaling identities behind the monotonicity
-derivation.
+"""Exterior algebra on R^n: k-forms, wedge, interior product, pullback of
+2-forms, tangential parts, and the radial scaling identities behind the
+monotonicity derivation.
 
 Forms are stored dense over increasing multi-indices (at most C(8,4) = 70
 coefficients for the dimensions used here), so brute-force evaluation stays
@@ -220,30 +220,15 @@ def contract(X, a: KForm) -> KForm:
 
 
 def pullback(A, omega: KForm) -> KForm:
-    """Pullback along the linear map A: (A* w)(X_1..X_k) = w(A X_1, .., A X_k).
+    """Pullback of a 2-form along the linear map A: (A* w)(X, Y) = w(A X, A Y),
+    the 2-form of the matrix A^T W A; `as_matrix` rejects any other degree.
 
     A has shape (n_target, n_source); omega lives on the target.
     """
     A = np.asarray(A, dtype=float)
-    n_tar, n_src = A.shape
-    if omega.n != n_tar:
+    if omega.n != A.shape[0]:
         raise ValueError("form dimension does not match the map's target")
-    if omega.k > n_src:
-        raise ValueError("cannot pull a form of degree > source dimension back")
-    if omega.k == 0:
-        return KForm(n_src, 0, omega.coeffs)
-    if omega.k == 2:
-        return form_from_matrix(A.T @ omega.as_matrix() @ A)
-    out = KForm(n_src, omega.k)
-    src_idx = index_tuples(n_src, omega.k)
-    for q, J in enumerate(src_idx):
-        tot = 0.0
-        sub = A[:, list(J)]
-        for I, c in zip(index_tuples(n_tar, omega.k), omega.coeffs):
-            if c != 0.0:
-                tot += c * np.linalg.det(sub[list(I), :])
-        out.coeffs[q] = tot
-    return out
+    return form_from_matrix(A.T @ omega.as_matrix() @ A)
 
 
 def tangential_part(a: KForm, x) -> KForm:

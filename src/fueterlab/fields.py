@@ -10,6 +10,7 @@ materializes the full 4-D array.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -285,10 +286,8 @@ def differential(u: GridField, node) -> np.ndarray:
     node = tuple(int(i) for i in node)
     if not u.is_interior(node):
         raise ValueError(f"node {node} too close to the box boundary for the stencil")
-    cols = []
-    for a in range(u.dim):
-        cols.append(stencil.first(_neighbor(u, node, a, +1), _neighbor(u, node, a, -1), u.h))
-    du = np.stack(cols, axis=1)
+    du = np.stack([stencil.first(_neighbor(u, node, a, +1), _neighbor(u, node, a, -1), u.h)
+                   for a in range(u.dim)], axis=1)
     if not np.isfinite(du).all():
         raise ValueError(f"jet entries at node {node} must be finite (the differences overflow)")
     return du
@@ -319,17 +318,13 @@ def triholo_residual(A, S_dom: StructureTriple, S_tar: StructureTriple, connecti
     return R
 
 
-def _triple_key(S: StructureTriple):
-    return (S.d, hash(S.i_mat.tobytes()) ^ hash(S.j_mat.tobytes()) ^ hash(S.k_mat.tobytes()))
-
-
 _identity_table_cache = {}
 
 
 def _identity_tables(S_dom, S_tar):
     """Pairing tables K_l with (alpha_l^(2m-1) ^ G)(vol) = sum_{a<b} K_l[a,b] G_{ab},
-    computed once from the honest exterior algebra."""
-    key = (_triple_key(S_dom), _triple_key(S_tar))
+    computed once per pair of triples from the honest exterior algebra."""
+    key = tuple(M.tobytes() for S in (S_dom, S_tar) for M in S.mats())
     if key in _identity_table_cache:
         return _identity_table_cache[key]
     m = S_dom.d
@@ -380,13 +375,9 @@ def energy_identity_defects(As, S_dom: StructureTriple, S_tar: StructureTriple):
 
 def residual_operator_matrix(S_dom, S_tar):
     """The residual A -> R(A) as a matrix on vectorized jets (the kernel oracle)."""
-    dm, dn = S_dom.dim, S_tar.dim
-    M = np.zeros((dn * dm, dn * dm))
-    for p in range(dn * dm):
-        E = np.zeros((dn, dm))
-        E[p // dm, p % dm] = 1.0
-        M[:, p] = triholo_residual(E, S_dom, S_tar).reshape(-1)
-    return M
+    size = S_tar.dim * S_dom.dim
+    units = np.eye(size).reshape(size, S_tar.dim, S_dom.dim)
+    return triholo_residual(units, S_dom, S_tar).reshape(size, size).T
 
 
 def triholomorphic_kernel(S_dom, S_tar):
@@ -397,11 +388,7 @@ def triholomorphic_kernel(S_dom, S_tar):
     """
     M = residual_operator_matrix(S_dom, S_tar)
     _, s, Vt = np.linalg.svd(M)
-    if s.max() == 0.0:
-        null = Vt
-    else:
-        k = int(np.sum(s < 1e-10 * s.max()))
-        null = Vt[len(s) - k :] if k else Vt[:0]
+    null = Vt[int(np.sum(s > 1e-10 * s.max())) :]
     basis = [v.reshape(S_tar.dim, S_dom.dim) for v in null]
     return len(basis), basis
 
@@ -497,10 +484,8 @@ def laplacian_direct(u: GridField, node) -> np.ndarray:
     if not u.is_interior(node):
         raise ValueError("laplacian stencil reaches the boundary")
     c = u.block(node)
-    out = np.zeros(u.target_dim)
-    for a in range(u.dim):
-        out += stencil.second(_neighbor(u, node, a, +1), c, _neighbor(u, node, a, -1), u.h)
-    return out
+    return sum(stencil.second(_neighbor(u, node, a, +1), c, _neighbor(u, node, a, -1), u.h)
+               for a in range(u.dim))
 
 
 def pullback_closedness_defect(u: GridField, Omega: KForm) -> float:
@@ -523,32 +508,24 @@ def pullback_closedness_defect(u: GridField, Omega: KForm) -> float:
     du = np.stack([stencil.d1(vals, a, h, False, d) for a in range(d)], axis=-1)
     G = np.einsum("...ia,ij,...jb->...ab", du, W, du)
 
-    M = G.shape[0]
-    if M < 3:
-        raise ValueError("grid too small for interior 3-cells")
+    M = G.shape[0]  # at least 3: a box has 5 nodes or more, a torus is padded
 
-    def corner_avg(comp, base_sl, ax_pair, shift_ax=None):
-        # average of G[..., ax_pair] over the 4 corners of a face
-        a, b = ax_pair
+    def flux(a, b, c):
+        # G_bc averaged over the 4 corners of each (b, c)-face, on an a-range
+        # one node longer, then the difference of opposite faces along a
         tot = 0.0
-        for da in (0, 1):
-            for db in (0, 1):
-                sl = list(base_sl)
-                sl[a] = slice(sl[a].start + da, sl[a].stop + da)
-                sl[b] = slice(sl[b].start + db, sl[b].stop + db)
-                if shift_ax is not None:
-                    ax, st = shift_ax
-                    sl[ax] = slice(sl[ax].start + st, sl[ax].stop + st)
-                tot = tot + comp[tuple(sl)]
-        return tot / 4.0
+        for db in (0, 1):
+            for dc in (0, 1):
+                sl = [slice(0, M - 1)] * d
+                sl[a] = slice(0, M)
+                sl[b] = slice(db, M - 1 + db)
+                sl[c] = slice(dc, M - 1 + dc)
+                tot = tot + G[tuple(sl) + (b, c)]
+        return np.diff(tot / 4.0, axis=a)
 
     worst = 0.0
-    base = [slice(0, M - 1)] * d
     for (a, b, c) in index_tuples(d, 3):
-        Gbc, Gac, Gab = G[..., b, c], G[..., a, c], G[..., a, b]
-        s = corner_avg(Gbc, base, (b, c), (a, 1)) - corner_avg(Gbc, base, (b, c), (a, 0))
-        s -= corner_avg(Gac, base, (a, c), (b, 1)) - corner_avg(Gac, base, (a, c), (b, 0))
-        s += corner_avg(Gab, base, (a, b), (c, 1)) - corner_avg(Gab, base, (a, b), (c, 0))
+        s = flux(a, b, c) - flux(b, a, c) + flux(c, a, b)
         worst = max(worst, float(np.max(np.abs(s))) / h)
     return worst
 
@@ -570,13 +547,8 @@ def domain_variation_derivative(u: GridField, X, t=None) -> float:
     Xv = np.asarray(X(pts), dtype=float)
     # support must stay clear of the boundary: check the outer 4h shell
     N = u.shape[0]
-    shell = np.zeros(u.shape, dtype=bool)
-    for a in range(u.dim):
-        sl = [slice(None)] * u.dim
-        sl[a] = slice(0, 4)
-        shell[tuple(sl)] = True
-        sl[a] = slice(N - 4, N)
-        shell[tuple(sl)] = True
+    shell = np.ones(u.shape, dtype=bool)
+    shell[(slice(4, N - 4),) * u.dim] = False
     if np.max(np.linalg.norm(Xv, axis=-1)[shell]) > 1e-14:
         raise ValueError("vector field support touches the boundary layer")
 
@@ -620,20 +592,36 @@ def save_fld1(u: GridField, path):
             f.write(np.ascontiguousarray(u.slab(i), dtype="<f8").data)
 
 
+# an FLD1 header holds each of these fields once, as key=value, read from its
+# text by the function here; any other header raises a ValueError naming it
+_FLD1_FIELDS = {"m": int, "n": int, "domain": str, "L": float, "h": float,
+                "dims": lambda s: tuple(int(x) for x in s.split(","))}
+
+
 def load_fld1(path) -> GridField:
     with open(path, "rb") as f:
         header = f.readline().decode("ascii").strip()
         parts = header.split()
         if not parts or parts[0] != "FLD1":
             raise ValueError("not an FLD1 file")
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        m, n = int(kv["m"]), int(kv["n"])
-        domain = kv["domain"]
-        L = float(kv["L"])
-        shape = tuple(int(s) for s in kv["dims"].split(","))
+        text, kv = {}, {}
+        for token in parts[1:]:
+            key, eq, raw = token.partition("=")
+            if not eq or key not in _FLD1_FIELDS:
+                raise ValueError(f"header token {token!r} is not key=value for an FLD1 field")
+            if key in kv:
+                raise ValueError(f"header field {key} is repeated")
+            try:
+                text[key], kv[key] = raw, _FLD1_FIELDS[key](raw)
+            except ValueError:
+                raise ValueError(f"header field {key} has a malformed value {raw!r}") from None
+        missing = [key for key in _FLD1_FIELDS if key not in kv]
+        if missing:
+            raise ValueError(f"header field {missing[0]} is missing")
+        m, n, shape = kv["m"], kv["n"], kv["dims"]
         for key, least in (("m", m), ("n", n), ("dims", min(shape))):
             if least < 1:
-                raise ValueError(f"header field {key} must be at least 1, got {kv[key]}")
+                raise ValueError(f"header field {key} must be at least 1, got {text[key]}")
         count = int(np.prod(shape)) * 4 * n
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != 8 * count:
@@ -642,8 +630,8 @@ def load_fld1(path) -> GridField:
         got = f.readinto(values.data.cast("B"))
         if got != 8 * count:
             raise ValueError(f"payload has {got} bytes, header dims need {8 * count}")
-    g = GridField(m, n, domain, L, shape, values=values)
-    if abs(g.h - float(kv["h"])) > 1e-12 * max(1.0, g.h):
+    g = GridField(m, n, kv["domain"], kv["L"], shape, values=values)
+    if not abs(g.h - kv["h"]) <= 1e-12 * max(1.0, g.h):  # a NaN h fails too
         raise ValueError("header spacing inconsistent with L and dims")
     return g
 
@@ -683,9 +671,7 @@ class FueterPolynomialMap:
         self._compiled = None
 
     def _arrangements(self, idx):
-        import itertools as it
-
-        return sorted(set(it.permutations(idx)))
+        return sorted(set(itertools.permutations(idx)))
 
     def value_direct(self, pts):
         """Symmetrized quaternion-product evaluation (slow reference)."""
@@ -714,10 +700,8 @@ class FueterPolynomialMap:
 
         def z_poly(ell):
             # z_l = -(x_l + e_l x0) as {exponent tuple: quaternion coeff}
-            e0 = [0, 0, 0, 0]
-            e0[ell] = 1
-            el = (1, 0, 0, 0)
-            return {tuple(e0): -_UNITS[0].copy(), el: -_UNITS[ell].copy()}
+            return {tuple(int(a == ell) for a in range(4)): -_UNITS[0],
+                    (1, 0, 0, 0): -_UNITS[ell]}
 
         def poly_mul(p, q):
             out = {}
@@ -744,9 +728,20 @@ class FueterPolynomialMap:
             for e, cc in term.items():
                 total[e] = total.get(e, 0.0) + quat_mul_array(cc, c)
 
-        exps = np.array(sorted(total.keys()), dtype=int).reshape(-1, 4)
-        coefs = np.stack([total[tuple(e)] for e in exps])
-        self._compiled = (exps, coefs)
+        # column a of du is sum_e e_a c_e x^(e - e_a): one coefficient table
+        # over the 16 entries (row-major), zero where a monomial misses a column
+        deriv = {}
+        for e, c in total.items():
+            for a in range(4):
+                if e[a]:
+                    de = e[:a] + (e[a] - 1,) + e[a + 1 :]
+                    deriv.setdefault(de, np.zeros((4, 4)))[:, a] = c * e[a]
+
+        def table(poly, size):
+            exps = np.array(sorted(poly), dtype=int).reshape(-1, 4)
+            return exps, np.array([poly[tuple(e)] for e in exps]).reshape(-1, size)
+
+        self._compiled = (table(total, 4), table(deriv, 16))
         return self._compiled
 
     def _monomials_t(self, flat, exps, out=None):
@@ -769,11 +764,11 @@ class FueterPolynomialMap:
                     row *= pows[a][e[a]]
         return M
 
-    def value(self, pts):
+    def _evaluate(self, pts, exps, coefs):
+        """sum_e coefs[e] x^e at each point, in 2^19-point chunks on one buffer."""
         pts = np.asarray(pts, dtype=float)
-        exps, coefs = self._expand()
         flat = pts.reshape(-1, 4)
-        out = np.empty((flat.shape[0], 4))
+        out = np.empty((flat.shape[0], coefs.shape[1]))
         chunk = 1 << 19
         buf = None
         for k in range(0, flat.shape[0], chunk):
@@ -782,25 +777,15 @@ class FueterPolynomialMap:
                 buf = np.empty((len(exps), part.shape[0]))
             M = self._monomials_t(part, exps, out=buf)
             out[k : k + chunk] = M.T @ coefs
-        return out.reshape(pts.shape[:-1] + (4,))
+        return out.reshape(pts.shape[:-1] + coefs.shape[1:])
+
+    def value(self, pts):
+        return self._evaluate(pts, *self._expand()[0])
 
     def jacobian(self, pts):
         """Analytic du, shape (..., 4, 4), column a = d u / d x_a."""
-        pts = np.asarray(pts, dtype=float)
-        exps, coefs = self._expand()
-        flat = pts.reshape(-1, 4)
-        cols = []
-        for a in range(4):
-            keep = exps[:, a] > 0
-            if not keep.any():
-                cols.append(np.zeros((flat.shape[0], 4)))
-                continue
-            de = exps[keep].copy()
-            dc = coefs[keep] * de[:, a : a + 1]
-            de[:, a] -= 1
-            M = self._monomials_t(flat, de)
-            cols.append(M.T @ dc)
-        return np.stack(cols, axis=-1).reshape(pts.shape[:-1] + (4, 4))
+        du = self._evaluate(pts, *self._expand()[1])
+        return du.reshape(du.shape[:-1] + (4, 4))
 
     def __call__(self, pts):
         return self.value(pts)

@@ -90,6 +90,13 @@ def test_identity_check_rejects_short_payload(tmp_path, capsys):
     ("m", "0", "header field m must be at least 1, got 0"),
     ("n", "0", "header field n must be at least 1, got 0"),
     ("dims", "6,0,6,6", "header field dims must be at least 1, got 6,0,6,6"),
+    ("m", "1.5", "header field m has a malformed value '1.5'"),
+    ("n", "one", "header field n has a malformed value 'one'"),
+    ("L", "abc", "header field L has a malformed value 'abc'"),
+    ("h", "abc", "header field h has a malformed value 'abc'"),
+    ("h", "nan", "header spacing inconsistent with L and dims"),
+    ("dims", "6,6,x,6", "header field dims has a malformed value '6,6,x,6'"),
+    ("domain", "sphere", "domain must be 'torus' or 'box'"),
 ])
 def test_identity_check_rejects_a_bad_header_field(tmp_path, capsys, key, value, reason):
     path = tmp_path / "u.fld1"
@@ -97,6 +104,23 @@ def test_identity_check_rejects_a_bad_header_field(tmp_path, capsys, key, value,
     header = re.sub(rf" {key}=\S+", f" {key}={value}", header.decode("ascii"))
     # n = 0 or a zero dim leaves an empty payload, the size its header asks for
     path.write_bytes(header.encode("ascii") + b"\n" + (b"" if key in ("n", "dims") else payload))
+    assert reason in _field_check_fails(path, capsys)
+
+
+@pytest.mark.parametrize("pattern, repl, reason", [
+    (r"$", " m", "header token 'm' is not key=value for an FLD1 field"),
+    (r"$", " =6", "header token '=6' is not key=value for an FLD1 field"),
+    (r"$", " grid=6", "header token 'grid=6' is not key=value for an FLD1 field"),
+    (r" dims=\S+", "", "header field dims is missing"),
+    (r" h=\S+", "", "header field h is missing"),
+    (r"$", " m=2", "header field m is repeated"),
+])
+def test_identity_check_names_a_bare_unknown_missing_or_repeated_header_field(
+        tmp_path, capsys, pattern, repl, reason):
+    path = tmp_path / "u.fld1"
+    header, payload = _valid_fld1(path, nodes=6).split(b"\n", 1)
+    header = re.sub(pattern, repl, header.decode("ascii"), count=1)
+    path.write_bytes(header.encode("ascii") + b"\n" + payload)
     assert reason in _field_check_fails(path, capsys)
 
 

@@ -134,6 +134,10 @@ def test_pullback_functorial_and_inner_product_form():
     lhs = pullback(A @ B, O2)
     rhs = pullback(B, pullback(A, O2))
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
+    # only 2-forms pull back
+    for k in (0, 1, 3, 4):
+        with pytest.raises(ValueError, match="2-forms only"):
+            pullback(np.eye(4), random_form(rng, 4, k))
 
 
 def test_tangential_part():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fueterlab import stencil
+from fueterlab import fields, stencil
+from fueterlab.exterior import index_tuples
 from fueterlab.fields import (
     FueterPolynomialMap,
     GridField,
@@ -25,6 +26,7 @@ from fueterlab.fields import (
     laplacian_direct,
     load_fld1,
     pullback_closedness_defect,
+    residual_operator_matrix,
     save_fld1,
     standard_triholomorphic_field,
     triholo_residual,
@@ -33,7 +35,7 @@ from fueterlab.fields import (
 )
 from fueterlab.monotone import energy_ratio, eps_regularity_scan
 from fueterlab.poisson import w21_norm
-from fueterlab.quat import StructureTriple, kaehler_form
+from fueterlab.quat import ONE, QI, QJ, QK, StructureTriple, kaehler_form, quat_mul_array
 
 S1 = StructureTriple.standard(1)
 S2 = StructureTriple.standard(2)
@@ -254,6 +256,26 @@ def test_kernel_oracle_dimension_and_basis():
         assert np.linalg.norm(triholo_residual(M, S1, S1)) < 1e-13
 
 
+def _parent_residual_operator_matrix(S_dom, S_tar):
+    # verbatim copy from before the unit jets went through the residual as one batch
+    dm, dn = S_dom.dim, S_tar.dim
+    M = np.zeros((dn * dm, dn * dm))
+    for p in range(dn * dm):
+        E = np.zeros((dn, dm))
+        E[p // dm, p % dm] = 1.0
+        M[:, p] = triholo_residual(E, S_dom, S_tar).reshape(-1)
+    return M
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_residual_operator_matrix_matches_the_parent_loop_bitwise(m, n):
+    S_dom, S_tar = StructureTriple.standard(m), StructureTriple.standard(n)
+    got = residual_operator_matrix(S_dom, S_tar)
+    want = _parent_residual_operator_matrix(S_dom, S_tar)
+    assert got.shape == want.shape == (16 * m * n, 16 * m * n)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # energy identity
 
@@ -292,6 +314,18 @@ def test_energy_identity_defects_match_the_parent_pairing_bitwise():
         As = rng.normal(size=(500, S_tar.dim, S_dom.dim))
         got = energy_identity_defects(As, S_dom, S_tar)
         assert np.array_equal(got, _parent_energy_identity_defects(As, S_dom, S_tar))
+
+
+@pytest.mark.parametrize("first", ["standard", "cyclic"])
+def test_identity_tables_belong_to_their_own_triple(monkeypatch, first):
+    # J K I = -Id, so the cyclic permutation P of the standard triple is a
+    # triple of its own, with other Kaehler forms; the tables one of them
+    # caches must not serve the other, whichever comes first
+    monkeypatch.setattr(fields, "_identity_table_cache", {})
+    P = StructureTriple(1, S1.j_mat, S1.k_mat, S1.i_mat)
+    As = np.random.default_rng(14).normal(size=(50, 4, 4))
+    for S_tar in ([S1, P] if first == "standard" else [P, S1]):
+        assert np.max(np.abs(energy_identity_defects(As, S1, S_tar))) < 1e-12
 
 
 def test_energy_identity_triholomorphic_jet_gives_half_energy():
@@ -364,6 +398,133 @@ def test_jacobian_matches_finite_differences():
         e[a] = h
         fd = (poly.value(x + e) - poly.value(x - e)) / (2 * h)
         assert np.max(np.abs(J[..., a] - fd)) < 1e-7
+
+
+def _parent_expand(poly):
+    # verbatim copy of FueterPolynomialMap._expand from before it compiled a
+    # jacobian table beside the value table
+    _UNITS = [ONE, QI, QJ, QK]
+
+    def _arrangements(idx):
+        import itertools as it
+
+        return sorted(set(it.permutations(idx)))
+
+    def z_poly(ell):
+        # z_l = -(x_l + e_l x0) as {exponent tuple: quaternion coeff}
+        e0 = [0, 0, 0, 0]
+        e0[ell] = 1
+        el = (1, 0, 0, 0)
+        return {tuple(e0): -_UNITS[0].copy(), el: -_UNITS[ell].copy()}
+
+    def poly_mul(p, q):
+        out = {}
+        for ea, ca in p.items():
+            for eb, cb in q.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                c = quat_mul_array(ca, cb)
+                out[e] = out.get(e, 0.0) + c
+        return out
+
+    total = {}
+    for idx, c in poly.terms:
+        if len(idx) == 0:
+            term = {(0, 0, 0, 0): _UNITS[0].copy()}
+        else:
+            arr = _arrangements(idx)
+            term = {}
+            for order in arr:
+                prod = z_poly(order[0])
+                for ell in order[1:]:
+                    prod = poly_mul(prod, z_poly(ell))
+                for e, cc in prod.items():
+                    term[e] = term.get(e, 0.0) + cc / len(arr)
+        for e, cc in term.items():
+            total[e] = total.get(e, 0.0) + quat_mul_array(cc, c)
+
+    exps = np.array(sorted(total.keys()), dtype=int).reshape(-1, 4)
+    coefs = np.stack([total[tuple(e)] for e in exps])
+    return exps, coefs
+
+
+def _parent_monomials_t(flat, exps, out=None):
+    # verbatim copy of FueterPolynomialMap._monomials_t
+    P = flat.shape[0]
+    maxe = int(exps.max()) if len(exps) else 0
+    pows = []
+    for a in range(4):
+        col = np.ascontiguousarray(flat[:, a])
+        pa = [None, col]
+        for _ in range(maxe - 1):
+            pa.append(pa[-1] * col)
+        pows.append(pa)
+    M = np.empty((len(exps), P)) if out is None else out
+    for t, e in enumerate(exps):
+        row = M[t]
+        row[:] = 1.0
+        for a in range(4):
+            if e[a]:
+                row *= pows[a][e[a]]
+    return M
+
+
+def _parent_value(poly, pts):
+    # verbatim copy of FueterPolynomialMap.value from before it shared one
+    # chunked evaluator with jacobian
+    pts = np.asarray(pts, dtype=float)
+    exps, coefs = _parent_expand(poly)
+    flat = pts.reshape(-1, 4)
+    out = np.empty((flat.shape[0], 4))
+    chunk = 1 << 19
+    buf = None
+    for k in range(0, flat.shape[0], chunk):
+        part = flat[k : k + chunk]
+        if buf is None or buf.shape[1] != part.shape[0]:
+            buf = np.empty((len(exps), part.shape[0]))
+        M = _parent_monomials_t(part, exps, out=buf)
+        out[k : k + chunk] = M.T @ coefs
+    return out.reshape(pts.shape[:-1] + (4,))
+
+
+def _parent_jacobian(poly, pts):
+    # verbatim copy of FueterPolynomialMap.jacobian from before it shared one
+    # chunked evaluator with value: one monomial matrix per column
+    pts = np.asarray(pts, dtype=float)
+    exps, coefs = _parent_expand(poly)
+    flat = pts.reshape(-1, 4)
+    cols = []
+    for a in range(4):
+        keep = exps[:, a] > 0
+        if not keep.any():
+            cols.append(np.zeros((flat.shape[0], 4)))
+            continue
+        de = exps[keep].copy()
+        dc = coefs[keep] * de[:, a : a + 1]
+        de[:, a] -= 1
+        M = _parent_monomials_t(flat, de)
+        cols.append(M.T @ dc)
+    return np.stack(cols, axis=-1).reshape(pts.shape[:-1] + (4, 4))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (33, 33, 33)])
+def test_value_and_jacobian_match_the_parent_evaluator(batch):
+    rng = np.random.default_rng(13)
+    for poly in triholomorphic_suite():
+        pts = rng.uniform(-1.0, 1.0, size=batch + (4,))
+        got = poly.value(pts)
+        assert got.shape == batch + (4,)
+        assert got.tobytes() == _parent_value(poly, pts).tobytes()
+        # the jacobian's matrix products now run over the union of the
+        # columns' monomials, so BLAS may add in another order
+        J, want = poly.jacobian(pts), _parent_jacobian(poly, pts)
+        assert J.shape == batch + (4, 4)
+        assert np.max(np.abs(J - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_value_matches_the_parent_evaluator_past_one_chunk():
+    pts = np.random.default_rng(14).uniform(-1.0, 1.0, size=((1 << 19) + 7, 4))
+    poly = triholomorphic_suite()[4]
+    assert poly.value(pts).tobytes() == _parent_value(poly, pts).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +747,70 @@ def test_pullback_closedness_defect():
     assert last_slope > 1.5
 
 
+def _parent_pullback_closedness_defect(u: GridField, Omega) -> float:
+    # verbatim copy from before each face term became one flux(a, b, c)
+    if Omega.k != 2 or Omega.n != u.target_dim:
+        raise ValueError("Omega must be a 2-form on the target")
+    W = Omega.as_matrix()
+    vals = u.values
+    d = u.dim
+    h = u.h
+    if u.domain == "torus":
+        # wrap-pad two layers so the box slicing below covers every cell
+        vals = np.pad(vals, [(2, 2)] * d + [(0, 0)], mode="wrap")
+
+    # du at every 1-interior node, then the pullback 2-form G_{ab} = (du^T W du)_{ab}
+    du = np.stack([stencil.d1(vals, a, h, False, d) for a in range(d)], axis=-1)
+    G = np.einsum("...ia,ij,...jb->...ab", du, W, du)
+
+    M = G.shape[0]
+    if M < 3:
+        raise ValueError("grid too small for interior 3-cells")
+
+    def corner_avg(comp, base_sl, ax_pair, shift_ax=None):
+        # average of G[..., ax_pair] over the 4 corners of a face
+        a, b = ax_pair
+        tot = 0.0
+        for da in (0, 1):
+            for db in (0, 1):
+                sl = list(base_sl)
+                sl[a] = slice(sl[a].start + da, sl[a].stop + da)
+                sl[b] = slice(sl[b].start + db, sl[b].stop + db)
+                if shift_ax is not None:
+                    ax, st = shift_ax
+                    sl[ax] = slice(sl[ax].start + st, sl[ax].stop + st)
+                tot = tot + comp[tuple(sl)]
+        return tot / 4.0
+
+    worst = 0.0
+    base = [slice(0, M - 1)] * d
+    for (a, b, c) in index_tuples(d, 3):
+        Gbc, Gac, Gab = G[..., b, c], G[..., a, c], G[..., a, b]
+        s = corner_avg(Gbc, base, (b, c), (a, 1)) - corner_avg(Gbc, base, (b, c), (a, 0))
+        s -= corner_avg(Gac, base, (a, c), (b, 1)) - corner_avg(Gac, base, (a, c), (b, 0))
+        s += corner_avg(Gab, base, (a, b), (c, 1)) - corner_avg(Gab, base, (a, b), (c, 0))
+        worst = max(worst, float(np.max(np.abs(s))) / h)
+    return worst
+
+
+@pytest.mark.parametrize("grid", ["poly9", "poly17", "torus8", "box7"])
+def test_pullback_closedness_defect_matches_the_parent_corner_sums_bitwise(grid):
+    rng = np.random.default_rng(16)
+    poly = standard_triholomorphic_field(seed=4, degree=4)
+    u = {
+        "poly9": lambda: grid_from_poly(poly, 9),
+        "poly17": lambda: grid_from_poly(poly, 17),
+        "torus8": lambda: GridField.from_array(rng.normal(size=(8,) * 4 + (4,)), 1, 1,
+                                               domain="torus", L=1.0),
+        "box7": lambda: GridField.from_array(rng.normal(size=(7,) * 4 + (4,)), 1, 1),
+    }[grid]()
+    for which in ("i", "j", "k"):
+        Om = kaehler_form(S1, which)
+        got = pullback_closedness_defect(u, Om)
+        assert got > 0.0
+        assert got == _parent_pullback_closedness_defect(u, Om)
+
+
 def test_domain_variation_derivative():
     def bump_field(p):
         r2 = np.sum(p * p, axis=-1) / 0.09
@@ -597,16 +822,26 @@ def test_domain_variation_derivative():
     assert zero == 0.0
     val = domain_variation_derivative(u_tri, bump_field)
     # flat structures + triholomorphic field: stationary up to discretization
-    assert val >= -5e-3 * dirichlet_energy(u_tri)
+    # (|val| / E measured 1.6e-5)
+    assert abs(val) <= 5e-3 * dirichlet_energy(u_tri)
 
-    # generic field: symmetric difference consistency in t
+    # generic field: symmetric difference consistency in t.  The offset b
+    # breaks the oddness of tanh(p @ A.T) against the even bump, which made
+    # E(t) = E(-t) and both sides zero (measured v1 = 0.1248, v2 = 0.1254)
     rng = np.random.default_rng(11)
     A = rng.normal(size=(4, 4))
-    gen = GridField.from_function(lambda p: np.tanh(p @ A.T), 1, 1, 17, L=0.5,
+    b = rng.normal(size=4)
+    gen = GridField.from_function(lambda p: np.tanh(p @ A.T + b), 1, 1, 17, L=0.5,
                                   materialize=True)
     v1 = domain_variation_derivative(gen, bump_field, t=gen.h / 4)
     v2 = domain_variation_derivative(gen, bump_field, t=gen.h / 8)
-    assert abs(v1 - v2) < 0.05 * max(1.0, abs(v2))
+    assert abs(v2) > 0.1
+    assert abs(v1 - v2) < 0.05 * abs(v2)
+    # the same field stored on the grid is resampled by multilinear
+    # interpolation (measured 0.1209 and 0.1233)
+    stored = GridField.from_array(gen.values, 1, 1, L=0.5)
+    for t, v in ((gen.h / 4, v1), (gen.h / 8, v2)):
+        assert abs(domain_variation_derivative(stored, bump_field, t=t) - v) < 0.05 * abs(v)
 
 
 def test_domain_variation_rejects_boundary_support():
