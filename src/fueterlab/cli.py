@@ -75,7 +75,7 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
         if self.m not in (1, 2):
-            raise ValueError("m must be 1 or 2")
+            raise ValueError("config field m must be 1 or 2")
         if self.ell < 2:
             raise ValueError("config field ell must be at least 2 (members ell - 1 and ell)")
 

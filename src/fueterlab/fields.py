@@ -504,11 +504,12 @@ def pullback_closedness_defect(u: GridField, Omega: KForm) -> float:
         # wrap-pad two layers so the box slicing below covers every cell
         vals = np.pad(vals, [(2, 2)] * d + [(0, 0)], mode="wrap")
 
-    # du at every 1-interior node, then the pullback 2-form G_{ab} = (du^T W du)_{ab}
-    du = np.stack([stencil.d1(vals, a, h, False, d) for a in range(d)], axis=-1)
-    G = np.einsum("...ia,ij,...jb->...ab", du, W, du)
+    # du along each axis at every 1-interior node, then the components b < c
+    # of the pullback 2-form G_bc = du_b^T W du_c, the only ones `flux` reads
+    du = [stencil.d1(vals, a, h, False, d) for a in range(d)]
+    G = {(b, c): np.einsum("...i,ij,...j->...", du[b], W, du[c]) for b, c in index_tuples(d, 2)}
 
-    M = G.shape[0]  # at least 3: a box has 5 nodes or more, a torus is padded
+    M = du[0].shape[0]  # at least 3: a box has 5 nodes or more, a torus is padded
 
     def flux(a, b, c):
         # G_bc averaged over the 4 corners of each (b, c)-face, on an a-range
@@ -520,7 +521,7 @@ def pullback_closedness_defect(u: GridField, Omega: KForm) -> float:
                 sl[a] = slice(0, M)
                 sl[b] = slice(db, M - 1 + db)
                 sl[c] = slice(dc, M - 1 + dc)
-                tot = tot + G[tuple(sl) + (b, c)]
+                tot = tot + G[b, c][tuple(sl)]
         return np.diff(tot / 4.0, axis=a)
 
     worst = 0.0

@@ -10,6 +10,7 @@ spacings stay within memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -275,9 +276,9 @@ class EpsRegularityReport:
 def eps_regularity_scan(u: GridField, eps0: float, r: float,
                         stride=None) -> EpsRegularityReport:
     """Flag grid nodes whose energy ratio at radius r is below eps0 and check
-    sup_{B_{r/2}} |du| <= C sqrt(eps0) / r on the flagged balls."""
-    import itertools
-
+    sup_{B_{r/2}} |du| <= C sqrt(eps0) / r on the flagged balls.  One ball pass
+    per centre gives the ratio (as `energy_ratio`, to the bit) and the du rows
+    on B_{r/2}, inside its reach; a flagged centre takes their max Frobenius norm."""
     d = u.dim
     h = u.h
     coords = u.axis_coords()
@@ -291,35 +292,19 @@ def eps_regularity_scan(u: GridField, eps0: float, r: float,
     report = EpsRegularityReport(eps0=eps0, r=r, bound=EPS_REG_GRADIENT_C * math.sqrt(eps0) / r)
     for node in itertools.product(idx, repeat=d):
         center = np.array([coords[i] for i in node])
-        ratio = energy_ratio(u, center, r)
+        energy = 0.0
+        inner = []  # du rows of the nodes in B_{r/2}, one array per slab
+        for _, rho_sq, du, w in _cell_weights(u, center, [r]):
+            energy += float(w[0] @ np.einsum("mia,mia->m", du, du))
+            inner.append(du[rho_sq <= r * r / 4])
+        ratio = energy * h**d / r ** (d - 2)
         if ratio < eps0:
-            sup = _sup_gradient(u, center, r / 2.0)
+            du = np.concatenate(inner)  # B_{r/2} holds at least the centre
+            du_sq = sum(np.sum(du[:, :, a] ** 2, axis=-1) for a in range(d))
+            sup = math.sqrt(du_sq.max())
             report.flagged.append((node, ratio, sup))
             if sup > report.bound:
                 report.violations += 1
         else:
             report.unflagged.append((node, ratio))
     return report
-
-
-def _sup_gradient(u: GridField, center, r):
-    """Max Frobenius norm of the central-difference du over nodes in B_r(center)."""
-    d = u.dim
-    h = u.h
-    coords = u.axis_coords()
-    N = len(coords)
-    lo = [max(1, int(np.searchsorted(coords, center[a] - r - 1e-12))) for a in range(d)]
-    hi = [min(N - 1, int(np.searchsorted(coords, center[a] + r + 1e-12, side="right")))
-          for a in range(d)]
-    if any(l >= h_ for l, h_ in zip(lo, hi)):
-        return 0.0
-    vals = u.block(tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(d)))
-    du_sq = 0.0
-    for a in range(d):
-        du_sq = du_sq + np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1)
-    mesh = np.meshgrid(*[coords[lo[a] : hi[a]] for a in range(d)], indexing="ij")
-    rho_sq = sum((mesh[a] - center[a]) ** 2 for a in range(d))
-    inside = rho_sq <= r * r
-    if not inside.any():
-        return 0.0
-    return float(np.sqrt(du_sq[inside].max()))

@@ -1,8 +1,20 @@
 import os
+import warnings
 
 import pytest
 
 from fueterlab import fields
+
+# hypothesis reports a falsifying example through libcst, whose import warns
+# (mypy_extensions.TypedDict is deprecated); under filterwarnings = ["error"]
+# that import turned each failing property test into an INTERNALERROR that
+# ended the session, so it is imported here, before any test runs
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

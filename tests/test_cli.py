@@ -189,6 +189,7 @@ def test_config_that_is_not_an_object_exits_2(text, kind, tmp_path, capsys):
     ('{"ell": -3}', "ell must be at least 2"),
     ('{"ell": 0}', "ell must be at least 2"),
     ('{"ell": 1}', "ell must be at least 2"),
+    ('{"m": 3}', "m must be 1 or 2"),
 ])
 def test_bad_config_values_exit_2_with_the_reason(text, reason, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -388,6 +389,18 @@ def test_unreliable_extrapolation_has_a_detail(monkeypatch, capsys):
     rep = json.loads(out)
     assert rep["error"] == "unreliable-extrapolation"
     assert "ell 5 and 6" in rep["detail"]
+
+
+def test_no_concentration_exits_1_with_a_detail(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"eps0": 1000.0}')
+    code, out = run_cli(["extract-bubbles", "--config", str(cfg)], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "no-concentration"
+    assert rep["config"]["eps0"] == 1000.0
+    assert re.fullmatch(r"recovered profile energy \S+ below the bubble threshold",
+                        rep["detail"])
 
 
 def test_failed_norm_checks_have_an_error_and_a_detail(monkeypatch, capsys):

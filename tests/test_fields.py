@@ -249,6 +249,7 @@ def test_kernel_oracle_dimension_and_basis():
     dim, basis = triholomorphic_kernel(S1, S1)
     # computed once by the 16x16 linear solve, then frozen as a regression value
     assert dim == 12
+    assert [len(M2_KERNELS[n]) for n in (1, 2)] == [24, 48]
     for B in basis:
         assert np.linalg.norm(triholo_residual(B, S1, S1)) < 1e-12
     # left multiplications by imaginary units are in the kernel
@@ -345,6 +346,41 @@ def test_energy_identity_triholomorphic_jet_gives_half_energy():
     lhs = -lhs / math.factorial(1)
     assert abs(lhs - 0.5 * np.sum(A * A)) < 1e-10
     assert abs(energy_identity_defects(A[None], S1, S1)[0]) < 1e-12
+
+
+# the m = 2 kernels of the linear residual: dimension 24 at n = 1, 48 at n = 2
+M2_KERNELS = {n: np.array(triholomorphic_kernel(S2, StructureTriple.standard(n))[1])
+              for n in (1, 2)}
+
+
+@st.composite
+def structured_m2_jets(draw):
+    """(n, A): an m = 2 jet that is a kernel combination, rank one, or has
+    entries scaled across 1e-6..1e6, then scaled by one more such power."""
+    n = draw(st.sampled_from([1, 2]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    kind = draw(st.sampled_from(["kernel", "rank-one", "scaled"]))
+    if kind == "kernel":
+        basis = M2_KERNELS[n]
+        A = np.tensordot(draw(st.lists(unit, min_size=len(basis), max_size=len(basis))),
+                         basis, axes=1)
+    elif kind == "rank-one":
+        x, y = (np.array(draw(st.lists(unit, min_size=k, max_size=k))) for k in (4 * n, 8))
+        A = np.outer(x, y)
+    else:
+        size = 4 * n * 8
+        mant = np.array(draw(st.lists(unit, min_size=size, max_size=size)))
+        exps = np.array(draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size)))
+        A = (mant * 10.0**exps).reshape(4 * n, 8)
+    return n, A * 10.0 ** draw(st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_m2_jets())
+def test_energy_identity_holds_on_structured_m2_jets(jet):
+    n, A = jet
+    defect = energy_identity_defects(A[None], S2, StructureTriple.standard(n))[0]
+    assert abs(defect) <= 1e-12 * np.sum(A * A)
 
 
 def test_energy_identity_zero_jet():

@@ -272,11 +272,17 @@ def test_eps_regularity_scan_constant_field():
     assert rep.violations == 0
 
 
-def test_eps_regularity_scan_gradient_bound():
+def test_eps_regularity_scan_gradient_bound(monkeypatch):
+    # ratios here run from 1.41 up, so eps0 = 2 flags 46 of the 81 centres
     u = poly_grid(seed=3, nodes=29, L=0.55)
-    rep = eps_regularity_scan(u, eps0=0.1, r=0.15, stride=6)
-    assert len(rep.flagged) + len(rep.unflagged) > 0
+    rep = eps_regularity_scan(u, eps0=2.0, r=0.15, stride=6)
+    assert rep.flagged and rep.unflagged
     assert rep.violations == 0  # frozen constant honored on the suite
+    # a bound no nonzero gradient meets: every flagged ball violates it
+    monkeypatch.setattr(monotone, "EPS_REG_GRADIENT_C", 1e-9)
+    rep = eps_regularity_scan(u, eps0=2.0, r=0.15, stride=6)
+    assert rep.violations == len(rep.flagged) > 0
+    assert all(s > rep.bound for _, _, s in rep.flagged)
 
 
 def test_eps_regularity_unflagged_set_shrinks_with_scale():
@@ -576,12 +582,42 @@ def _parent_sweep(u, x, radii, perturbation=None):
     return values, float(violation)
 
 
-def _ball_pass_results(u, sweep=almost_monotone_sweep):
+def _parent_scan(u, eps0, r, stride=None):
+    # verbatim copy from before the scan read its ratio and its gradient bound
+    # from one ball pass per centre
+    import itertools
+
+    d = u.dim
+    h = u.h
+    coords = u.axis_coords()
+    N = len(coords)
+    margin = int(np.ceil((r + u.h * math.sqrt(d) / 2 + 2 * h) / h)) + 1
+    if 2 * margin >= N:
+        raise ValueError("radius too large for the grid")
+    if stride is None:
+        stride = max(1, (N - 2 * margin) // 6)
+    idx = list(range(margin, N - margin, stride))
+    report = monotone.EpsRegularityReport(eps0=eps0, r=r,
+                                          bound=monotone.EPS_REG_GRADIENT_C * math.sqrt(eps0) / r)
+    for node in itertools.product(idx, repeat=d):
+        center = np.array([coords[i] for i in node])
+        ratio = monotone.energy_ratio(u, center, r)
+        if ratio < eps0:
+            sup = _parent_sup_gradient(u, center, r / 2.0)
+            report.flagged.append((node, ratio, sup))
+            if sup > report.bound:
+                report.violations += 1
+        else:
+            report.unflagged.append((node, ratio))
+    return report
+
+
+def _ball_pass_results(u, sweep=almost_monotone_sweep, scan=eps_regularity_scan):
     h = u.h
     x = np.array([0.003, -0.006, 0.0045, 0.0015])
     # eps0 at the median ratio, so both branches of the scan run
-    ratios = sorted(q for _, q in eps_regularity_scan(u, 0.0, 3 * h, stride=3).unflagged)
-    rep = eps_regularity_scan(u, ratios[len(ratios) // 2], 3 * h, stride=3)
+    ratios = sorted(q for _, q in scan(u, 0.0, 3 * h, stride=3).unflagged)
+    rep = scan(u, ratios[len(ratios) // 2], 3 * h, stride=3)
     prof = ratio_profile(u, x, [3 * h, 4.5 * h, 6 * h])
     return [
         (prof.ratios, prof.radial_terms, prof.defects),
@@ -596,12 +632,15 @@ def _ball_pass_results(u, sweep=almost_monotone_sweep):
 def test_ball_passes_match_the_parent_implementation_bitwise(kind, monkeypatch):
     u = _parity_grids()[kind]
     got = _ball_pass_results(u)
-    # the profile behind the three ratio functions, the scan's gradient bound
-    # and the sweep, each from the parent's single pass
-    monkeypatch.setattr(monotone, "_profile", _parent_profile)
-    monkeypatch.setattr(monotone, "_sup_gradient", _parent_sup_gradient)
-    want = _ball_pass_results(u, sweep=_parent_sweep)
-    assert got == want
     flagged, unflagged, _ = got[-1]
+    # each scan ratio is the one `energy_ratio` gives, to the bit
+    coords = u.axis_coords()
+    for node, ratio, *_ in flagged + unflagged:
+        assert ratio == energy_ratio(u, coords[list(node)], 3 * u.h)
+    # the profile behind the three ratio functions, the sweep and the scan,
+    # each from the parent's single pass (the scan with its second reader)
+    monkeypatch.setattr(monotone, "_profile", _parent_profile)
+    want = _ball_pass_results(u, sweep=_parent_sweep, scan=_parent_scan)
+    assert got == want
     assert flagged and unflagged
     assert kind == "dense" or not u.is_dense()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fueterlab.norms as norms
 from fueterlab.norms import (
@@ -240,6 +244,28 @@ def test_lorentz_l2_ordering():
         l2 = f.l2()
         assert lorentz_2inf(f) <= l2 + 1e-12
         assert l2 <= lorentz_21(f) + 1e-12
+
+
+@st.composite
+def values_with_measures(draw):
+    """(values, positive cell measures) of one length: drawn values, some
+    repeated (ties) and some zero, with measures across 1e-3..1e3."""
+    k = draw(st.integers(1, 40))
+    mag = st.one_of(st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))  # squares stay normal
+    pool = draw(st.lists(mag, min_size=1, max_size=k))
+    vals = draw(st.lists(st.one_of(st.sampled_from(pool), st.just(0.0)), min_size=k, max_size=k))
+    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+    return np.array(vals), np.array(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values_with_measures())
+def test_lorentz_ordering_on_raw_arrays(fw):
+    f, w = fw
+    l2 = math.sqrt(float(np.sum(w * f * f)))
+    tol = 1e-12 * l2
+    assert lorentz_2inf(f, w) <= l2 + tol
+    assert l2 <= lorentz_21(f, w) + tol
 
 
 def test_lorentz_interpolation():
