@@ -60,10 +60,11 @@ _WINDOW_PLANES = 2
 _FANOUT_SIZE = 40_000
 
 
-def _finite(values):
-    # min and max propagate NaN and reach any infinity, with no temporary
+def _finite(values, what="field"):
+    """values, when every one is finite; the one finiteness check.  min and
+    max propagate NaN and reach any infinity, with no full-size temporary."""
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise ValueError("field values must be finite")
+        raise ValueError(f"{what} values must be finite")
     return values
 
 

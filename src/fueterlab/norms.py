@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import stencil
+from .fields import _finite
 
 __all__ = [
     "ScalarGrid",
@@ -54,9 +55,7 @@ class ScalarGrid:
     h: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
+        self.values = _finite(np.asarray(self.values, dtype=float), "grid")
 
     @property
     def d(self):

@@ -59,16 +59,21 @@ def _laplacian_symbol(shape, h):
 
 def poisson_solve(f: ScalarGrid) -> ScalarGrid:
     """Solve the central-difference Laplace equation on the torus:
-    Delta_h v = f - mean(f) with mean(v) = 0."""
+    Delta_h v = f - mean(f) with mean(v) = 0.  The spectrum is divided in
+    place, and v is a real copy that keeps no complex grid alive."""
     vals = f.values
-    shape = vals.shape
-    sym = _laplacian_symbol(shape, f.h)
     F = np.fft.fftn(vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V = np.where(np.abs(sym) > 1e-300, F / sym, 0.0)
-    V[(0,) * vals.ndim] = 0.0
-    v = np.real(np.fft.ifftn(V))
-    return f.like(v)
+    sym = _laplacian_symbol(vals.shape, f.h)
+    keep = np.abs(sym) > 1e-300
+    np.divide(F, sym, out=F, where=keep)
+    F[~keep] = 0.0
+    F[(0,) * vals.ndim] = 0.0
+    del sym, keep
+    # np.fft.ifftn written out: its passes, one axis at a time from the last,
+    # where each frees the one before (ifftn's argument outlives them all)
+    for a in reversed(range(vals.ndim)):
+        F = np.fft.ifft(F, axis=a)
+    return f.like(F.real.copy())
 
 
 @dataclass
@@ -94,49 +99,51 @@ class PerturbedProblem:
 
 
 def _coef(arr, ij, shape):
-    c = arr[ij]
-    return c if np.ndim(c) else np.full(shape, float(c))
+    """arr[ij] as a grid of `shape`; a constant is broadcast, not stored."""
+    return np.broadcast_to(arr[ij], shape)
 
 
-def _rhs_operator(P: PerturbedProblem):
-    """w -> RHS(w) of the cutoff equation.  The terms that depend on P alone
-    are built here, once; each call pads w once, periodically, so that every
-    neighbour its differences take is a slice of that one copy."""
+def _rhs_operator(P: PerturbedProblem, scratch=None):
+    """w -> RHS(w) of the cutoff equation, in the operator's own output
+    buffer, which the next call overwrites.  Only Delta chi, the d_a chi and
+    the source are built once; each call forms chi mu_ij and chi tau_j again
+    in one buffer, in the term-by-term formula's order, so every bit stays.
+    w is wrapped into the padded buffer of `scratch` (see `_scratch`), and
+    every difference of it is written into the other."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
     sq = P.sqrt_g if P.sqrt_g is not None else 1.0
     lap_chi = stencil.laplacian(chi, h, True)
     d1_chi = [stencil.d1(chi, a, h, True) for a in range(d)]
-    chi_mu = {}
-    for i, j in np.ndindex(d, d):
-        mu_ij = _coef(P.mu, (i, j), chi.shape)
-        if np.any(mu_ij):
-            # a symmetric mu shares one product per pair, to hold less memory
-            twin = chi_mu.get((j, i))
-            same = twin is not None and np.array_equal(mu_ij, _coef(P.mu, (j, i), chi.shape))
-            chi_mu[i, j] = twin if same else chi * mu_ij
-    chi_tau = []
-    for j in range(d):
-        tau_j = _coef(P.tau, (j,), chi.shape)
-        if np.any(tau_j):
-            chi_tau.append((j, chi * tau_j))
+    mu = [(i, j, c) for i, j in np.ndindex(d, d)
+          if np.any(c := _coef(P.mu, (i, j), chi.shape))]
+    tau = [(j, c) for j in range(d) if np.any(c := _coef(P.tau, (j,), chi.shape))]
     source = chi * sq * P.f.values
+    wp, diff = scratch or _scratch(chi.shape)
+    out = np.empty_like(chi)
+    coef = np.empty_like(chi)
 
     def rhs(w):
-        # on the padded copy the box differences are the torus ones
-        wp = np.pad(w, 1, mode="wrap")
-        out = lap_chi * w
+        stencil.wrap(w, wp)
+        acc = np.multiply(lap_chi, w, out=out)
         for a in range(d):
-            out += d1_chi[a] * stencil.d1(wp, a, h, False)
-        for (i, j), c in chi_mu.items():
-            out -= c * stencil.d2(wp, i, j, h, False)
-        for j, c in chi_tau:
-            out -= c * stencil.d1(wp, j, h, False)
-        out += source
-        return out
+            acc += np.multiply(d1_chi[a], stencil.d1(wp, a, h, False, out=diff), out=diff)
+        for i, j, mu_ij in mu:
+            np.multiply(chi, mu_ij, out=coef)
+            acc -= np.multiply(coef, stencil.d2(wp, i, j, h, False, out=diff), out=diff)
+        for j, tau_j in tau:
+            np.multiply(chi, tau_j, out=coef)
+            acc -= np.multiply(coef, stencil.d1(wp, j, h, False, out=diff), out=diff)
+        acc += source
+        return acc
 
     return rhs
+
+
+def _scratch(shape):
+    """Buffers for a grid of `shape` wrapped by one periodic layer, and for one grid."""
+    return np.empty(tuple(n + 2 for n in shape)), np.empty(shape)
 
 
 def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
@@ -148,14 +155,14 @@ def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
     return poisson_solve(P.f.like(_rhs_operator(P)(w.values)))
 
 
-def _w11(v, h):
-    d = v.ndim
-    total = np.abs(v).sum()
-    # on the padded copy the box differences are the torus ones
-    vp = np.pad(v, 1, mode="wrap")
-    for a in range(d):
-        total += np.abs(stencil.d1(vp, a, h, False)).sum()
-    return float(total * h**d)
+def _w11(v, h, scratch=None):
+    """The W^{1,1} norm of v on the torus, in the buffers of `scratch`."""
+    vp, buf = scratch or _scratch(v.shape)
+    stencil.wrap(v, vp)
+    total = np.abs(v, out=buf).sum()
+    for a in range(v.ndim):
+        total += np.abs(stencil.d1(vp, a, h, False, out=buf), out=buf).sum()
+    return float(total * h**v.ndim)
 
 
 def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
@@ -172,10 +179,12 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
     prev_diff = None
     ratios = []
     flat_count = 0
-    rhs = _rhs_operator(P)
+    scratch = _scratch(v.shape)
+    rhs = _rhs_operator(P, scratch)
     for it in range(1, max_iter + 1):
         v_next = poisson_solve(P.f.like(rhs(v))).values
-        diff = _w11(v_next - v, h)
+        # the increment v_next - v takes the place of v, which is done with
+        diff = _w11(np.subtract(v_next, v, out=v), h, scratch)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
             ratios.append(ratio)
@@ -189,8 +198,13 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
         if diff < tol:
             # residual of the cutoff equation, in the L1 metric matching the
             # W^{1,1} convergence norm; keep sweeping until it clears 10 tol
-            res_field = stencil.laplacian(v, h, True) - _centered(rhs(v))
-            residual = float(np.abs(res_field).sum() * h**v.ndim)
+            r = rhs(v)
+            r -= r.mean()
+            # box differences of v wrapped are its torus differences
+            res_abs = stencil.laplacian(stencil.wrap(v, scratch[0]), h, False)
+            res_abs -= r
+            np.abs(res_abs, out=res_abs)
+            residual = float(res_abs.sum() * h**v.ndim)
             if residual >= 10.0 * tol and it < max_iter:
                 continue
             stats = {
@@ -199,7 +213,7 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
                 "contraction": float(np.median(ratios[-5:])) if ratios else 0.0,
                 "ratios": ratios,
                 "residual": residual,
-                "residual_sup": float(np.abs(res_field).max()),
+                "residual_sup": float(res_abs.max()),
             }
             return P.f.like(v), stats
     last = ratios[-1] if ratios else float("inf")
@@ -212,10 +226,6 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
         f"did not reach tol={tol} in {max_iter} iterations (ratio {last:.4f}); "
         "increase max_iter"
     )
-
-
-def _centered(v):
-    return v - v.mean()
 
 
 # ---------------------------------------------------------------------------

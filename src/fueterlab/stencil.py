@@ -13,8 +13,8 @@ The grid functions `d1`, `d2` and `laplacian` act on arrays whose first
 `ndim` axes are the grid (any further axes are components).  On a box they
 take neighbours by slices and return only the nodes one step inside every
 edge, where each stencil is defined.  On a torus they pad the grid axes once
-by one periodic layer, which makes a box whose result is every node of the
-torus.
+by one periodic layer (`wrap`), which makes a box whose result is every node
+of the torus.  `d1`, `d2` and `wrap` take `out=` as the formulas do.
 
 `FlatBlock` is the same box differences on a C-contiguous block raveled to
 one axis.  There the neighbour x + sum_a s_a h e_a of every node of the
@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-__all__ = ["first", "second", "mixed", "d1", "d2", "laplacian", "FlatBlock"]
+__all__ = ["first", "second", "mixed", "wrap", "d1", "d2", "laplacian", "FlatBlock"]
 
 
 def first(p, m, h, out=None):
@@ -69,11 +69,28 @@ def _second_along(at, a, b, h, out=None):
     return mixed(*(at({a: sa, b: sb}) for sa, sb in _MIXED_STEPS), h, out=out)
 
 
+def wrap(v, out=None, ndim=None):
+    """v padded by one periodic layer on its first ndim (grid) axes, as
+    np.pad(mode="wrap") pads it: the box differences of the result are the
+    torus differences of v."""
+    v = np.asarray(v)
+    nd = v.ndim if ndim is None else ndim
+    if out is None:
+        out = np.empty(tuple(n + 2 for n in v.shape[:nd]) + v.shape[nd:], v.dtype)
+    out[(slice(1, -1),) * nd] = v
+    # axis by axis over the whole of the others, so the corners wrap too
+    for a in range(nd):
+        lead = (slice(None),) * a
+        out[lead + (0,)] = out[lead + (-2,)]
+        out[lead + (-1,)] = out[lead + (1,)]
+    return out
+
+
 def _box(v, periodic, ndim):
     """(v as a box, its grid-axis count): a torus is padded by one periodic layer."""
     nd = v.ndim if ndim is None else ndim
     if periodic:
-        v = np.pad(v, [(1, 1)] * nd + [(0, 0)] * (v.ndim - nd), mode="wrap")
+        v = wrap(v, ndim=nd)
     return v, nd
 
 
@@ -84,24 +101,25 @@ def _at(v, ndim, steps):
                    for a in range(ndim))]
 
 
-def d1(v, a, h, periodic, ndim=None):
+def d1(v, a, h, periodic, ndim=None, out=None):
     """First central difference along grid axis a."""
     v, nd = _box(v, periodic, ndim)
-    return _first_along(lambda steps: _at(v, nd, steps), a, h)
+    return _first_along(lambda steps: _at(v, nd, steps), a, h, out)
 
 
-def d2(v, a, b, h, periodic, ndim=None):
+def d2(v, a, b, h, periodic, ndim=None, out=None):
     """Second central difference along grid axes a and b (mixed when a != b)."""
     v, nd = _box(v, periodic, ndim)
-    return _second_along(lambda steps: _at(v, nd, steps), a, b, h)
+    return _second_along(lambda steps: _at(v, nd, steps), a, b, h, out)
 
 
 def laplacian(v, h, periodic, ndim=None):
     """Sum of the second differences along every grid axis."""
     v, nd = _box(v, periodic, ndim)
-    out = 0.0
+    out = np.zeros(_at(v, nd, {}).shape)
+    buf = np.empty_like(out)
     for a in range(nd):
-        out = out + d2(v, a, a, h, False, nd)
+        out += d2(v, a, a, h, False, nd, buf)
     return out
 
 

@@ -58,6 +58,21 @@ def step2(frac):
     return grid2(v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scalar_grid_rejects_non_finite_values(bad):
+    vals = np.zeros((N4,) * 4)
+    vals[5, 0, 7, 2] = bad
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        ScalarGrid(vals, H4)
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        ScalarGrid(np.zeros((N4,) * 4), H4).like(vals)
+    # one bad value among finite ones of both signs, at the last node
+    vals = np.random.default_rng(0).normal(size=(N2, N2))
+    vals[-1, -1] = bad
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        grid2(vals)
+
+
 # ---------------------------------------------------------------------------
 # maximal function
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fueterlab.poisson import (
     smoothstep,
     w21_norm,
 )
-from fueterlab.poisson import _coef, _rhs_operator, _smooth_random, _w11
+from fueterlab.poisson import _coef, _laplacian_symbol, _rhs_operator, _smooth_random, _w11
 
 
 def test_poisson_solve_zero_and_eigenmode():
@@ -310,3 +312,224 @@ def test_w11_matches_the_torus_differences_bitwise():
     for a in range(v.ndim):
         want += np.abs(stencil.d1(v, a, h, True)).sum()
     assert _w11(v, h) == float(want * h**v.ndim)
+
+
+# verbatim copies of the solver that stored every chi mu_ij and chi tau_j
+# product and allocated its temporaries on each sweep
+
+
+def _parent_poisson_solve(f: ScalarGrid) -> ScalarGrid:
+    """Solve the central-difference Laplace equation on the torus:
+    Delta_h v = f - mean(f) with mean(v) = 0."""
+    vals = f.values
+    shape = vals.shape
+    sym = _laplacian_symbol(shape, f.h)
+    F = np.fft.fftn(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = np.where(np.abs(sym) > 1e-300, F / sym, 0.0)
+    V[(0,) * vals.ndim] = 0.0
+    v = np.real(np.fft.ifftn(V))
+    return f.like(v)
+
+
+def _parent_coef(arr, ij, shape):
+    c = arr[ij]
+    return c if np.ndim(c) else np.full(shape, float(c))
+
+
+def _parent_rhs_operator(P: PerturbedProblem):
+    """w -> RHS(w) of the cutoff equation.  The terms that depend on P alone
+    are built here, once; each call pads w once, periodically, so that every
+    neighbour its differences take is a slice of that one copy."""
+    h = P.f.h
+    d = P.f.d
+    chi = P.chi
+    sq = P.sqrt_g if P.sqrt_g is not None else 1.0
+    lap_chi = stencil.laplacian(chi, h, True)
+    d1_chi = [stencil.d1(chi, a, h, True) for a in range(d)]
+    chi_mu = {}
+    for i, j in np.ndindex(d, d):
+        mu_ij = _parent_coef(P.mu, (i, j), chi.shape)
+        if np.any(mu_ij):
+            # a symmetric mu shares one product per pair, to hold less memory
+            twin = chi_mu.get((j, i))
+            same = twin is not None and np.array_equal(mu_ij, _parent_coef(P.mu, (j, i), chi.shape))
+            chi_mu[i, j] = twin if same else chi * mu_ij
+    chi_tau = []
+    for j in range(d):
+        tau_j = _parent_coef(P.tau, (j,), chi.shape)
+        if np.any(tau_j):
+            chi_tau.append((j, chi * tau_j))
+    source = chi * sq * P.f.values
+
+    def rhs(w):
+        # on the padded copy the box differences are the torus ones
+        wp = np.pad(w, 1, mode="wrap")
+        out = lap_chi * w
+        for a in range(d):
+            out += d1_chi[a] * stencil.d1(wp, a, h, False)
+        for (i, j), c in chi_mu.items():
+            out -= c * stencil.d2(wp, i, j, h, False)
+        for j, c in chi_tau:
+            out -= c * stencil.d1(wp, j, h, False)
+        out += source
+        return out
+
+    return rhs
+
+
+def _parent_contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
+    """One sweep of the scheme: solve Delta v = RHS(w) with RHS built from the
+    cutoff terms, the small coefficients, and the source (all derivatives
+    central)."""
+    if w.values.shape != P.f.values.shape:
+        raise ValueError("iterate must live on the problem grid")
+    return _parent_poisson_solve(P.f.like(_parent_rhs_operator(P)(w.values)))
+
+
+def _parent_w11(v, h):
+    d = v.ndim
+    total = np.abs(v).sum()
+    # on the padded copy the box differences are the torus ones
+    vp = np.pad(v, 1, mode="wrap")
+    for a in range(d):
+        total += np.abs(stencil.d1(vp, a, h, False)).sum()
+    return float(total * h**d)
+
+
+def _parent_fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
+    """Iterate v_{k+1} = contraction_step(v_k) from v_0 = 0 until the W^{1,1}
+    distance of consecutive iterates drops below tol.
+
+    Returns (v, stats) with the measured contraction ratio and the final
+    residual of the cutoff equation; raises NonContractionError when the
+    ratios sit at or above 1 for three consecutive steps, or when the
+    iteration stalls without converging.
+    """
+    h = P.f.h
+    v = np.zeros_like(P.f.values)
+    prev_diff = None
+    ratios = []
+    flat_count = 0
+    rhs = _parent_rhs_operator(P)
+    for it in range(1, max_iter + 1):
+        v_next = _parent_poisson_solve(P.f.like(rhs(v))).values
+        diff = _parent_w11(v_next - v, h)
+        if prev_diff is not None and prev_diff > 0:
+            ratio = diff / prev_diff
+            ratios.append(ratio)
+            flat_count = flat_count + 1 if ratio >= 0.9999 else 0
+            if flat_count >= 3:
+                raise NonContractionError(
+                    f"non-contraction: ratio held at {ratio:.4f} for 3 steps", ratios
+                )
+        prev_diff = diff
+        v = v_next
+        if diff < tol:
+            # residual of the cutoff equation, in the L1 metric matching the
+            # W^{1,1} convergence norm; keep sweeping until it clears 10 tol
+            res_field = stencil.laplacian(v, h, True) - _parent_centered(rhs(v))
+            residual = float(np.abs(res_field).sum() * h**v.ndim)
+            if residual >= 10.0 * tol and it < max_iter:
+                continue
+            stats = {
+                "iterations": it,
+                "converged": True,
+                "contraction": float(np.median(ratios[-5:])) if ratios else 0.0,
+                "ratios": ratios,
+                "residual": residual,
+                "residual_sup": float(np.abs(res_field).max()),
+            }
+            return P.f.like(v), stats
+    last = ratios[-1] if ratios else float("inf")
+    if last >= 0.9:
+        raise NonContractionError(
+            f"non-contraction: stalled after {max_iter} iterations at ratio {last:.4f}",
+            ratios,
+        )
+    raise RuntimeError(
+        f"did not reach tol={tol} in {max_iter} iterations (ratio {last:.4f}); "
+        "increase max_iter"
+    )
+
+
+def _parent_centered(v):
+    return v - v.mean()
+
+
+def _oracle_problem(make):
+    if make == "default":
+        return default_problem(N=12, seed=3)
+    if make == "manufactured":
+        return manufactured_problem(N=12, seed=1)[0]
+    # constant (d, d) mu with a symmetric pair, an asymmetric one and zeros,
+    # constant tau, and a sqrt(det g) weight
+    N, h = 10, 1.0 / 10
+    shape = (N,) * 4
+    rng = np.random.default_rng(7)
+    mu = np.diag([0.05, 0.0, 0.03, 0.04])
+    mu[0, 2] = mu[2, 0] = 0.01
+    mu[1, 3], mu[3, 1] = 0.02, -0.02
+    src = rng.normal(size=shape) * radial_cutoff(shape, h, 0.1, 0.3)
+    return PerturbedProblem(radial_cutoff(shape, h, 0.3, 0.47), mu,
+                            np.array([0.0, 0.02, 0.0, -0.01]), ScalarGrid(src, h),
+                            sqrt_g=1.0 + 0.1 * rng.random(shape))
+
+
+@pytest.mark.parametrize("make", ["default", "manufactured", "constant"])
+def test_fixed_point_solve_matches_the_parent_implementation_bitwise(make):
+    P = _oracle_problem(make)
+    v, stats = fixed_point_solve(P)
+    want_v, want_stats = _parent_fixed_point_solve(P)
+    assert stats["converged"] and stats["iterations"] > 3
+    assert v.values.tobytes() == want_v.values.tobytes()
+    assert v.values.flags.c_contiguous
+    assert stats.keys() == want_stats.keys()
+    for key, want in want_stats.items():
+        assert np.asarray(stats[key]).tobytes() == np.asarray(want).tobytes(), key
+
+
+@pytest.mark.parametrize("make", ["default", "manufactured", "constant"])
+def test_contraction_step_matches_the_parent_implementation_bitwise(make):
+    P = _oracle_problem(make)
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 1.0, 1e-3):
+        w = P.f.like(scale * rng.normal(size=P.f.values.shape))
+        got = contraction_step(w, P).values
+        assert got.flags.c_contiguous and got.base is None
+        assert got.tobytes() == _parent_contraction_step(w, P).values.tobytes()
+
+
+def test_non_contraction_matches_the_parent_implementation():
+    N, h = 10, 1.0 / 10
+    shape = (N,) * 4
+    mu = np.zeros((4, 4) + shape)
+    for i in range(4):
+        mu[i, i] = 1.0
+    src = np.zeros(shape)
+    src[N // 2, N // 2, N // 2, N // 2] = 0.01
+    P = PerturbedProblem(radial_cutoff(shape, h, 0.3, 0.47), mu, np.zeros((4,) + shape),
+                         ScalarGrid(src, h))
+    with pytest.raises(NonContractionError) as got:
+        fixed_point_solve(P, max_iter=40)
+    with pytest.raises(NonContractionError) as want:
+        _parent_fixed_point_solve(P, max_iter=40)
+    assert str(got.value) == str(want.value)
+    assert got.value.ratios == want.value.ratios
+
+
+def test_fixed_point_solve_holds_a_fixed_set_of_grid_buffers():
+    # beyond the problem's own arrays a solve holds the operator's six grids
+    # (Delta chi, the d_a chi, the source), its buffers, the iterate and the
+    # next one, and the spectral solve's passes: 16.1 grids at N = 16, where
+    # the solver that stored its chi mu_ij and chi tau_j products and
+    # allocated every temporary peaked at 32.4
+    N = 16
+    P = default_problem(N=N, seed=3)
+    tracemalloc.start()
+    try:
+        fixed_point_solve(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N**4) <= 17.0

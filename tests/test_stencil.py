@@ -125,6 +125,27 @@ def test_formulas_write_into_out_with_the_same_values():
         assert formula(*(x[0, 0] for x in args), h) == want[0, 0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_wrap_and_laplacian_match_the_pad_forms_bitwise(ndim, comps, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 6, size=ndim)) + ((comps,) if comps else ())
+    v = rng.normal(size=shape)
+    v[v < -1.5] = -0.0  # 0.0 + (-0.0) is +0.0, as the old sum made it
+    padded = np.pad(v, [(1, 1)] * ndim + [(0, 0)] * (v.ndim - ndim), mode="wrap")
+    assert np.array_equal(stencil.wrap(v, ndim=ndim), padded)
+    out = np.full(padded.shape, np.nan)
+    assert stencil.wrap(v, out, ndim) is out
+    assert out.tobytes() == padded.tobytes()
+    # the Laplacian summed into new arrays, axis by axis, from 0.0
+    h = 0.31
+    want = 0.0
+    for a in range(ndim):
+        want = want + stencil.d2(padded, a, a, h, False, ndim)
+    for got in (stencil.laplacian(v, h, True, ndim), stencil.laplacian(padded, h, False, ndim)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_no_second_stencil_in_the_package():
     # periodic neighbours come from one wrap padding, never from full rolled
     # copies, so every central difference runs through the stencil module
