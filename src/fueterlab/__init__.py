@@ -16,7 +16,6 @@ from .fields import (
     differential,
     dirichlet_energy,
     energy_identity_defects,
-    heat_flow_step,
     load_fld1,
     save_fld1,
     triholo_residual,

@@ -1,6 +1,6 @@
 """Discretized maps u: grid in R^{4m} -> R^{4n}: differentials, the
 quaternionic del-bar residual, the pointwise energy identity, the
-Laplacian, pullback closedness, domain variations, and a heat-flow generator.
+Laplacian, pullback closedness and domain variations.
 
 Grids are either dense (values stored per node) or function-backed (values
 produced on demand, slab by slab), so ball quadrature at fine spacings never
@@ -30,7 +30,6 @@ __all__ = [
     "laplacian_direct",
     "pullback_closedness_defect",
     "domain_variation_derivative",
-    "heat_flow_step",
     "save_fld1",
     "load_fld1",
     "FueterPolynomialMap",
@@ -42,7 +41,7 @@ __all__ = [
 
 _DENSE_LIMIT_BYTES = 2_000_000_000
 
-# axis-0 planes per window of GridField.windows: with its halo a window of a
+# axis-0 planes per window of `_flat_windows`: with its halo a window of a
 # 33^4 field stays within a core's cache (there, on 2 cores, with one worker /
 # two: w21_norm 0.22 / 0.17 s at 1 plane, 0.21 / 0.14 s at 2, 0.25 / 0.14 s at
 # 4; dirichlet_energy 0.057 / 0.037 s at 1, 0.051 / 0.035 s at 2, 0.056 / 0.030
@@ -63,7 +62,7 @@ _FANOUT_SIZE = 40_000
 def _finite(values, what="field"):
     """values, when every one is finite; the one finiteness check.  min and
     max propagate NaN and reach any infinity, with no full-size temporary."""
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ValueError(f"{what} values must be finite")
     return values
 
@@ -175,7 +174,7 @@ class GridField:
         multilinear interpolation for dense ones."""
         pts = np.asarray(pts, dtype=float)
         if self._fn is not None:
-            return np.asarray(self._fn(pts), dtype=float)
+            return _finite(np.asarray(self._fn(pts), dtype=float))
         return self._interpolate(pts)
 
     def block(self, index):
@@ -198,37 +197,6 @@ class GridField:
     def slab(self, i):
         """Values on the hyperplane of axis-0 index i (wrapped on a torus)."""
         return self.block(i % self.shape[0] if self.domain == "torus" else i)
-
-    def windows(self):
-        """Yield (i0, window) over the axis-0 planes i0 .. i0 + k - 1 of the
-        interior (every plane on a torus), k <= _WINDOW_PLANES.
-
-        A window holds those planes and one halo plane on each side of them,
-        so box differences over it cover exactly its k planes.  On a box it
-        holds the whole in-slab extent (a view when the grid is dense); on a
-        torus the plane indices wrap and the in-slab axes are padded by one
-        periodic layer.  A function-backed grid is evaluated slab by slab,
-        each plane once, and never materialized.
-        """
-        N = self.shape[0]
-        periodic = self.domain == "torus"
-        margin = self.interior_margin()
-        lo, hi = margin, N - margin
-        pad = [(0, 0)] + [(1, 1)] * (self.dim - 1) + [(0, 0)]
-        planes, wrap = {}, {}
-        for i0 in range(lo, hi, _WINDOW_PLANES):
-            idx = [i % N for i in range(i0 - 1, min(i0 + _WINDOW_PLANES, hi) + 1)]
-            if self._values is not None and not periodic:
-                yield i0, self._values[idx[0] : idx[-1] + 1]
-                continue
-            # the two planes a window shares with the next are evaluated once,
-            # and so are planes N - 1 and 0, which a torus's last window reads again
-            known = {**wrap, **planes}
-            planes = {i: known[i] if i in known else self.slab(i) for i in idx}
-            if periodic and not wrap:
-                wrap = {i: planes[i] for i in (N - 1, 0)}
-            win = np.stack([planes[i] for i in idx])
-            yield i0, np.pad(win, pad, mode="wrap") if periodic else win
 
     def _interpolate(self, pts):
         c = self.axis_coords()
@@ -398,12 +366,34 @@ def triholomorphic_kernel(S_dom, S_tar):
 # grid-level operators
 
 
-def _flat_windows(u: GridField, scratch, kernel):
-    """{i0: kernel(i0, block, comps, bufs)} over the windows of `u.windows()`.
+def _planes(u: GridField, starts, k, end, inslab=()):
+    """Yield (i0, planes) for each i0 of `starts`: the axis-0 planes
+    i0 - 1 .. min(i0 + k, end), wrapped on a torus, each `u.block((i,) + inslab)`.
+    The one reader of streamed planes.  Each plane is read once: a step keeps
+    the planes it shares with the one before, and a torus keeps planes N - 1
+    and 0, which its last step reads again."""
+    N = u.shape[0]
+    planes, kept = {}, {}
+    for i0 in starts:
+        idx = [i % N for i in range(i0 - 1, min(i0 + k, end) + 1)]
+        known = {**kept, **planes}
+        planes = {i: known[i] if i in known else u.block((i,) + inslab) for i in idx}
+        if u.domain == "torus" and not kept:
+            kept = {i: planes[i] for i in (N - 1, 0)}
+        yield i0, [planes[i] for i in idx]
 
-    `block` is the `stencil.FlatBlock` over a window's planes and in-slab
-    interior with a one-node halo, comps[c] holds component c of the window
-    raveled, and `bufs` is `scratch` more flat buffers.
+
+def _flat_windows(u: GridField, scratch, kernel):
+    """{i0: kernel(i0, block, comps, bufs)} over the windows of axis-0 planes
+    i0 .. i0 + k - 1 of the interior (every plane on a torus), k <= _WINDOW_PLANES.
+
+    `block` is the `stencil.FlatBlock` over a window's planes from `_planes`,
+    halo planes included, and the in-slab nodes 1 .. N - 2 of a box (all its
+    differences read) or a torus's planes padded by `stencil.wrap`.  comps[c]
+    holds component c of the window raveled, and `bufs` is `scratch` more
+    flat buffers.  A function-backed box evaluates its callable on these
+    in-slab planes, `values` on whole slabs: the two agree bitwise only if the
+    callable's value at a point does not depend on the shape of its batch.
 
     The windows run on one worker per CPU in the affinity mask, at most one
     per window, when the grid is dense and its blocks hold at least
@@ -414,13 +404,13 @@ def _flat_windows(u: GridField, scratch, kernel):
     N, d = u.shape[0], u.dim
     periodic = u.domain == "torus"
     margin = u.interior_margin()
-    count = len(range(margin, N - margin, _WINDOW_PLANES))
+    starts = range(margin, N - margin, _WINDOW_PLANES)
     ring = N + 2 if periodic else N - 2  # in-slab extent of a window's block
     size = (min(_WINDOW_PLANES, N - 2 * margin) + 2) * ring ** (d - 1)
     fan_out = u.is_dense() and size >= _FANOUT_SIZE
-    workers = min(len(os.sched_getaffinity(0)), count) if fan_out else 1
-    core = (slice(None),) + (slice(None) if periodic else slice(1, N - 1),) * (d - 1)
-    windows = u.windows()
+    workers = min(len(os.sched_getaffinity(0)), len(starts)) if fan_out else 1
+    inslab = () if periodic else (slice(1, N - 1),) * (d - 1)
+    windows = _planes(u, starts, _WINDOW_PLANES, N - margin, inslab)
     lock = threading.Lock()
     results, errors = {}, []
 
@@ -428,12 +418,17 @@ def _flat_windows(u: GridField, scratch, kernel):
         try:
             while not errors:
                 with lock:
-                    i0, win = next(windows, (None, None))
-                if win is None:
+                    i0, planes = next(windows, (None, None))
+                if planes is None:
                     return
-                block = stencil.FlatBlock(win[core + (0,)].shape)
+                block = stencil.FlatBlock((len(planes),) + (ring,) * (d - 1))
                 for c in range(u.target_dim):
-                    np.copyto(comps[c, : block.size].reshape(block.shape), win[core + (c,)])
+                    dst = comps[c, : block.size].reshape(block.shape)
+                    for j, plane in enumerate(planes):
+                        if periodic:
+                            stencil.wrap(plane[..., c], out=dst[j])
+                        else:
+                            dst[j] = plane[..., c]
                 results[i0] = kernel(i0, block, comps, bufs)
         except BaseException as e:  # noqa: BLE001 - raised again by the caller
             errors.append(e)
@@ -560,23 +555,6 @@ def domain_variation_derivative(u: GridField, X, t=None) -> float:
         return dirichlet_energy(u.with_values(resampled))
 
     return stencil.first(energy_at(t), energy_at(-t), t)
-
-
-def heat_flow_step(u: GridField, dt: float) -> GridField:
-    """Forward-Euler heat step u + dt * Laplacian(u); requires dt <= h^2/(8m).
-
-    At the stability bound every Fourier mode is damped (weakly), so the
-    Dirichlet energy never increases.
-    """
-    if dt > u.h**2 / (8.0 * u.m) * (1 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds the stability bound h^2/(8m)")
-    vals = u.values
-    periodic = u.domain == "torus"
-    # a box keeps its boundary layer fixed
-    inner = tuple(slice(None) if periodic else slice(1, -1) for _ in range(u.dim))
-    new = vals.copy()
-    new[inner] = vals[inner] + dt * stencil.laplacian(vals, u.h, periodic, u.dim)
-    return u.with_values(new)
 
 
 # ---------------------------------------------------------------------------

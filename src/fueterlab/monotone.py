@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .fields import GridField, _identity_tables, _wedge_pairing
+from .fields import GridField, _identity_tables, _planes, _wedge_pairing
 from .quat import StructureTriple
 
 __all__ = [
@@ -89,26 +89,23 @@ def _ball_slabs(u: GridField, center, reach):
     for a, g in enumerate(np.meshgrid(*core_coords, indexing="ij")):
         pts_core[:, 1 + a] = g.ravel()
 
-    cache = {}  # extended-window values of the slabs i - 1, i and i + 1
-    for i in range(lo[0], hi[0]):
+    # slabs with a node within reach (rounding is monotone: the min decides)
+    rest_min = sq_rest.min(initial=np.inf)
+    starts = (i for i in range(lo[0], hi[0])
+              if (coords[i] - center[0]) ** 2 + rest_min <= reach**2)
+    for i, (bm, b0, bp) in _planes(u, starts, 1, hi[0], ext):
         rho_sq = (coords[i] - center[0]) ** 2 + sq_rest
         sel = np.nonzero(rho_sq <= reach**2)[0]
-        if len(sel):
-            for j in (i - 1, i, i + 1):
-                if j not in cache:
-                    cache[j] = u.block((j,) + ext)
-            bm, b0, bp = cache[i - 1], cache[i], cache[i + 1]
-            # du on the whole core window by box slices, then the ball nodes' rows
-            stencil.first(bp[core], bm[core], h, out=du_core[0])
-            for a in range(d - 1):
-                p, m = (stencil._at(b0, d - 1, {a: s}) for s in (1, -1))
-                stencil.first(p, m, h, out=du_core[1 + a])
-            du = np.empty((len(sel), tdim, d))
-            for a in range(d):
-                du[:, :, a] = du_core[a].reshape(-1, tdim)[sel]
-            pts_core[:, 0] = coords[i]
-            yield pts_core[sel], rho_sq[sel], du
-        cache.pop(i - 1, None)
+        # du on the whole core window by box slices, then the ball nodes' rows
+        stencil.first(bp[core], bm[core], h, out=du_core[0])
+        for a in range(d - 1):
+            p, m = (stencil._at(b0, d - 1, {a: s}) for s in (1, -1))
+            stencil.first(p, m, h, out=du_core[1 + a])
+        du = np.empty((len(sel), tdim, d))
+        for a in range(d):
+            du[:, :, a] = du_core[a].reshape(-1, tdim)[sel]
+        pts_core[:, 0] = coords[i]
+        yield pts_core[sel], rho_sq[sel], du
 
 
 def _cell_weights(u: GridField, center, radii):

@@ -21,7 +21,9 @@ with warnings.catch_warnings():
 def workers(monkeypatch):
     """workers(cpus): from then on the affinity mask holds `cpus` CPUs and the
     windows of every grid fan out, also the small and the function-backed
-    ones that the frozen rule in `fields._flat_windows` keeps on one worker."""
+    ones that the frozen rule in `fields._flat_windows` keeps on one worker;
+    the workers then take their windows' planes from one `fields._planes`
+    generator under the window lock."""
 
     def use(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

@@ -160,15 +160,19 @@ def test_06_fixed_point_scheme():
 
 
 def test_07_w21_regression():
-    worst = 0.0
+    ratios = []
     for poly in triholomorphic_suite():
         for nodes in (13, 21):
             u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.5,
                                         materialize=True)
-            ratio = w21_norm(u) / (1.0 + dirichlet_energy(u))
-            worst = max(worst, ratio)
-    report(7, f"w21_norm <= {W21_SUITE_C} (1 + E) over the triholomorphic suite",
-           worst <= W21_SUITE_C, f"(max ratio {worst:.2f})")
+            ratios.append(w21_norm(u) / (1.0 + dirichlet_energy(u)))
+    # every ratio within C (a NaN is not), and the peak within 2% of the 1.270
+    # measured at 21 nodes
+    worst = max(ratios)
+    low = 0.98 * 1.270
+    ok = all(r <= W21_SUITE_C for r in ratios) and worst >= low
+    report(7, f"max w21_norm / (1 + E) over the triholomorphic suite in [{low:.3f}, "
+              f"{W21_SUITE_C}]", ok, f"(max ratio {worst:.2f})")
 
 
 def test_08_weak_l1():

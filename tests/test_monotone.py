@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -644,3 +645,87 @@ def test_ball_passes_match_the_parent_implementation_bitwise(kind, monkeypatch):
     assert got == want
     assert flagged and unflagged
     assert kind == "dense" or not u.is_dense()
+
+
+def _parent_ball_slabs(u: GridField, center, reach):
+    """Yield (pts, rho_sq, du) for each axis-0 slab of the nodes within `reach`
+    of center: their points, squared distances |p - c|^2 and central-difference
+    du rows of shape (M, 4n, 4m).  Each slab's values are read once."""
+    # verbatim copy from before the ball pass read its planes through
+    # `fields._planes`
+    center = np.asarray(center, dtype=float)
+    d = u.dim
+    h = u.h
+    if u.domain != "box":
+        raise NotImplementedError("ball quadrature expects a box domain")
+    if center.shape != (d,):
+        raise ValueError("center must be a point of the domain")
+    if reach + 2 * h > u.L - np.abs(center).max():
+        raise ValueError("ball exits the domain interior")
+    tdim = u.target_dim
+    coords = u.axis_coords()
+    # per-axis index windows: core (quadrature nodes) and extended (stencil)
+    lo = [np.searchsorted(coords, center[a] - reach - 1e-12) for a in range(d)]
+    hi = [np.searchsorted(coords, center[a] + reach + 1e-12, side="right") for a in range(d)]
+    core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
+    ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(1, d))
+    core = (slice(1, -1),) * (d - 1)  # the core window inside the extended one
+
+    # squared distance and coordinates over the remaining axes
+    sq_rest = 0.0
+    for a, cc in enumerate(core_coords):
+        shp = [1] * (d - 1)
+        shp[a] = len(cc)
+        sq_rest = sq_rest + ((cc - center[1 + a]) ** 2).reshape(shp)
+    du_core = np.empty((d,) + sq_rest.shape + (tdim,))
+    sq_rest = sq_rest.ravel()
+    # core-window points; the axis-0 coordinate is set per slab
+    pts_core = np.empty((len(sq_rest), d))
+    for a, g in enumerate(np.meshgrid(*core_coords, indexing="ij")):
+        pts_core[:, 1 + a] = g.ravel()
+
+    cache = {}  # extended-window values of the slabs i - 1, i and i + 1
+    for i in range(lo[0], hi[0]):
+        rho_sq = (coords[i] - center[0]) ** 2 + sq_rest
+        sel = np.nonzero(rho_sq <= reach**2)[0]
+        if len(sel):
+            for j in (i - 1, i, i + 1):
+                if j not in cache:
+                    cache[j] = u.block((j,) + ext)
+            bm, b0, bp = cache[i - 1], cache[i], cache[i + 1]
+            # du on the whole core window by box slices, then the ball nodes' rows
+            stencil.first(bp[core], bm[core], h, out=du_core[0])
+            for a in range(d - 1):
+                p, m = (stencil._at(b0, d - 1, {a: s}) for s in (1, -1))
+                stencil.first(p, m, h, out=du_core[1 + a])
+            du = np.empty((len(sel), tdim, d))
+            for a in range(d):
+                du[:, :, a] = du_core[a].reshape(-1, tdim)[sel]
+            pts_core[:, 0] = coords[i]
+            yield pts_core[sel], rho_sq[sel], du
+        cache.pop(i - 1, None)
+
+
+def test_ball_pass_reads_the_parent_blocks_in_the_parent_order(monkeypatch):
+    poly = standard_triholomorphic_field(seed=3, degree=4)
+    calls = []
+
+    def fn(p):
+        calls.append((p.shape, hashlib.sha256(p.tobytes()).digest()))
+        return poly(p)
+
+    u = GridField.from_function(fn, 1, 1, 17, L=0.55)
+    x = np.array([0.003, -0.006, 0.0045, 0.0015])  # no node's coordinate
+
+    def reads():
+        calls.clear()
+        prof = ratio_profile(u, x, [2 * u.h, 3.5 * u.h, 4 * u.h])
+        rep = eps_regularity_scan(u, 0.05, 2 * u.h)  # 5 centres per axis
+        assert len(rep.flagged) + len(rep.unflagged) == 625
+        return list(calls), (prof.ratios, prof.defects, rep.flagged, rep.unflagged)
+
+    got = reads()
+    monkeypatch.setattr(monotone, "_ball_slabs", _parent_ball_slabs)
+    want = reads()
+    assert got == want
+    assert not u.is_dense()

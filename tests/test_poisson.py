@@ -225,11 +225,17 @@ def test_w21_norm_matches_the_parent_implementation_bitwise(m, n, domain, nodes,
 
 
 def test_w21_regression_bound_over_suite():
+    worst = 0.0
     for poly in triholomorphic_suite():
         for nodes in (13, 21):
             u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.5,
                                         materialize=True)
-            assert w21_norm(u) <= W21_SUITE_C * (1.0 + dirichlet_energy(u))
+            ratio = w21_norm(u) / (1.0 + dirichlet_energy(u))
+            assert ratio <= W21_SUITE_C
+            worst = max(worst, ratio)
+    # two-sided: a norm that reads too little fails as one that reads too much;
+    # the suite's peak ratio was measured as 1.270 (at 21 nodes)
+    assert worst >= 0.98 * 1.270
 
 
 def test_domain_doubling_truncation_control():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fueterlab import stencil
-from fueterlab.fields import GridField, dirichlet_energy, heat_flow_step
+from fueterlab.fields import GridField, dirichlet_energy
 from fueterlab.poisson import w21_norm
 from fueterlab.stencil import _sum_of_squares
 
@@ -231,29 +231,6 @@ def _old_dirichlet_energy(u):
     return total * u.h**u.dim
 
 
-def _old_heat_flow_step(u, dt):
-    vals = u.values
-    d = u.dim
-    lap = np.zeros_like(vals)
-    if u.domain == "torus":
-        for a in range(d):
-            lap += (np.roll(vals, -1, axis=a) - 2 * vals + np.roll(vals, +1, axis=a)) / u.h**2
-        new = vals + dt * lap
-    else:
-        N = u.shape[0]
-        inner = tuple(slice(1, N - 1) for _ in range(d))
-        lap_in = np.zeros(vals[inner].shape)
-        for a in range(d):
-            up = [slice(1, N - 1)] * d
-            dn_ = [slice(1, N - 1)] * d
-            up[a] = slice(2, N)
-            dn_[a] = slice(0, N - 2)
-            lap_in += (vals[tuple(up)] - 2 * vals[inner] + vals[tuple(dn_)]) / u.h**2
-        new = vals.copy()
-        new[inner] = vals[inner] + dt * lap_in
-    return u.with_values(new)
-
-
 def _parity_fields():
     rng = np.random.default_rng(21)
     torus = GridField(1, 1, "torus", 1.0, (8,) * 4, values=rng.normal(size=(8,) * 4 + (4,)))
@@ -307,9 +284,3 @@ def test_w21_norm_streams_a_function_backed_grid(domain):
 def test_dirichlet_energy_matches_roll_implementation_bitwise():
     for u in _parity_fields():
         assert dirichlet_energy(u) == _old_dirichlet_energy(u)
-
-
-def test_heat_flow_step_matches_roll_implementation_bitwise():
-    for u in _parity_fields():
-        dt = u.h**2 / (8.0 * u.m)
-        assert np.array_equal(heat_flow_step(u, dt).values, _old_heat_flow_step(u, dt).values)
