@@ -10,6 +10,7 @@ roundoff, not merely to O(h^2).
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,23 +80,64 @@ def poisson_solve(f: ScalarGrid) -> ScalarGrid:
 @dataclass
 class PerturbedProblem:
     """Cutoff chi, small coefficients mu^{ij}, tau^j, source f, optional
-    sqrt(det g) weight; all on one periodic grid."""
+    sqrt(det g) weight; all on one periodic grid.
+
+    Each entry mu[i, j] and tau[j] is a constant or a grid, in one of three
+    forms: a (d, d) and a (d,) array of constants; a (d, d, *dims) and a
+    (d, *dims) array of grids; or a table keyed by (i, j) and by j, such as
+    a dict.  A table holds each entry once: a constant as a scalar, and a
+    symmetric pair as one array object at both keys.  sqrt_g too is a
+    constant or a grid."""
 
     chi: np.ndarray
-    mu: np.ndarray  # (d, d) constants or (d, d, *dims)
-    tau: np.ndarray  # (d,) constants or (d, *dims)
+    mu: np.ndarray | Mapping
+    tau: np.ndarray | Mapping
     f: ScalarGrid
     sqrt_g: np.ndarray | None = None
 
     def __post_init__(self):
-        self.chi = np.asarray(self.chi, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.tau = np.asarray(self.tau, dtype=float)
         d = self.f.d
-        if self.chi.shape != self.f.values.shape:
+        grid = self.f.values.shape
+        self.chi = np.asarray(self.chi, dtype=float)
+        if self.chi.shape != grid:
             raise ValueError("chi must live on the source grid")
-        if self.mu.shape[:2] != (d, d) or self.tau.shape[0] != d:
-            raise ValueError("coefficient shapes must start with (d, d) and (d,)")
+        self.mu = _table("mu", self.mu, (d, d), grid)
+        self.tau = _table("tau", self.tau, (d,), grid)
+        if self.sqrt_g is not None:
+            self.sqrt_g = _entry("sqrt_g", self.sqrt_g, grid)
+
+
+def _table(name, given, lead, grid):
+    """`given` as a float array whose shape starts with `lead`, or as a dict
+    keyed by (i, j) for a two-axis `lead` and by j for a one-axis one; each
+    entry must be a constant or a grid (`_entry`)."""
+    keys = [k if len(lead) > 1 else k[0] for k in np.ndindex(lead)]
+    if isinstance(given, Mapping):
+        table = dict(given)
+        if extra := table.keys() - set(keys):
+            raise ValueError(f"{name} has keys outside {lead}: {sorted(extra, key=repr)}")
+    else:
+        table = np.asarray(given, dtype=float)
+        if table.shape[:len(lead)] != lead:
+            raise ValueError(f"{name} of shape {table.shape} does not start with {lead}")
+    for key in keys:
+        label = f"{name}[{str(key).strip('()')}]"
+        if isinstance(table, dict):
+            if key not in table:
+                raise ValueError(f"{label} is missing")
+            table[key] = _entry(label, table[key], grid)
+        else:
+            _entry(label, table[key], grid)
+    return table
+
+
+def _entry(label, value, grid):
+    """value as a float array: a constant, or a grid of shape `grid`."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape not in ((), grid):
+        raise ValueError(f"{label} has shape {arr.shape}: neither a constant nor "
+                         f"the grid's {grid}")
+    return arr
 
 
 def _coef(arr, ij, shape):
@@ -118,7 +160,7 @@ def _rhs_operator(P: PerturbedProblem, scratch=None):
     d1_chi = [stencil.d1(chi, a, h, True) for a in range(d)]
     mu = [(i, j, c) for i, j in np.ndindex(d, d)
           if np.any(c := _coef(P.mu, (i, j), chi.shape))]
-    tau = [(j, c) for j in range(d) if np.any(c := _coef(P.tau, (j,), chi.shape))]
+    tau = [(j, c) for j in range(d) if np.any(c := _coef(P.tau, j, chi.shape))]
     source = chi * sq * P.f.values
     wp, diff = scratch or _scratch(chi.shape)
     out = np.empty_like(chi)
@@ -325,7 +367,8 @@ def default_problem(N=16, magnitude=0.05, seed=0):
 
     mu is dominated by magnitude * identity (the worst case at a given max
     norm: at magnitude 1 the scheme reproduces -w on the cutoff plateau and
-    genuinely stops contracting), plus a smaller random symmetric part.
+    genuinely stops contracting), plus a smaller random symmetric part.  Its
+    table holds the diagonal as 4 scalars and each off-diagonal grid once.
     """
     rng = np.random.default_rng(seed)
     d = 4
@@ -333,13 +376,11 @@ def default_problem(N=16, magnitude=0.05, seed=0):
     shape = (N,) * d
     L = N * h
     chi = radial_cutoff(shape, h, 0.22 * L, 0.47 * L)
-    mu = np.zeros((d, d) + shape)
+    mu = {}
     for i in range(d):
         mu[i, i] = magnitude
         for j in range(i + 1, d):
-            bump = 0.2 * magnitude * _smooth_random(shape, h, rng)
-            mu[i, j] = bump
-            mu[j, i] = bump
+            mu[i, j] = mu[j, i] = 0.2 * magnitude * _smooth_random(shape, h, rng)
     tau = np.zeros((d,) + shape)
     for j in range(d):
         tau[j] = magnitude * _smooth_random(shape, h, rng)
@@ -370,12 +411,11 @@ def manufactured_problem(N=16, magnitude=0.05, seed=0):
     carrier = carrier - (env * carrier).sum() / env.sum()
     w_star = env * carrier
 
-    mu = np.zeros((d, d) + shape)
+    # a symmetric table: each of the 10 grids at both of its keys
+    mu = {}
     for i in range(d):
         for j in range(i, d):
-            bump = magnitude * _smooth_random(shape, h, rng)
-            mu[i, j] = bump
-            mu[j, i] = bump
+            mu[i, j] = mu[j, i] = magnitude * _smooth_random(shape, h, rng)
     tau = np.zeros((d,) + shape)
     for j in range(d):
         tau[j] = magnitude * _smooth_random(shape, h, rng)

@@ -205,11 +205,14 @@ def test_09_lorentz_machinery():
     eq1 = abs(lorentz_21(f) - math.sqrt(a)) < 1e-12
     eq2 = abs(lorentz_2inf(f) - math.sqrt(a)) < 1e-12
     eq3 = abs(float(np.sum(v * v)) / 64.0**2 - lorentz_21(f) * lorentz_2inf(f)) < 1e-12
-    # interpolation inequality with the frozen constant on random slices
+    # interpolation inequality with the frozen constant on every random slice
+    # (a NaN is not within it), and the peak lhs / rhs within 2% of the 0.791
+    # measured
     rng = np.random.default_rng(9)
     x = np.arange(64) / 64.0
     X, Y = np.meshgrid(x, x, indexing="ij")
     ok_interp = True
+    worst = 0.0
     for _ in range(1000):
         modes = rng.integers(1, 8, size=(5, 2))
         amps = rng.normal(size=5)
@@ -217,11 +220,13 @@ def test_09_lorentz_machinery():
         vv = sum(amp * np.sin(2 * np.pi * (mx * X + my * Y) + p)
                  for amp, (mx, my), p in zip(amps, modes, ph))
         lhs, rhs = lorentz_interpolation_check(vv, 1 / 64)
-        if lhs > rhs:
-            ok_interp = False
-            break
-    report(9, f"Lorentz indicator equalities exact; interpolation with K2={INTERP_K2}",
-           eq1 and eq2 and eq3 and ok_interp, "")
+        ok_interp = ok_interp and lhs <= rhs
+        worst = max(worst, lhs / rhs)
+    low = 0.98 * 0.791
+    report(9, f"Lorentz indicator equalities exact; interpolation with K2={INTERP_K2}, "
+              f"peak lhs / rhs in [{low:.3f}, 1]",
+           eq1 and eq2 and eq3 and ok_interp and worst >= low,
+           f"(peak lhs / rhs {worst:.4f})")
 
 
 @pytest.mark.parametrize("manifest,count,depth", [("two", 2, 1), ("three", 3, 2)])

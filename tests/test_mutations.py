@@ -10,6 +10,7 @@ import pytest
 import test_acceptance
 import test_norms
 import test_poisson
+from fueterlab.norms import lorentz_21, lorentz_interpolation_check
 from fueterlab.poisson import w21_norm
 
 W21_MUTANTS = {
@@ -51,3 +52,26 @@ def test_the_norm_bands_fail_on_one_nan_item(name, check, n, monkeypatch):
     monkeypatch.setattr(test_norms, name, _nan_on_call(getattr(test_norms, name), n))
     with pytest.raises(AssertionError):
         getattr(test_norms, check)()
+
+
+def _half_lhs(v, h):
+    lhs, rhs = lorentz_interpolation_check(v, h)
+    return 0.5 * lhs, rhs
+
+
+# each entry makes its mutant afresh, so a NaN counter starts at 1 on every run
+LORENTZ_MUTANTS = {
+    # NaN on the second random slice, not the peak
+    "nan3": ("lorentz_interpolation_check", lambda: _nan_on_call(lorentz_interpolation_check, 3)),
+    "l21_double": ("lorentz_21", lambda: lambda f: 2.0 * lorentz_21(f)),
+    # every slice within the inequality, but the peak below the band
+    "lhs_half": ("lorentz_interpolation_check", lambda: _half_lhs),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(LORENTZ_MUTANTS))
+def test_criterion_9_fails_on_a_lorentz_mutant(mutant, monkeypatch):
+    name, make = LORENTZ_MUTANTS[mutant]
+    monkeypatch.setattr(test_acceptance, name, make())
+    with pytest.raises(AssertionError):
+        test_acceptance.test_09_lorentz_machinery()

@@ -82,20 +82,30 @@ def _rhs_reference(w, P):
             if np.any(mu_ij):
                 out -= chi * mu_ij * stencil.d2(w, i, j, h, True)
     for j in range(d):
-        tau_j = _coef(P.tau, (j,), w.shape)
+        tau_j = _coef(P.tau, j, w.shape)
         if np.any(tau_j):
             out -= chi * tau_j * stencil.d1(w, j, h, True)
     out += chi * sq * P.f.values
     return out
 
 
-@pytest.mark.parametrize("make", ["default", "manufactured", "constant", "sqrt_g"])
+@pytest.mark.parametrize("make", ["default", "manufactured", "constant", "sqrt_g", "table"])
 def test_rhs_operator_matches_reference_bitwise(make):
     rng = np.random.default_rng(4)
     if make == "default":
         P = default_problem(N=12, magnitude=0.05, seed=3)
     elif make == "manufactured":
         P, _ = manufactured_problem(N=12, magnitude=0.05, seed=1)
+    elif make == "table":
+        # scalar and grid entries, one grid at a symmetric pair, a zero entry,
+        # and a tau keyed by j
+        shape = (10,) * 4
+        bump = 0.01 * rng.normal(size=shape)
+        mu = {(i, j): 0.02 if i == j else 0.0 for i, j in np.ndindex(4, 4)}
+        mu[0, 2] = mu[2, 0] = bump
+        mu[1, 3] = -0.01
+        tau = {0: 0.0, 1: 0.03 * rng.normal(size=shape), 2: 0.01, 3: 0.0}
+        P = _small_problem(N=10, mu=mu, tau=tau, sqrt_g=1.5)
     else:
         N, h = 10, 1.0 / 10
         shape = (N,) * 4
@@ -126,7 +136,8 @@ def test_fixed_point_zero_source_one_iteration():
 
 def test_fixed_point_contraction_small_coefficients():
     P = default_problem(N=16, magnitude=0.05, seed=0)
-    assert np.abs(P.mu).max() <= 0.1 and np.abs(P.tau).max() <= 0.1
+    largest = max(np.abs(c).max() for c in P.mu.values())
+    assert largest <= 0.1 and np.abs(P.tau).max() <= 0.1
     v, stats = fixed_point_solve(P, tol=1e-10, max_iter=120)
     assert stats["converged"]
     assert stats["contraction"] < 0.5
@@ -539,3 +550,80 @@ def test_fixed_point_solve_holds_a_fixed_set_of_grid_buffers():
     finally:
         tracemalloc.stop()
     assert peak / (8 * N**4) <= 17.0
+
+
+def _expanded(P):
+    """P with its mu table written out as the full (4, 4, *dims) array."""
+    shape = P.f.values.shape
+    mu = np.empty((4, 4) + shape)
+    for i, j in np.ndindex(4, 4):
+        mu[i, j] = P.mu[i, j]
+    return PerturbedProblem(P.chi, mu, P.tau, P.f, P.sqrt_g)
+
+
+@pytest.mark.parametrize("make", ["default", "manufactured"])
+def test_coefficient_table_solves_as_the_full_array_bitwise(make):
+    P = _oracle_problem(make)
+    full = _expanded(P)
+    assert full.mu.shape == (4, 4) + P.f.values.shape
+    v, stats = fixed_point_solve(P)
+    want_v, want_stats = fixed_point_solve(full)
+    assert stats["converged"] and stats["iterations"] > 3
+    assert v.values.tobytes() == want_v.values.tobytes()
+    assert stats.keys() == want_stats.keys()
+    for key, want in want_stats.items():
+        assert np.asarray(stats[key]).tobytes() == np.asarray(want).tobytes(), key
+
+
+def test_canned_problems_hold_each_coefficient_once():
+    P = default_problem(N=8, seed=3)
+    assert all(P.mu[i, i].shape == () for i in range(4))
+    assert len({id(c) for c in P.mu.values() if c.shape}) == 6
+    P, _ = manufactured_problem(N=8, seed=1)
+    assert len({id(c) for c in P.mu.values()}) == 10
+    for i, j in np.ndindex(4, 4):
+        assert P.mu[i, j] is P.mu[j, i]
+
+
+def test_default_problem_holds_a_table_not_16_grids():
+    # chi, 6 bump grids, 4 tau grids and the source, with the constant
+    # diagonal held as scalars: 13.45 grids held and an 18.45-grid peak while
+    # it builds at N = 16, where the full (4, 4, *dims) mu read 23.45 and 29.45
+    N = 16
+    tracemalloc.start()
+    try:
+        P = default_problem(N=N, seed=3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / (8 * N**4) <= 14.0
+    assert peak / (8 * N**4) <= 19.0
+
+
+def _small_problem(N=8, **changes):
+    """A valid problem on an N^4 grid, with the given arguments changed."""
+    h = 1.0 / N
+    shape = (N,) * 4
+    rng = np.random.default_rng(6)
+    args = dict(chi=radial_cutoff(shape, h, 0.3, 0.47),
+                mu={(i, j): 0.01 for i, j in np.ndindex(4, 4)},
+                tau=np.full(4, 0.02), f=ScalarGrid(rng.normal(size=shape), h))
+    args.update(changes)
+    return PerturbedProblem(**args)
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"mu": np.zeros((4, 4) + (7,) * 4)}, r"mu\[0, 0\] has shape \(7, 7, 7, 7\)"),
+    ({"mu": {**{k: 0.0 for k in np.ndindex(4, 4)}, (2, 1): np.zeros((8, 8))}},
+     r"mu\[2, 1\] has shape \(8, 8\)"),
+    ({"mu": {k: 0.0 for k in np.ndindex(4, 4) if k != (1, 3)}}, r"mu\[1, 3\] is missing"),
+    ({"mu": {**{k: 0.0 for k in np.ndindex(4, 4)}, (0, 4): 0.0}}, r"mu has keys outside"),
+    ({"mu": np.zeros((3, 3))}, r"mu of shape \(3, 3\) does not start with \(4, 4\)"),
+    ({"tau": np.zeros((4, 8, 8))}, r"tau\[0\] has shape \(8, 8\)"),
+    ({"tau": {0: 0.0, 1: 0.0, 3: 0.0}}, r"tau\[2\] is missing"),
+    ({"tau": np.zeros(3)}, r"tau of shape \(3,\) does not start with \(4,\)"),
+    ({"sqrt_g": np.ones((3, 3))}, r"sqrt_g has shape \(3, 3\)"),
+])
+def test_a_bad_coefficient_is_named_where_it_enters(bad, named):
+    with pytest.raises(ValueError, match=named):
+        _small_problem(**bad)
