@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -20,9 +21,10 @@ import numpy as np
 from . import __version__
 from .fields import (
     GridField,
+    _fld1_header,
+    _fld1_planes,
     differential,
     energy_identity_defects,
-    load_fld1,
     standard_triholomorphic_field,
     triholomorphic_kernel,
 )
@@ -147,20 +149,19 @@ def cmd_identity_check(args) -> int:
     tested = jets
     if args.field:
         try:
-            u = load_fld1(args.field)
+            with open(args.field, "rb") as f:
+                u = _fld1_header(f)
+                field_jets, bad_jet = _field_jets(f, u)
         except (OSError, ValueError) as e:
             sys.stderr.write(f"bad field file: {e}\n")
             return 2
+        if bad_jet is not None:
+            raise bad_jet
         Sd = StructureTriple.standard(u.m)
         St = StructureTriple.standard(u.n)
-        N = u.shape[0]
-        step = max(1, (N - 4) // 3)
-        nodes = [tuple(i) for i in np.ndindex(*(len(range(2, N - 2, step)),) * u.dim)]
-        picks = [tuple(range(2, N - 2, step)[k] for k in node) for node in nodes]
-        As = np.stack([differential(u, nd) for nd in picks])
-        defects_u = energy_identity_defects(As, Sd, St)
+        defects_u = energy_identity_defects(np.stack(field_jets), Sd, St)
         max_defect = max(max_defect, float(np.max(np.abs(defects_u))))
-        tested += len(picks)
+        tested += len(field_jets)
     kernel_dim = None
     if cfg.m == 1:
         kernel_dim, _ = triholomorphic_kernel(S_dom, S_tar)
@@ -177,6 +178,36 @@ def cmd_identity_check(args) -> int:
         payload["detail"] = (f"max energy-identity defect {max_defect!r} over {tested} "
                              f"jets is not below tol_identity {cfg.tol_identity!r}")
     return _emit(payload, args, 0 if ok else 1)
+
+
+def _field_jets(f, u):
+    """(jets, error): the central-difference jets of the FLD1 field u, whose
+    payload the open file f holds next, at the nodes with every index in
+    range(2, N - 2, step), in row-major order.
+
+    The payload is read one axis-0 plane at a time, and every plane is
+    checked; only the last three planes are held, which are the planes
+    i - 1, i and i + 1 that the jets of row i read once plane i + 1 is in.
+    A jet that overflows stops the jets, and its ValueError is returned as
+    `error` once the whole payload has been read, so that a bad plane after
+    it is still reported as a bad file."""
+    N = u.shape[0]
+    rows = range(2, N - 2, max(1, (N - 4) // 3))
+    held, jets, error = {}, [], None
+
+    def read(node):
+        return held[node[0]][node[1:]]
+
+    for i, plane in _fld1_planes(f, u):
+        held[i] = plane
+        if i - 1 in rows and error is None:
+            try:
+                jets += [differential(u, (i - 1,) + rest, read)
+                         for rest in itertools.product(rows, repeat=u.dim - 1)]
+            except ValueError as e:
+                error = e
+        held.pop(i - 2, None)  # no later row reads it
+    return jets, error
 
 
 def cmd_monotonicity(args) -> int:

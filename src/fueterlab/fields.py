@@ -240,22 +240,23 @@ class GridField:
         )
 
 
-def _neighbor(u, node, axis, step):
+def _neighbor(u, node, axis, step, read=None):
     node = list(node)
     node[axis] += step
     if u.domain == "torus":
         node[axis] %= u.shape[0]
-    return u.block(tuple(node))
+    return (read or u.block)(tuple(node))
 
 
-def differential(u: GridField, node) -> np.ndarray:
+def differential(u: GridField, node, read=None) -> np.ndarray:
     """Central-difference jet at a node, the (4n, 4m) array whose column a is
-    (u(+h e_a) - u(-h e_a)) / 2h.  The field values are finite, but their
-    differences can overflow; such a jet raises ValueError."""
+    (u(+h e_a) - u(-h e_a)) / 2h, its values read by read(node), u.block by
+    default.  The field values are finite, but their differences can
+    overflow; such a jet raises ValueError."""
     node = tuple(int(i) for i in node)
     if not u.is_interior(node):
         raise ValueError(f"node {node} too close to the box boundary for the stencil")
-    du = np.stack([stencil.first(_neighbor(u, node, a, +1), _neighbor(u, node, a, -1), u.h)
+    du = np.stack([stencil.first(*(_neighbor(u, node, a, s, read) for s in (1, -1)), u.h)
                    for a in range(u.dim)], axis=1)
     if not np.isfinite(du).all():
         raise ValueError(f"jet entries at node {node} must be finite (the differences overflow)")
@@ -579,41 +580,73 @@ _FLD1_FIELDS = {"m": int, "n": int, "domain": str, "L": float, "h": float,
 
 
 def load_fld1(path) -> GridField:
+    """The dense GridField of an FLD1 file, its payload read plane by plane
+    into one array."""
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").strip()
-        parts = header.split()
-        if not parts or parts[0] != "FLD1":
-            raise ValueError("not an FLD1 file")
-        text, kv = {}, {}
-        for token in parts[1:]:
-            key, eq, raw = token.partition("=")
-            if not eq or key not in _FLD1_FIELDS:
-                raise ValueError(f"header token {token!r} is not key=value for an FLD1 field")
-            if key in kv:
-                raise ValueError(f"header field {key} is repeated")
-            try:
-                text[key], kv[key] = raw, _FLD1_FIELDS[key](raw)
-            except ValueError:
-                raise ValueError(f"header field {key} has a malformed value {raw!r}") from None
-        missing = [key for key in _FLD1_FIELDS if key not in kv]
-        if missing:
-            raise ValueError(f"header field {missing[0]} is missing")
-        m, n, shape = kv["m"], kv["n"], kv["dims"]
-        for key, least in (("m", m), ("n", n), ("dims", min(shape))):
-            if least < 1:
-                raise ValueError(f"header field {key} must be at least 1, got {text[key]}")
-        count = int(np.prod(shape)) * 4 * n
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size != 8 * count:
-            raise ValueError(f"payload has {size} bytes, header dims need {8 * count}")
-        values = np.empty(shape + (4 * n,), dtype="<f8")
-        got = f.readinto(values.data.cast("B"))
-        if got != 8 * count:
-            raise ValueError(f"payload has {got} bytes, header dims need {8 * count}")
-    g = GridField(m, n, kv["domain"], kv["L"], shape, values=values)
-    if not abs(g.h - kv["h"]) <= 1e-12 * max(1.0, g.h):  # a NaN h fails too
+        u = _fld1_header(f)
+        values = np.empty(u.shape + (u.target_dim,), dtype="<f8")
+        for _ in _fld1_planes(f, u, values):
+            pass
+    # each plane was checked finite as it was read
+    u._values, u._fn = values, None
+    return u
+
+
+def _fld1_header(f):
+    """The GridField that the header of the open FLD1 file f describes, once
+    its fields, its spacing and the size of the payload are checked.  The
+    payload is not read: `_fld1_planes` reads it, and the callable of the
+    field returned here raises."""
+    header = f.readline().decode("ascii").strip()
+    parts = header.split()
+    if not parts or parts[0] != "FLD1":
+        raise ValueError("not an FLD1 file")
+    text, kv = {}, {}
+    for token in parts[1:]:
+        key, eq, raw = token.partition("=")
+        if not eq or key not in _FLD1_FIELDS:
+            raise ValueError(f"header token {token!r} is not key=value for an FLD1 field")
+        if key in kv:
+            raise ValueError(f"header field {key} is repeated")
+        try:
+            text[key], kv[key] = raw, _FLD1_FIELDS[key](raw)
+        except ValueError:
+            raise ValueError(f"header field {key} has a malformed value {raw!r}") from None
+    missing = [key for key in _FLD1_FIELDS if key not in kv]
+    if missing:
+        raise ValueError(f"header field {missing[0]} is missing")
+    m, n, shape = kv["m"], kv["n"], kv["dims"]
+    for key, least in (("m", m), ("n", n), ("dims", min(shape))):
+        if least < 1:
+            raise ValueError(f"header field {key} must be at least 1, got {text[key]}")
+    need = 8 * int(np.prod(shape)) * 4 * n
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size != need:
+        raise ValueError(f"payload has {size} bytes, header dims need {need}")
+    u = GridField(m, n, kv["domain"], kv["L"], shape, fn=_unread)
+    if not abs(u.h - kv["h"]) <= 1e-12 * max(1.0, u.h):  # a NaN h fails too
         raise ValueError("header spacing inconsistent with L and dims")
-    return g
+    return u
+
+
+def _unread(pts):
+    raise ValueError("the FLD1 payload is read by _fld1_planes")
+
+
+def _fld1_planes(f, u, out=None):
+    """Yield (i, plane) for each axis-0 plane of the FLD1 payload of u, in
+    order, from the open file f just past its header: read into out[i], or
+    into a new array when out is None, and checked finite as it is read.
+    The one reader of FLD1 payloads."""
+    shape = u.shape[1:] + (u.target_dim,)
+    got = 0
+    for i in range(u.shape[0]):
+        plane = np.empty(shape, dtype="<f8") if out is None else out[i]
+        got += f.readinto(plane.data.cast("B"))
+        if got != 8 * (i + 1) * plane.size:
+            raise ValueError(f"payload has {got} bytes, header dims need "
+                             f"{8 * u.shape[0] * plane.size}")
+        yield i, _finite(plane)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -974,3 +976,53 @@ def test_median_energy_radius_matches_the_annulus_scan_bitwise():
                     assert got == _scan_median_energy_radius(sl, center, lo, hi, total)
     with pytest.raises(ValueError, match="rmin < r"):
         bubbletree._median_energy_radius(seqs[0].slice_map(4), np.zeros(2), 0.2, 0.1, 1.0)
+
+
+def _parent_median_energy_radius(sl, center, r_lo, r_hi, total):
+    rads = np.exp(np.linspace(np.log(max(r_lo, 1e-14)), np.log(r_hi), 200))
+    if not np.all(rads[:-1] < rads[1:]):
+        raise ValueError("need rmin < r")
+    # every annulus in one batch, each sampled as `_disk_energy` samples it
+    polar = [bubbletree._log_polar(center, lo, hi, 24, 16)
+             for lo, hi in zip(rads[:-1], rads[1:])]
+    energies = bubbletree._log_polar_energy(sl, *(np.stack(x) for x in zip(*polar)))
+    acc = 0.0
+    for k in range(1, len(rads)):
+        acc += float(energies[k - 1])
+        if acc >= total / 2.0:
+            return float(rads[k])
+    return float(rads[-1])
+
+
+def test_median_energy_radius_matches_the_one_batch_parent_bitwise():
+    lo, hi = 1e-4, 0.2
+    batch = bubbletree._ANNULI_PER_BATCH
+    center = np.array([0.01, -0.02])
+    rads = np.exp(np.linspace(np.log(lo), np.log(hi), 200))
+    polar = [bubbletree._log_polar(center, a, b, 24, 16) for a, b in zip(rads[:-1], rads[1:])]
+    for seq in _parity_sequences():
+        sl = seq.slice_map(9, (0.1, -0.05))
+        energies = bubbletree._log_polar_energy(sl, *(np.stack(x) for x in zip(*polar)))
+        cumulative = list(itertools.accumulate(float(e) for e in energies))
+        # totals whose half is met exactly at, or missed by one ulp at, the
+        # last annulus of a batch, the first of the next, and the last of
+        # all; a tiny total stops at once, a large one runs through
+        ks = (0, batch - 1, batch, 2 * batch + 3, 198)
+        totals = [2.0 * cumulative[k] for k in ks]
+        totals += [2.0 * np.nextafter(cumulative[k], np.inf) for k in ks]
+        for total in totals + [1e-9 * totals[-1], 3.0 * totals[-1]]:
+            got = bubbletree._median_energy_radius(sl, center, lo, hi, total)
+            assert got == _parent_median_energy_radius(sl, center, lo, hi, total)
+
+
+def test_median_energy_radius_holds_one_batch_of_annuli():
+    # 16 annuli of 24 x 16 samples at a time: 2.0 MB traced on a two-bubble
+    # slice, where all 199 annuli in one batch peaked at 24.1 MB
+    sl = two_bubble().slice_map(8, (0.1, -0.05))
+    tracemalloc.start()
+    try:
+        assert bubbletree._median_energy_radius(sl, np.zeros(2), 1e-4, 0.2, 1e9) == 0.2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6

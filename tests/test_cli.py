@@ -1,14 +1,24 @@
 import importlib
 import json
+import os
 import re
+import sys
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fueterlab import bubbletree, cli
+from fueterlab import bubbletree, cli, fields, stencil
 from fueterlab.cli import main
-from fueterlab.fields import GridField, save_fld1
+from fueterlab.fields import (
+    GridField,
+    energy_identity_defects,
+    save_fld1,
+    triholomorphic_kernel,
+)
+from fueterlab.quat import StructureTriple
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -150,6 +160,217 @@ def test_identity_check_with_field(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["jets_tested"] > 50
+
+
+# the identity-check of the parent tree, verbatim: the whole field loaded
+# by load_fld1, then differenced node by node through u.block
+
+
+def _parent_load_fld1(path) -> GridField:
+    with open(path, "rb") as f:
+        header = f.readline().decode("ascii").strip()
+        parts = header.split()
+        if not parts or parts[0] != "FLD1":
+            raise ValueError("not an FLD1 file")
+        text, kv = {}, {}
+        for token in parts[1:]:
+            key, eq, raw = token.partition("=")
+            if not eq or key not in fields._FLD1_FIELDS:
+                raise ValueError(f"header token {token!r} is not key=value for an FLD1 field")
+            if key in kv:
+                raise ValueError(f"header field {key} is repeated")
+            try:
+                text[key], kv[key] = raw, fields._FLD1_FIELDS[key](raw)
+            except ValueError:
+                raise ValueError(f"header field {key} has a malformed value {raw!r}") from None
+        missing = [key for key in fields._FLD1_FIELDS if key not in kv]
+        if missing:
+            raise ValueError(f"header field {missing[0]} is missing")
+        m, n, shape = kv["m"], kv["n"], kv["dims"]
+        for key, least in (("m", m), ("n", n), ("dims", min(shape))):
+            if least < 1:
+                raise ValueError(f"header field {key} must be at least 1, got {text[key]}")
+        count = int(np.prod(shape)) * 4 * n
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != 8 * count:
+            raise ValueError(f"payload has {size} bytes, header dims need {8 * count}")
+        values = np.empty(shape + (4 * n,), dtype="<f8")
+        got = f.readinto(values.data.cast("B"))
+        if got != 8 * count:
+            raise ValueError(f"payload has {got} bytes, header dims need {8 * count}")
+    g = GridField(m, n, kv["domain"], kv["L"], shape, values=values)
+    if not abs(g.h - kv["h"]) <= 1e-12 * max(1.0, g.h):  # a NaN h fails too
+        raise ValueError("header spacing inconsistent with L and dims")
+    return g
+
+
+def _parent_neighbor(u, node, axis, step):
+    node = list(node)
+    node[axis] += step
+    if u.domain == "torus":
+        node[axis] %= u.shape[0]
+    return u.block(tuple(node))
+
+
+def _parent_differential(u: GridField, node) -> np.ndarray:
+    node = tuple(int(i) for i in node)
+    if not u.is_interior(node):
+        raise ValueError(f"node {node} too close to the box boundary for the stencil")
+    du = np.stack([stencil.first(_parent_neighbor(u, node, a, +1),
+                                 _parent_neighbor(u, node, a, -1), u.h)
+                   for a in range(u.dim)], axis=1)
+    if not np.isfinite(du).all():
+        raise ValueError(f"jet entries at node {node} must be finite (the differences overflow)")
+    return du
+
+
+def _parent_cmd_identity_check(args) -> int:
+    cfg = cli._load_config(args)
+    rng = np.random.default_rng(cfg.seed)
+    S_dom = StructureTriple.standard(cfg.m)
+    S_tar = StructureTriple.standard(1)
+    jets = args.jets
+    A = rng.standard_normal((jets, S_tar.dim, S_dom.dim))
+    defects = energy_identity_defects(A, S_dom, S_tar)
+    max_defect = float(np.max(np.abs(defects)))
+    tested = jets
+    if args.field:
+        try:
+            u = _parent_load_fld1(args.field)
+        except (OSError, ValueError) as e:
+            sys.stderr.write(f"bad field file: {e}\n")
+            return 2
+        Sd = StructureTriple.standard(u.m)
+        St = StructureTriple.standard(u.n)
+        N = u.shape[0]
+        step = max(1, (N - 4) // 3)
+        nodes = [tuple(i) for i in np.ndindex(*(len(range(2, N - 2, step)),) * u.dim)]
+        picks = [tuple(range(2, N - 2, step)[k] for k in node) for node in nodes]
+        As = np.stack([_parent_differential(u, nd) for nd in picks])
+        defects_u = energy_identity_defects(As, Sd, St)
+        max_defect = max(max_defect, float(np.max(np.abs(defects_u))))
+        tested += len(picks)
+    kernel_dim = None
+    if cfg.m == 1:
+        kernel_dim, _ = triholomorphic_kernel(S_dom, S_tar)
+    ok = max_defect < cfg.tol_identity
+    payload = {
+        "config": asdict(cfg),
+        "max_defect": max_defect,
+        "jets_tested": tested,
+        "kernel_dim": kernel_dim,
+        "passed": bool(ok),
+    }
+    if not ok:
+        payload["error"] = "identity-defect"
+        payload["detail"] = (f"max energy-identity defect {max_defect!r} over {tested} "
+                             f"jets is not below tol_identity {cfg.tol_identity!r}")
+    return cli._emit(payload, args, 0 if ok else 1)
+
+
+def _parent_main(argv):
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return _parent_cmd_identity_check(args)
+    except (ValueError, OSError, json.JSONDecodeError) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 2
+
+
+def _both_identity_checks(path, capsys, tol=None):
+    """(code, stdout, stderr) of identity-check on the field at path, from
+    the streaming command and from the parent's copy."""
+    argv = ["identity-check", "--jets", "20", "--field", str(path), "--seed", "1"]
+    if tol is not None:
+        cfg = path.parent / "cfg.json"
+        cfg.write_text(json.dumps({"tol_identity": tol}))
+        argv += ["--config", str(cfg)]
+    runs = []
+    with np.errstate(over="ignore"):
+        for run in (main, _parent_main):
+            code = run(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+    return runs
+
+
+def _field_values(domain, nodes, n):
+    """A degree-4 triholomorphic field on a box, random values on a torus."""
+    if domain == "box":
+        poly = fields.standard_triholomorphic_field(seed=3, degree=4)
+        return GridField.from_function(poly, 1, 1, nodes, L=0.5, materialize=True).values
+    return np.random.default_rng(nodes).normal(size=(nodes,) * 4 + (4 * n,))
+
+
+@pytest.mark.parametrize("domain, nodes, n", [
+    ("box", 13, 1),    # rows 2, 5, 8: planes 0, 10, 11, 12 unread
+    ("box", 7, 1),     # rows 2, 3, 4: consecutive rows share planes
+    ("torus", 8, 2),   # rows 2 .. 5, and two target quaternions
+    ("torus", 11, 1),  # rows 2, 4, 6, 8
+])
+def test_identity_check_field_report_matches_the_parent_bytes(domain, nodes, n, tmp_path,
+                                                              capsys):
+    path = tmp_path / "u.fld1"
+    save_fld1(GridField(1, n, domain, 0.5, (nodes,) * 4,
+                        values=_field_values(domain, nodes, n)), path)
+    new, old = _both_identity_checks(path, capsys)
+    assert new == old
+    assert new[0] in (0, 1) and new[1] and new[2] == ""
+    # a tolerance between the field's defects and 0 fails both the same way
+    new, old = _both_identity_checks(path, capsys, tol=5e-324)
+    assert new == old and new[0] == 1
+
+
+def _set(values, node, value):
+    values = values.copy()
+    values[node] = value
+    return values
+
+
+@pytest.mark.parametrize("defect, reason", [
+    # NaN in a plane that no jet reads (planes 1 .. 9 are read): one past the
+    # last picked row's neighbour, and the last value of the last plane
+    ("nan 10", "bad field file: field values must be finite"),
+    ("nan 12", "bad field file: field values must be finite"),
+    # NaN in a plane the jets read, at a node none of them reads
+    ("nan 5", "bad field file: field values must be finite"),
+    # a jet at node (5, 2, 2, 2) overflows; alone it is the reason, but a
+    # NaN in a plane after it is reported first, as the whole load was
+    ("overflow", "error: jet entries at node (5, 2, 2, 2) must be finite"),
+    ("overflow nan 12", "bad field file: field values must be finite"),
+])
+def test_a_bad_field_exits_2_as_the_parent_did(defect, reason, tmp_path, capsys):
+    values = _field_values("box", 13, 1)
+    if defect.startswith("overflow"):
+        values = _set(_set(values, (6, 2, 2, 2, 0), 1e308), (4, 2, 2, 2, 0), -1e308)
+    if "nan" in defect:
+        plane = int(defect.split()[-1])
+        values = _set(values, (12, 12, 12, 12, 3) if plane == 12 else (plane, 0, 1, 0, 2),
+                      np.nan)
+    path = tmp_path / "u.fld1"
+    save_fld1(GridField(1, 1, "box", 0.5, (13,) * 4, values=np.zeros_like(values)), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:raw.index(b"\n") + 1] + values.astype("<f8").tobytes())
+    new, old = _both_identity_checks(path, capsys)
+    assert new == old
+    assert new[0] == 2 and new[1] == "" and new[2].startswith(reason)
+
+
+def test_identity_check_holds_a_few_planes_of_its_field(tmp_path):
+    # a 21^4 field: 6.2 MB of payload in planes of 0.3 MB, of which the
+    # check holds at most three, where loading the whole field held all 21
+    path = tmp_path / "u.fld1"
+    save_fld1(GridField(1, 1, "box", 0.5, (21,) * 4, values=_field_values("box", 21, 1)), path)
+    payload = 8 * 4 * 21**4
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code = main(["identity-check", "--jets", "10", "--field", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out.read_text())["jets_tested"] == 10 + 4**4
+    assert peak <= payload / 4
 
 
 def test_bad_config_field(tmp_path, capsys):

@@ -3,13 +3,23 @@ patched into the name it reads.  A check that passes on a wrong program
 shows nothing about the right one."""
 
 import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 
 import test_acceptance
 import test_norms
 import test_poisson
+from fueterlab import cli
+from fueterlab.fields import (
+    GridField,
+    energy_identity_defects,
+    save_fld1,
+    standard_triholomorphic_field,
+    triholo_residual,
+)
 from fueterlab.norms import lorentz_21, lorentz_interpolation_check
 from fueterlab.poisson import w21_norm
 
@@ -27,10 +37,18 @@ W21_MUTANTS = {
     (test_poisson, "test_w21_regression_bound_over_suite"),
 ])
 def test_the_w21_band_fails_on_a_w21_norm_mutant(module, check, mutant, monkeypatch, capsys):
-    # capsys keeps the criterion's FAIL line out of `pytest -s` output
     monkeypatch.setattr(module, "w21_norm", W21_MUTANTS[mutant])
     with pytest.raises(AssertionError):
         getattr(module, check)()
+    _printed_only_fail(capsys, 1 if module is test_acceptance else 0)
+
+
+def _printed_only_fail(capsys, lines):
+    """The check printed `lines` lines, and each says FAIL: the check failed
+    for its criterion's reason.  They are read here, so `pytest -s` does not
+    print them."""
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == lines and all("[FAIL]" in line for line in out)
 
 
 def _nan_on_call(fn, n):
@@ -70,8 +88,43 @@ LORENTZ_MUTANTS = {
 
 
 @pytest.mark.parametrize("mutant", sorted(LORENTZ_MUTANTS))
-def test_criterion_9_fails_on_a_lorentz_mutant(mutant, monkeypatch):
+def test_criterion_9_fails_on_a_lorentz_mutant(mutant, monkeypatch, capsys):
     name, make = LORENTZ_MUTANTS[mutant]
     monkeypatch.setattr(test_acceptance, name, make())
     with pytest.raises(AssertionError):
         test_acceptance.test_09_lorentz_machinery()
+    _printed_only_fail(capsys, 1)
+
+
+def _identity_quarter(As, S_dom, S_tar):
+    """energy_identity_defects with its 1/8 replaced by 1/4: the defect grows
+    by |R|^2 / 8, which is 0 only on a triholomorphic jet."""
+    R = triholo_residual(np.asarray(As, dtype=float), S_dom, S_tar)
+    return energy_identity_defects(As, S_dom, S_tar) + 0.125 * np.einsum("nab,nab->n", R, R)
+
+
+def test_criterion_1_fails_on_an_energy_identity_mutant(monkeypatch, capsys):
+    monkeypatch.setattr(test_acceptance, "energy_identity_defects", _identity_quarter)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_01_energy_identity()
+    _printed_only_fail(capsys, 1)
+
+
+def test_identity_check_on_a_field_fails_on_an_energy_identity_mutant(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the mutant reaches only the field's jets (the second batch), so the
+    # field's part of the check is what must fail: the discrete jets of a
+    # degree-4 triholomorphic field carry an O(h^2) residual
+    calls = itertools.count(1)
+    monkeypatch.setattr(cli, "energy_identity_defects", lambda *args: (
+        _identity_quarter if next(calls) == 2 else energy_identity_defects)(*args))
+    poly = standard_triholomorphic_field(seed=3, degree=4)
+    path = tmp_path / "u.fld1"
+    save_fld1(GridField.from_function(poly, 1, 1, 13, L=0.5, materialize=True), path)
+    code = cli.main(["identity-check", "--jets", "100", "--field", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert next(calls) == 3  # the random jets, then the field's
+    assert code == 1 and rep["passed"] is False and rep["error"] == "identity-defect"
+    monkeypatch.undo()
+    assert cli.main(["identity-check", "--jets", "100", "--field", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fueterlab import stencil
+from fueterlab import poisson, stencil
 from fueterlab.fields import GridField, dirichlet_energy, triholomorphic_suite
 from fueterlab.norms import ScalarGrid
 from fueterlab.poisson import (
@@ -536,11 +536,13 @@ def test_non_contraction_matches_the_parent_implementation():
 
 
 def test_fixed_point_solve_holds_a_fixed_set_of_grid_buffers():
-    # beyond the problem's own arrays a solve holds the operator's six grids
-    # (Delta chi, the d_a chi, the source), its buffers, the iterate and the
-    # next one, and the spectral solve's passes: 16.1 grids at N = 16, where
-    # the solver that stored its chi mu_ij and chi tau_j products and
-    # allocated every temporary peaked at 32.4
+    # beyond the problem's own arrays a solve holds chi and w padded by one
+    # periodic layer (1.6 grids each at N = 16), the operator's output, the
+    # W^{1,1} buffer, the iterate and the next one, and the spectral solve's
+    # passes: 11.2 grids at N = 16.  The operator that stored Delta chi, the
+    # d_a chi and the source as whole grids peaked at 16.1, and the solver
+    # that stored its chi mu_ij and chi tau_j products and allocated every
+    # temporary at 32.4
     N = 16
     P = default_problem(N=N, seed=3)
     tracemalloc.start()
@@ -549,7 +551,28 @@ def test_fixed_point_solve_holds_a_fixed_set_of_grid_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * N**4) <= 17.0
+    assert peak / (8 * N**4) <= 12.0
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3, 5, 40])
+@pytest.mark.parametrize("make, N", [("default", 9), ("default", 12), ("manufactured", 11),
+                                     ("constant", 10)])
+def test_rhs_operator_matches_the_parent_over_any_block_of_planes(make, N, planes,
+                                                                   monkeypatch):
+    # blocks of 1, 2, 3 and 5 planes divide some of these N and not others,
+    # and 40 planes make one block of the whole grid
+    monkeypatch.setattr(poisson, "_RHS_PLANES", planes)
+    if make == "default":
+        P = default_problem(N=N, seed=3)
+    elif make == "manufactured":
+        P = manufactured_problem(N=N, seed=1)[0]
+    else:
+        P = _oracle_problem("constant")
+    rng = np.random.default_rng(N)
+    rhs, want = _rhs_operator(P), _parent_rhs_operator(P)
+    for _ in range(2):  # a second call reuses the operator's buffers
+        w = rng.normal(size=P.f.values.shape)
+        assert rhs(w).tobytes() == want(w).tobytes()
 
 
 def _expanded(P):
