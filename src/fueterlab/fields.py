@@ -789,7 +789,13 @@ class FueterPolynomialMap:
             if buf is None or buf.shape[1] != part.shape[0]:
                 buf = np.empty((len(exps), part.shape[0]))
             M = self._monomials_t(part, exps, out=buf)
-            out[k : k + chunk] = M.T @ coefs
+            # M.T @ coefs bit for bit, 4 columns at a time (on one thread
+            # OpenBLAS adds 16 swapped columns in another order).  A first
+            # M.T @ coefs on 29,791 points raised a fresh process's RSS by
+            # 4.6 MB (OpenBLAS's second thread packs the tall operand), this
+            # form by 1.3 MB; 33^4 materializes in 0.12-0.14 s (0.13-0.15 s)
+            for g in range(0, coefs.shape[1], 4):
+                out[k : k + chunk, g : g + 4] = (coefs[:, g : g + 4].T @ M).T
         return out.reshape(pts.shape[:-1] + coefs.shape[1:])
 
     def value(self, pts):

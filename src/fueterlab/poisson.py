@@ -10,6 +10,7 @@ roundoff, not merely to O(h^2).
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -47,34 +48,40 @@ class NonContractionError(RuntimeError):
         self.ratios = list(ratios)
 
 
-def _laplacian_symbol(shape, h):
-    sym = 0.0
+def _symbol_axes(shape, h):
+    """The central-difference Laplacian's symbol per axis, shaped to broadcast."""
+    lams = []
     for a, N in enumerate(shape):
         k = np.fft.fftfreq(N) * N
         lam = (2.0 * np.cos(2.0 * np.pi * k / N) - 2.0) / h**2
-        shp = [1] * len(shape)
-        shp[a] = N
-        sym = sym + lam.reshape(shp)
-    return sym
+        lams.append(lam.reshape([N if b == a else 1 for b in range(len(shape))]))
+    return lams
 
 
-def poisson_solve(f: ScalarGrid) -> ScalarGrid:
+def poisson_solve(f: ScalarGrid, spectrum=None, out=None) -> ScalarGrid:
     """Solve the central-difference Laplace equation on the torus:
-    Delta_h v = f - mean(f) with mean(v) = 0.  The spectrum is divided in
-    place, and v is a real copy that keeps no complex grid alive."""
+    Delta_h v = f - mean(f) with mean(v) = 0.  The spectrum is transformed
+    and divided in place (one axis-0 plane at a time): in `spectrum` if
+    given, a complex grid whose real part may hold f's values.  v is written
+    into `out` if given."""
     vals = f.values
-    F = np.fft.fftn(vals)
-    sym = _laplacian_symbol(vals.shape, f.h)
-    keep = np.abs(sym) > 1e-300
-    np.divide(F, sym, out=F, where=keep)
-    F[~keep] = 0.0
+    F = np.empty(vals.shape, complex) if spectrum is None else spectrum
+    F.real = vals
+    F.imag = 0.0
+    np.fft.fftn(F, out=F)
+    lam0, *lams = _symbol_axes(vals.shape, f.h)
+    for i in range(vals.shape[0]):
+        # the symbol on plane i, its axis terms added in the whole grid's order
+        sym, Fi = sum(lams, 0.0 + lam0[i : i + 1]), F[i : i + 1]
+        np.divide(Fi, sym, out=Fi, where=(keep := np.abs(sym) > 1e-300))
+        Fi[~keep] = 0.0
     F[(0,) * vals.ndim] = 0.0
-    del sym, keep
-    # np.fft.ifftn written out: its passes, one axis at a time from the last,
-    # where each frees the one before (ifftn's argument outlives them all)
+    # np.fft.ifftn written out in place: one pass per axis, from the last
     for a in reversed(range(vals.ndim)):
-        F = np.fft.ifft(F, axis=a)
-    return f.like(F.real.copy())
+        np.fft.ifft(F, axis=a, out=F)
+    out = np.empty(vals.shape) if out is None else out
+    out[...] = F.real
+    return f.like(out)
 
 
 @dataclass
@@ -145,45 +152,55 @@ def _coef(arr, ij, shape):
     return np.broadcast_to(arr[ij], shape)
 
 
-# axis-0 planes per block of `_rhs_operator`.  fixed_point_solve of
-# default_problem(seed=3) on 2 cores, median of 3 solves in each of 5 (20^4)
-# or 3 (32^4) processes: at 20^4 0.65 s with 2 planes, 0.60 s with 4 and
-# 0.80 s with 1, against 0.67 s on whole grids; at 32^4 5.5 s with 2 or 4
-# against 6.1 s.  Its traced peak at 16^4 is 11.1 grids with 2 planes, 11.4
+# axis-0 planes per block of `_wrapped_blocks`.  fixed_point_solve of
+# default_problem(seed=3) on 2 cores, median of 3 solves in each of 3
+# processes: at 20^4 0.72 s with 2 planes, 0.85 s with 1 and 0.67 s with 4;
+# at 32^4 4.7 s with 2, 4.9 s with 1 and 4.7 s with 4.  Its traced peak
+# beyond P at 20^4 is 5.2 grids with 2 planes, 5.0 with 1 and 5.7 with 4,
+# and `solve-w21 --grid 20` peaks at 57.7 MB RSS with 2, 57.2 with 1 and 58.3
 # with 4
 _RHS_PLANES = 2
 
 
-def _rhs_operator(P: PerturbedProblem, wp=None):
-    """w -> RHS(w) of the cutoff equation, in the operator's own output
-    buffer, which the next call overwrites.  chi is wrapped once by one
-    periodic layer, and each call wraps w into `wp` (that padded shape).
-    Then, over blocks of _RHS_PLANES axis-0 planes, Delta chi, each d_a chi,
-    chi mu_ij and chi tau_j, each difference of w and the source are formed
-    from the block's slices into two block-sized buffers and added into the
-    output's block in the term-by-term formula's order, so every bit stays."""
+def _wrapped_blocks(v):
+    """(b, vb) for each block b of _RHS_PLANES axis-0 planes of the torus
+    grid v: vb, in one buffer, holds planes b.start - 1 ... b.stop of v
+    (round the torus), each padded by `stencil.wrap`, so the box differences
+    of vb are v's torus differences on the planes of b."""
+    N = v.shape[0]
+    buf = np.empty((min(_RHS_PLANES, N) + 2,) + tuple(n + 2 for n in v.shape[1:]))
+    for lo in range(0, N, _RHS_PLANES):
+        b = slice(lo, min(lo + _RHS_PLANES, N))
+        vb = buf[: b.stop - lo + 2]
+        for p, i in enumerate(range(lo - 1, b.stop + 1)):
+            stencil.wrap(v[i % N], vb[p])
+        yield b, vb
+
+
+def _rhs_operator(P: PerturbedProblem, out=None):
+    """w -> RHS(w) of the cutoff equation, in `out` (by default a grid of
+    the operator's own), which the next call overwrites.  Over the blocks of
+    `_wrapped_blocks` of chi and of w, Delta chi, each d_a chi, chi mu_ij and
+    chi tau_j, each difference of w and the source are formed into two
+    block-sized buffers and added into the output's block in the
+    term-by-term formula's order, so every bit stays."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
-    N = chi.shape[0]
     sq = np.broadcast_to(P.sqrt_g if P.sqrt_g is not None else 1.0, chi.shape)
-    chip = stencil.wrap(chi)
     mu = [(i, j, c) for i, j in np.ndindex(d, d)
           if np.any(c := _coef(P.mu, (i, j), chi.shape))]
     tau = [(j, c) for j in range(d) if np.any(c := _coef(P.tau, j, chi.shape))]
-    wp = np.empty_like(chip) if wp is None else wp
-    out = np.empty_like(chi)
-    block = (min(_RHS_PLANES, N),) + chi.shape[1:]
+    out = np.empty_like(chi) if out is None else out
+    block = (min(_RHS_PLANES, chi.shape[0]),) + chi.shape[1:]
     dchi, diff = np.empty(block), np.empty(block)
 
     def rhs(w):
-        stencil.wrap(w, wp)
-        for lo in range(0, N, _RHS_PLANES):
-            b = slice(lo, min(lo + _RHS_PLANES, N))
-            k = b.stop - lo
-            cp, wb = chip[lo:b.stop + 2], wp[lo:b.stop + 2]
+        for (b, cp), (_, wb) in zip(_wrapped_blocks(chi), _wrapped_blocks(w)):
+            k = b.stop - b.start
             dc, df = dchi[:k], diff[:k]  # dc holds each chi coefficient too
-            acc = np.multiply(stencil.laplacian(cp, h, False), w[b], out=out[b])
+            acc = stencil.laplacian(cp, h, False, out=out[b])
+            acc *= w[b]
             for a in range(d):
                 dw = stencil.d1(wb, a, h, False, out=df)
                 acc += np.multiply(stencil.d1(cp, a, h, False, out=dc), dw, out=df)
@@ -200,11 +217,6 @@ def _rhs_operator(P: PerturbedProblem, wp=None):
     return rhs
 
 
-def _scratch(shape):
-    """Buffers for a grid of `shape` wrapped by one periodic layer, and for one grid."""
-    return np.empty(tuple(n + 2 for n in shape)), np.empty(shape)
-
-
 def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
     """One sweep of the scheme: solve Delta v = RHS(w) with RHS built from the
     cutoff terms, the small coefficients, and the source (all derivatives
@@ -214,13 +226,14 @@ def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
     return poisson_solve(P.f.like(_rhs_operator(P)(w.values)))
 
 
-def _w11(v, h, scratch=None):
-    """The W^{1,1} norm of v on the torus, in the buffers of `scratch`."""
-    vp, buf = scratch or _scratch(v.shape)
-    stencil.wrap(v, vp)
-    total = np.abs(v, out=buf).sum()
+def _w11(v, h, grid=None):
+    """The W^{1,1} norm of v on the torus, in a grid buffer."""
+    grid = np.empty_like(v) if grid is None else grid
+    total = np.abs(v, out=grid).sum()
     for a in range(v.ndim):
-        total += np.abs(stencil.d1(vp, a, h, False, out=buf), out=buf).sum()
+        for b, vb in _wrapped_blocks(v):
+            stencil.d1(vb, a, h, False, out=grid[b])
+        total += np.abs(grid, out=grid).sum()
     return float(total * h**v.ndim)
 
 
@@ -234,16 +247,20 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
     iteration stalls without converging.
     """
     h = P.f.h
-    v = np.zeros_like(P.f.values)
+    shape = P.f.values.shape
+    # four whole grids: v, nxt (the right-hand side, then the next iterate)
+    # and one spectrum, whose memory then serves as a contiguous float grid
+    spectrum = np.empty(shape, complex)
+    grid = spectrum.view(float).ravel()[: math.prod(shape)].reshape(shape)
+    v, nxt = np.zeros(shape), np.empty(shape)
     prev_diff = None
     ratios = []
     flat_count = 0
-    scratch = _scratch(v.shape)
-    rhs = _rhs_operator(P, scratch[0])
+    rhs = _rhs_operator(P, nxt)
     for it in range(1, max_iter + 1):
-        v_next = poisson_solve(P.f.like(rhs(v))).values
-        # the increment v_next - v takes the place of v, which is done with
-        diff = _w11(np.subtract(v_next, v, out=v), h, scratch)
+        poisson_solve(P.f.like(rhs(v)), spectrum, nxt)
+        # the increment nxt - v takes the place of v, which is done with
+        diff = _w11(np.subtract(nxt, v, out=v), h, grid)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
             ratios.append(ratio)
@@ -253,15 +270,15 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
                     f"non-contraction: ratio held at {ratio:.4f} for 3 steps", ratios
                 )
         prev_diff = diff
-        v = v_next
+        np.copyto(v, nxt)
         if diff < tol:
             # residual of the cutoff equation, in the L1 metric matching the
             # W^{1,1} convergence norm; keep sweeping until it clears 10 tol
             r = rhs(v)
             r -= r.mean()
-            # box differences of v wrapped are its torus differences
-            res_abs = stencil.laplacian(stencil.wrap(v, scratch[0]), h, False)
-            res_abs -= r
+            for b, vb in _wrapped_blocks(v):
+                stencil.laplacian(vb, h, False, out=grid[b])
+            res_abs = np.subtract(grid, r, out=grid)
             np.abs(res_abs, out=res_abs)
             residual = float(res_abs.sum() * h**v.ndim)
             if residual >= 10.0 * tol and it < max_iter:
@@ -269,7 +286,7 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
             stats = {
                 "iterations": it,
                 "converged": True,
-                "contraction": float(np.median(ratios[-5:])) if ratios else 0.0,
+                "contraction": _median(ratios[-5:]) if ratios else 0.0,
                 "ratios": ratios,
                 "residual": residual,
                 "residual_sup": float(res_abs.max()),
@@ -285,6 +302,14 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
         f"did not reach tol={tol} in {max_iter} iterations (ratio {last:.4f}); "
         "increase max_iter"
     )
+
+
+def _median(xs):
+    """np.median of a few floats, to the bit, without the numpy.ma import of
+    its NaN check, which added 0.8 MB to `solve-w21 --grid 20`'s peak RSS."""
+    s = sorted(xs)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +363,14 @@ def _copy_range(block, v, out):
 # canned problems
 
 
-def smoothstep(s):
-    """Quintic smoothstep: 0 below 0, 1 above 1, C^2 in between."""
-    s = np.clip(s, 0.0, 1.0)
-    return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
+def smoothstep(s, out=None):
+    """Quintic smoothstep: 0 below 0, 1 above 1, C^2 in between; written
+    into `out` (which may be s) when given."""
+    s = np.clip(s, 0.0, 1.0, out=out)
+    poly = 10.0 - 15.0 * s + 6.0 * s * s
+    s **= 3
+    s *= poly
+    return s
 
 
 def smoothstep_slope(s):
@@ -356,8 +385,11 @@ def radial_cutoff(shape, h, inner, outer, center=None):
     d = len(shape)
     if center is None:
         center = np.full(d, shape[0] * h / 2.0)
-    rho = np.sqrt(sum((x - c) ** 2 for x, c in zip(_grid_axes(shape, h), center)))
-    return 1.0 - smoothstep((rho - inner) / (outer - inner))
+    s = sum((x - c) ** 2 for x, c in zip(_grid_axes(shape, h), center))
+    np.sqrt(s, out=s)
+    s -= inner
+    s /= outer - inner
+    return np.subtract(1.0, smoothstep(s, out=s), out=s)
 
 
 def _grid_axes(shape, h):
@@ -368,14 +400,17 @@ def _grid_axes(shape, h):
 def _smooth_random(shape, h, rng):
     axes = _grid_axes(shape, h)
     L = shape[0] * h
-    out = np.zeros(shape)
+    out, arg = np.zeros(shape), np.empty(shape)
     for _ in range(4):
         kvec = rng.integers(1, 3, size=len(shape))
         phase = rng.uniform(0, 2 * np.pi)
         amp = rng.normal()
-        arg = sum(2 * np.pi * k * x / L for k, x in zip(kvec, axes)) + phase
-        out += amp * np.sin(arg)
-    return out / max(1e-12, np.abs(out).max())
+        terms = [2 * np.pi * k * x / L for k, x in zip(kvec, axes)]
+        np.add(sum(terms[:-1]), terms[-1], out=arg)  # the one whole-grid addition
+        arg += phase
+        out += np.multiply(amp, np.sin(arg, out=arg), out=arg)
+    out /= max(1e-12, np.abs(out, out=arg).max())
+    return out
 
 
 def default_problem(N=16, magnitude=0.05, seed=0):
@@ -401,7 +436,8 @@ def default_problem(N=16, magnitude=0.05, seed=0):
     tau = np.zeros((d,) + shape)
     for j in range(d):
         tau[j] = magnitude * _smooth_random(shape, h, rng)
-    src = _smooth_random(shape, h, rng) * radial_cutoff(shape, h, 0.10 * L, 0.20 * L)
+    src = _smooth_random(shape, h, rng)
+    src *= radial_cutoff(shape, h, 0.10 * L, 0.20 * L)
     return PerturbedProblem(chi, mu, tau, ScalarGrid(src, h))
 
 

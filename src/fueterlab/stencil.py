@@ -14,7 +14,8 @@ The grid functions `d1`, `d2` and `laplacian` act on arrays whose first
 take neighbours by slices and return only the nodes one step inside every
 edge, where each stencil is defined.  On a torus they pad the grid axes once
 by one periodic layer (`wrap`), which makes a box whose result is every node
-of the torus.  `d1`, `d2` and `wrap` take `out=` as the formulas do.
+of the torus.  `d1`, `d2`, `laplacian` and `wrap` take `out=` as the
+formulas do.
 
 `FlatBlock` is the same box differences on a C-contiguous block raveled to
 one axis.  There the neighbour x + sum_a s_a h e_a of every node of the
@@ -113,10 +114,11 @@ def d2(v, a, b, h, periodic, ndim=None, out=None):
     return _second_along(lambda steps: _at(v, nd, steps), a, b, h, out)
 
 
-def laplacian(v, h, periodic, ndim=None):
+def laplacian(v, h, periodic, ndim=None, out=None):
     """Sum of the second differences along every grid axis."""
     v, nd = _box(v, periodic, ndim)
-    out = np.zeros(_at(v, nd, {}).shape)
+    out = np.empty(_at(v, nd, {}).shape) if out is None else out
+    out[...] = 0.0
     buf = np.empty_like(out)
     for a in range(nd):
         out += d2(v, a, a, h, False, nd, buf)

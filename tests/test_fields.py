@@ -577,6 +577,46 @@ def test_value_matches_the_parent_evaluator_past_one_chunk():
     assert poly.value(pts).tobytes() == _parent_value(poly, pts).tobytes()
 
 
+def _parent_evaluate(poly, pts, exps, coefs):
+    # verbatim copy of FueterPolynomialMap._evaluate from before it formed
+    # (coefs.T @ M).T: one M.T @ coefs over every column
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, 4)
+    out = np.empty((flat.shape[0], coefs.shape[1]))
+    chunk = 1 << 19
+    buf = None
+    for k in range(0, flat.shape[0], chunk):
+        part = flat[k : k + chunk]
+        if buf is None or buf.shape[1] != part.shape[0]:
+            buf = np.empty((len(exps), part.shape[0]))
+        M = poly._monomials_t(part, exps, out=buf)
+        out[k : k + chunk] = M.T @ coefs
+    return out.reshape(pts.shape[:-1] + coefs.shape[1:])
+
+
+@pytest.mark.parametrize("points", [1, 100, 35937, (1 << 19) + 5])
+def test_evaluate_matches_the_parent_product_bitwise(points):
+    # the value table (4 columns) and the jacobian table (16)
+    pts = np.random.default_rng(points).uniform(-1.0, 1.0, size=(points, 4))
+    for poly in (triholomorphic_suite()[1], triholomorphic_suite()[4]):
+        for exps, coefs in poly._expand():
+            got = poly._evaluate(pts, exps, coefs)
+            assert got.tobytes() == _parent_evaluate(poly, pts, exps, coefs).tobytes()
+
+
+def test_evaluate_matches_the_parent_product_on_one_blas_thread():
+    # one OpenBLAS thread adds (coefs.T @ M).T over all 16 jacobian columns
+    # in another order than M.T @ coefs at 35,937 points, and over 4 in the same
+    here = Path(__file__).resolve()
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::test_evaluate_matches_the_parent_product_bitwise"],
+        capture_output=True, text=True, cwd=here.parent.parent,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "4 passed" in run.stdout
+
+
 # ---------------------------------------------------------------------------
 # energies, Laplacians, closedness
 

@@ -729,3 +729,84 @@ def test_ball_pass_reads_the_parent_blocks_in_the_parent_order(monkeypatch):
     want = reads()
     assert got == want
     assert not u.is_dense()
+
+
+def _parent_cell_weights(u: GridField, center, radii):
+    # verbatim copy from before the near band's subcell distances were formed
+    # over fixed chunks of nodes: one (M, 81) array for the whole band
+    if not len(radii):
+        raise ValueError("nothing to integrate")
+    offsets = _subcell_offsets(u.dim, u.h)
+    offsets_sq = np.sum(offsets**2, axis=1)
+    band = math.sqrt(offsets_sq.max()) * (1.0 + 1e-9)
+    d2_buf = np.empty((0, len(offsets)))
+    halfdiag = u.h * math.sqrt(u.dim) / 2.0
+    for pts, rho_sq, du in monotone._ball_slabs(u, center, max(radii) + halfdiag):
+        rho = np.sqrt(rho_sq)
+        diff = pts - center
+        w = [np.zeros(len(rho)) for _ in radii]
+        for k, r in enumerate(radii):
+            w[k][rho <= r - band] = 1.0
+            near = np.nonzero(np.abs(rho - r) <= band)[0]
+            if len(near):
+                if len(d2_buf) < len(near):
+                    d2_buf = np.empty((len(near), len(offsets)))
+                d2 = np.matmul(diff[near], offsets.T, out=d2_buf[: len(near)])
+                d2 *= 2.0
+                d2 += rho_sq[near, None]
+                d2 += offsets_sq
+                w[k][near] = np.count_nonzero(d2 <= r * r, axis=-1) / d2.shape[1]
+        yield pts, rho_sq, du, w
+
+
+def _near_band_sizes(u, center, r):
+    """The near-band node count of each slab of the ball pass at radius r."""
+    offsets = _subcell_offsets(u.dim, u.h)
+    band = math.sqrt(np.sum(offsets**2, axis=1).max()) * (1.0 + 1e-9)
+    halfdiag = u.h * math.sqrt(u.dim) / 2.0
+    return [int(np.count_nonzero(np.abs(np.sqrt(rho_sq) - r) <= band))
+            for _, rho_sq, _ in monotone._ball_slabs(u, center, r + halfdiag)]
+
+
+@pytest.mark.parametrize("chunk", [7, 256, 2048])
+@pytest.mark.parametrize("nodes, L, radii", [
+    (29, 0.55, [0.4]),  # near bands of 0 to 1,682 nodes
+    (17, 0.55, [0.05, 0.1, 0.23, 0.3]),
+    (9, 0.55, [0.06]),  # a ball of a few nodes
+])
+def test_cell_weights_match_the_parent_bitwise(nodes, L, radii, chunk, monkeypatch):
+    monkeypatch.setattr(monotone, "_NEAR_CHUNK", chunk)
+    u = poly_grid(nodes=nodes, L=L)
+    for center in (ORIGIN, np.array([0.003, -0.006, 0.0045, 0.0015])):
+        got = list(monotone._cell_weights(u, center, radii))
+        want = list(_parent_cell_weights(u, center, radii))
+        assert len(got) == len(want) > 0
+        for (p, q, du, w), (wp, wq, wdu, ww) in zip(got, want):
+            assert p.tobytes() == wp.tobytes() and q.tobytes() == wq.tobytes()
+            assert du.tobytes() == wdu.tobytes()
+            assert [x.tobytes() for x in w] == [x.tobytes() for x in ww]
+
+
+def test_cell_weights_hold_the_near_band_in_chunks(monkeypatch):
+    # the parent held a slab's whole near band of subcell distances at once,
+    # an (M, 81) array; the chunks hold at most two of _NEAR_CHUNK rows (the
+    # next one is formed while the last is still bound), whatever the band
+    import tracemalloc
+
+    chunk = 256
+    monkeypatch.setattr(monotone, "_NEAR_CHUNK", chunk)
+    u = poly_grid(nodes=29, L=0.55)
+    near = max(_near_band_sizes(u, ORIGIN, 0.4))
+    assert near > 4 * chunk
+
+    def peak(weights):
+        tracemalloc.start()
+        try:
+            for _ in weights(u, ORIGIN, [0.4]):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    saved = peak(_parent_cell_weights) - peak(monotone._cell_weights)
+    assert saved >= 0.9 * (near - 2 * chunk) * 81 * 8

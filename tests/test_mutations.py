@@ -21,7 +21,7 @@ from fueterlab.fields import (
     triholo_residual,
 )
 from fueterlab.norms import lorentz_21, lorentz_interpolation_check
-from fueterlab.poisson import w21_norm
+from fueterlab.poisson import PerturbedProblem, fixed_point_solve, w21_norm
 
 W21_MUTANTS = {
     "zero": lambda u: 0.0,
@@ -128,3 +128,17 @@ def test_identity_check_on_a_field_fails_on_an_energy_identity_mutant(tmp_path, 
     monkeypatch.undo()
     assert cli.main(["identity-check", "--jets", "100", "--field", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def _solve_without_tau(P, *args, **kwargs):
+    """fixed_point_solve with the tau_j d_j w term dropped: P's tau is zeros."""
+    P = PerturbedProblem(P.chi, P.mu, np.zeros(P.f.d), P.f, P.sqrt_g)
+    return fixed_point_solve(P, *args, **kwargs)
+
+
+def test_criterion_6_fails_on_a_solver_that_drops_tau(monkeypatch, capsys):
+    # the manufactured source holds tau_j d_j w*, so the recovery misses w*
+    monkeypatch.setattr(test_acceptance, "fixed_point_solve", _solve_without_tau)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_06_fixed_point_scheme()
+    _printed_only_fail(capsys, 1)
