@@ -76,8 +76,9 @@ class GridField:
     [-L,L]^{4m}) into R^{4n}.
 
     Either ``values`` (shape ``shape + (4n,)``) or ``fn`` (vectorized callable
-    on (..., 4m) points) must be given.  All axes share the spacing h; a box
-    needs at least 5 nodes per axis for the central stencils.
+    from (..., 4m) points to (..., 4n) values) must be given.  All axes share
+    the spacing h; a box needs at least 5 nodes per axis for the central
+    stencils.
     """
 
     def __init__(self, m, n, domain, L, shape, values=None, fn=None):
@@ -174,8 +175,17 @@ class GridField:
         multilinear interpolation for dense ones."""
         pts = np.asarray(pts, dtype=float)
         if self._fn is not None:
-            return _finite(np.asarray(self._fn(pts), dtype=float))
+            return self._call(pts)
         return self._interpolate(pts)
+
+    def _call(self, pts):
+        """The callable's values at pts (..., 4m), which must have the shape
+        pts.shape[:-1] + (4n,): one row of 4n components per point."""
+        vals = np.asarray(self._fn(pts), dtype=float)
+        want = pts.shape[:-1] + (self.target_dim,)
+        if vals.shape != want:
+            raise ValueError(f"fn must return shape nodes + (4n,) = {want}, got {vals.shape}")
+        return _finite(vals)
 
     def block(self, index):
         """Values on the grid nodes that `index` selects: an int or a slice per
@@ -192,7 +202,7 @@ class GridField:
         for a, x in enumerate(axes):
             k -= x.ndim  # sliced axes after this one, so x lines up with its own
             pts[..., a] = x.reshape((-1,) + (1,) * k) if x.ndim else x
-        return _finite(np.asarray(self._fn(pts), dtype=float))
+        return self._call(pts)
 
     def slab(self, i):
         """Values on the hyperplane of axis-0 index i (wrapped on a torus)."""
@@ -288,39 +298,36 @@ def triholo_residual(A, S_dom: StructureTriple, S_tar: StructureTriple, connecti
     return R
 
 
-_identity_table_cache = {}
+def _pairing_table(P):
+    """The skew K with (P ^ G)(vol) = sum_{a<b} K[a,b] G_ab for every 2-form G,
+    for a (dim - 2)-form P, from the exterior algebra; linear in P."""
+    d = P.n
+    K = np.zeros((d, d))
+    for (a, b) in index_tuples(d, 2):
+        top = wedge(P, basis_form(d, (a, b)))
+        K[a, b] = top.coeffs[0]
+        K[b, a] = -top.coeffs[0]
+    return K
 
 
 def _identity_tables(S_dom, S_tar):
-    """Pairing tables K_l with (alpha_l^(2m-1) ^ G)(vol) = sum_{a<b} K_l[a,b] G_{ab},
-    computed once per pair of triples from the honest exterior algebra."""
-    key = tuple(M.tobytes() for S in (S_dom, S_tar) for M in S.mats())
-    if key in _identity_table_cache:
-        return _identity_table_cache[key]
-    m = S_dom.d
-    dm = S_dom.dim
-    tables = []
-    for which in ("i", "j", "k"):
-        alpha = kaehler_form(S_dom, which)
-        P = wedge_power(alpha, 2 * m - 1)
-        K = np.zeros((dm, dm))
-        for (a, b) in index_tuples(dm, 2):
-            top = wedge(P, basis_form(dm, (a, b)))
-            K[a, b] = top.coeffs[0]
-            K[b, a] = -top.coeffs[0]
-        tables.append(K)
-    W = [kaehler_form(S_tar, w).as_matrix() for w in ("i", "j", "k")]
-    _identity_table_cache[key] = (tables, W)
-    return tables, W
+    """(tables, W), each stacked over l = I, J, K: the pairing tables of
+    alpha_l^(2m-1) on the domain (3, 4m, 4m) and the target Kaehler matrices
+    W_l (3, 4n, 4n), built afresh on every call."""
+    P = [wedge_power(kaehler_form(S_dom, w), 2 * S_dom.d - 1) for w in "ijk"]
+    return (np.stack([_pairing_table(p) for p in P]),
+            np.stack([kaehler_form(S_tar, w).as_matrix() for w in "ijk"]))
 
 
-def _wedge_pairing(As, S_dom, S_tar):
-    """sum_l (alpha_l^(2m-1) ^ A*omega_l)(vol) = sum_l 0.5 K_l . (A^T W_l A), batched."""
-    tables, W = _identity_tables(S_dom, S_tar)
+def _wedge_pairing(As, tables, W):
+    """sum_l (alpha_l^(2m-1) ^ A*omega_l)(vol) = sum_l 0.5 K_l . (A^T W_l A)
+    over jets As (N, 4n, 4m): the one pairing of a domain form with a pulled-back
+    target form.  `tables` holds one set (3, 4m, 4m) for every jet, or one set
+    per jet (N, 3, 4m, 4m) for position-dependent domain forms."""
     out = 0.0
-    for K, Wl in zip(tables, W):
+    for ell, Wl in enumerate(W):
         G = np.einsum("nia,ij,njb->nab", As, Wl, As)
-        out = out + 0.5 * np.einsum("ab,nab->n", K, G)
+        out = out + 0.5 * np.einsum("...ab,...ab->...", tables[..., ell, :, :], G)
     return out
 
 
@@ -337,7 +344,8 @@ def energy_identity_defects(As, S_dom: StructureTriple, S_tar: StructureTriple):
     jets the LHS reduces to 1/2 |dv|^2.
     """
     As = np.asarray(As, dtype=float)
-    lhs = -_wedge_pairing(As, S_dom, S_tar) / math.factorial(2 * S_dom.d - 1)
+    tables, W = _identity_tables(S_dom, S_tar)
+    lhs = -_wedge_pairing(As, tables, W) / math.factorial(2 * S_dom.d - 1)
     R = triholo_residual(As, S_dom, S_tar)
     rhs = 0.5 * np.einsum("nab,nab->n", As, As) - 0.125 * np.einsum("nab,nab->n", R, R)
     return lhs - rhs

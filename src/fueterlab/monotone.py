@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencil
-from .fields import GridField, _identity_tables, _planes, _wedge_pairing
+from .exterior import basis_form, index_tuples
+from .fields import GridField, _identity_tables, _pairing_table, _planes, _wedge_pairing
 from .quat import StructureTriple
 
 __all__ = [
@@ -40,18 +41,6 @@ def _subcell_offsets(d, h):
     g = np.array([-h / 3.0, 0.0, h / 3.0])
     mesh = np.meshgrid(*([g] * d), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)  # (3^d, d)
-
-
-def _hodge_dual_pairing(V):
-    """Skew K with sum_{a<b} K_ab G_ab = (V ^ G)(vol) for 2-forms on R^4."""
-    K = np.zeros_like(V)
-    K[..., 0, 1] = V[..., 2, 3]
-    K[..., 0, 2] = -V[..., 1, 3]
-    K[..., 0, 3] = V[..., 1, 2]
-    K[..., 1, 2] = V[..., 0, 3]
-    K[..., 1, 3] = -V[..., 0, 2]
-    K[..., 2, 3] = V[..., 0, 1]
-    return K - np.swapaxes(K, -1, -2)
 
 
 def _ball_slabs(u: GridField, center, reach):
@@ -228,8 +217,8 @@ def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
 
     With flat forms and u triholomorphic the bracket equals -(2m-1)!/2 |du|^2,
     so the values are negative; `perturbation` may supply position-dependent
-    domain 2-forms (m=1 only), as callable points -> (..., 3, 4, 4) skew
-    matrices.
+    domain 2-forms (m=1 only), as a callable from (M, 4) node points to
+    (M, 3, 4, 4) skew matrices.
 
     Returns (values, violation): `values` follow the sweep order; `violation`
     is the largest failure of weak monotonicity of the energy-normalized
@@ -240,20 +229,20 @@ def almost_monotone_sweep(u: GridField, x, radii, perturbation=None):
     if perturbation is not None and u.m != 1:
         raise ValueError("position-dependent forms are supported for m=1 only")
     radii = sorted((float(r) for r in radii), reverse=True)
-    S_dom, S_tar = StructureTriple.standard(u.m), StructureTriple.standard(u.n)
-    W = _identity_tables(S_dom, S_tar)[1]
     d = u.dim
+    tables, W = _identity_tables(StructureTriple.standard(u.m), StructureTriple.standard(u.n))
+    if perturbation is not None:
+        # a node's tables: its forms' coefficients on the basis 2-forms' tables
+        upper = np.triu_indices(d, 1)
+        basis = np.stack([_pairing_table(basis_form(d, J)) for J in index_tuples(d, 2)])
     sums = np.zeros(len(radii))
     for pts, _, du, w in _cell_weights(u, x, radii):
-        if perturbation is None:
-            bracket = _wedge_pairing(du, S_dom, S_tar)
-        else:
-            Vs = np.asarray(perturbation(pts), dtype=float)  # (M, 3, d, d)
-            bracket = 0.0
-            for ell, Wl in enumerate(W):
-                G = np.einsum("mia,ij,mjb->mab", du, Wl, du)
-                Kp = _hodge_dual_pairing(Vs[:, ell])
-                bracket = bracket + 0.5 * np.einsum("mab,mab->m", Kp, G)
+        if perturbation is not None:
+            Vs = np.asarray(perturbation(pts), dtype=float)
+            if Vs.shape != (len(pts), 3, d, d):
+                raise ValueError(f"perturbation must return (nodes, 3, {d}, {d}), got {Vs.shape}")
+            tables = np.einsum("...p,pab->...ab", Vs[..., upper[0], upper[1]], basis)
+        bracket = _wedge_pairing(du, tables, W)
         for k in range(len(radii)):
             sums[k] += float(w[k] @ bracket)
     sums *= u.h**d

@@ -75,7 +75,8 @@ def test_01_energy_identity():
 
 def test_02_linear_kernel():
     dim, basis = triholomorphic_kernel(S1, S1)
-    worst = max(np.linalg.norm(triholo_residual(B, S1, S1)) for B in basis)
+    # an empty kernel prints its line too: the frozen dimension then fails
+    worst = max((np.linalg.norm(triholo_residual(B, S1, S1)) for B in basis), default=0.0)
     # dimension computed by the 16x16 oracle once, frozen as regression value
     report(2, "triholomorphic kernel dim 12, basis residuals < 1e-12",
            dim == 12 and worst < 1e-12, f"(dim {dim}, worst {worst:.2e})")
@@ -285,14 +286,13 @@ def test_11_structure_recovery_and_calibration():
     holo = np.einsum("pij,pj->pi", J_mats, e1)
     zero_worst = float(np.max(np.abs(1.0 - np.einsum("pi,pi->p", holo, holo))))
     # spot-check the vectorized sweep against the API on a few planes
-    for p in range(0, 100_000, 20_000):
-        d_api = calibration_defect(e1[p], e2[p], SphereStructure(*abcs[p]))
-        assert abs(d_api - defects[p]) < 1e-12
-    ok = worst_abc < 1e-8 and worst_defect >= -1e-12 and zero_worst < 1e-12
+    spot = max(abs(calibration_defect(e1[p], e2[p], SphereStructure(*abcs[p])) - defects[p])
+               for p in range(0, 100_000, 20_000))
+    ok = worst_abc < 1e-8 and worst_defect >= -1e-12 and zero_worst < 1e-12 and spot < 1e-12
     report(11, "structure recovery 1e-8 on 1000 jets; Wirtinger defect >= -1e-12 "
                "on 1e5 planes, zero on holomorphic planes",
            ok, f"(abc err {worst_abc:.1e}, min defect {worst_defect:.1e}, "
-               f"holo {zero_worst:.1e})")
+               f"holo {zero_worst:.1e}, API spot check {spot:.1e})")
 
 
 def test_12_determinism(tmp_path, capsys):

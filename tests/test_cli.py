@@ -1,7 +1,8 @@
-import importlib
+import importlib.util
 import json
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fueterlab import bubbletree, cli, fields, stencil
+from fueterlab import bubbletree, cli, fields, monotone, norms, stencil
 from fueterlab.cli import main
 from fueterlab.fields import (
     GridField,
@@ -671,6 +672,22 @@ def test_report_matches_the_golden_bytes(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_matches_the_golden_bytes_on_one_openblas_thread(name, tmp_path):
+    # the goldens above run in-process, on the thread count the test run
+    # inherits; a fresh CLI process on one OpenBLAS thread writes the same bytes
+    argv = list(GOLDEN_REPORTS[name])
+    if "FIELD" in argv:
+        argv[argv.index("FIELD")] = _golden_field(tmp_path / "field.fld1")
+    out = tmp_path / "report"
+    src = Path(cli.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-m", "fueterlab.cli", *argv, "--out", str(out)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # every exported name resolves, so a deletion cannot leave an export behind
 
@@ -683,3 +700,24 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from fueterlab.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_every_bench_probe_resolves():
+    # bench/spans.py (standard library only) wraps these names by string; a
+    # rename or a by-name import dropped from cli breaks the bench, so it
+    # fails here first
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for _, target, _ in spans.PROBES:
+        modname, qualname = target.split(":")
+        obj = importlib.import_module(modname)
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(target)
+    assert missing == []
+    assert cli.ratio_profile is monotone.ratio_profile
+    assert cli.hl_maximal is norms.hl_maximal

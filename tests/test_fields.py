@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fueterlab import fields, stencil
+from fueterlab import stencil
 from fueterlab.exterior import index_tuples
 from fueterlab.fields import (
     FueterPolynomialMap,
@@ -213,6 +213,28 @@ def test_save_fld1_streams_a_function_backed_grid(tmp_path):
     assert (tmp_path / "streamed.fld1").read_bytes() == (tmp_path / "dense.fld1").read_bytes()
 
 
+# a callable of the wrong shape on n = 1, 9 nodes, L = 0.5: the windows read
+# components 0..3 of whatever last axis it returned, so 8 components gave
+# p -> p's dirichlet_energy and w21_norm (0.6103515625, 0.3577345139513746),
+# and no component axis read the last grid axis (0.6103515625, 0.3509521484375)
+BAD_CALLABLES = {
+    "eight_components": lambda p: np.concatenate([p, p], axis=-1),
+    "no_component_axis": lambda p: p.sum(axis=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLABLES))
+def test_a_callable_of_the_wrong_shape_is_refused(name):
+    u = GridField.from_function(BAD_CALLABLES[name], 1, 1, 9, L=0.5)
+    reads = [dirichlet_energy, w21_norm, lambda u: u.values, lambda u: u.block((2, 3)),
+             lambda u: u.evaluate(np.zeros((3, 4))), lambda u: u.evaluate(np.zeros(4))]
+    for read in reads:
+        with pytest.raises(ValueError, match=r"nodes \+ \(4n,\) = \(.*4,?\), got \("):
+            read(u)
+    ok = GridField.from_function(lambda p: p, 1, 1, 9, L=0.5)
+    assert (dirichlet_energy(ok), w21_norm(ok)) == (0.6103515625, 0.3577345139513746)
+
+
 def test_only_fields_reads_the_grid_callable():
     # every node read goes through GridField.block, so no other module
     # evaluates a grid's callable by itself
@@ -332,11 +354,10 @@ def test_energy_identity_defects_match_the_parent_pairing_bitwise():
 
 
 @pytest.mark.parametrize("first", ["standard", "cyclic"])
-def test_identity_tables_belong_to_their_own_triple(monkeypatch, first):
+def test_identity_tables_belong_to_their_own_triple(first):
     # J K I = -Id, so the cyclic permutation P of the standard triple is a
-    # triple of its own, with other Kaehler forms; the tables one of them
-    # caches must not serve the other, whichever comes first
-    monkeypatch.setattr(fields, "_identity_table_cache", {})
+    # triple of its own, with other Kaehler forms; the tables built for one of
+    # them must not serve the other, whichever comes first
     P = StructureTriple(1, S1.j_mat, S1.k_mat, S1.i_mat)
     As = np.random.default_rng(14).normal(size=(50, 4, 4))
     for S_tar in ([S1, P] if first == "standard" else [P, S1]):

@@ -13,7 +13,6 @@ from fueterlab.fields import GridField, _identity_tables, standard_triholomorphi
 from fueterlab.monotone import (
     almost_monotone_sweep,
     energy_ratio,
-    _hodge_dual_pairing,
     _subcell_offsets,
     eps_regularity_scan,
     monotonicity_defect,
@@ -198,6 +197,17 @@ def test_almost_monotone_perturbation_needs_m1():
         almost_monotone_sweep(u, np.zeros(8), [0.1], perturbation=_tilted_forms)
 
 
+def test_almost_monotone_perturbation_must_give_three_forms_per_node():
+    # one form per node, (M, 4, 4), would pair as three tables: nodes 0, 1 and
+    # 2's forms over the whole slab, silently where every slab holds 3 nodes
+    # or more, as it does around a cell centre
+    S = StructureTriple.standard(1)
+    u = _parity_grids()["function"]
+    with pytest.raises(ValueError, match=r"\(nodes, 3, 4, 4\), got \(\d+, 4, 4\)"):
+        almost_monotone_sweep(u, np.full(4, u.h / 2), [3 * u.h, 6 * u.h],
+                              perturbation=lambda p: np.broadcast_to(-S.i_mat, p.shape[:-1] + (4, 4)))
+
+
 def test_almost_monotone_sweep_flat_and_perturbed():
     u = poly_grid(seed=3, nodes=33)
     radii = [0.4, 0.32, 0.25, 0.2, 0.15]
@@ -312,6 +322,20 @@ def test_eps_regularity_unflagged_set_shrinks_with_scale():
 # ---------------------------------------------------------------------------
 # bitwise parity of the ball passes with the implementation that evaluated
 # function-backed grids through their callable by itself (verbatim copies)
+
+
+def _hodge_dual_pairing(V):
+    """Skew K with sum_{a<b} K_ab G_ab = (V ^ G)(vol) for 2-forms on R^4."""
+    # verbatim copy of monotone's own table from before the perturbed bracket
+    # took its tables from `fields._pairing_table`
+    K = np.zeros_like(V)
+    K[..., 0, 1] = V[..., 2, 3]
+    K[..., 0, 2] = -V[..., 1, 3]
+    K[..., 0, 3] = V[..., 1, 2]
+    K[..., 1, 2] = V[..., 0, 3]
+    K[..., 1, 3] = -V[..., 0, 2]
+    K[..., 2, 3] = V[..., 0, 1]
+    return K - np.swapaxes(K, -1, -2)
 
 
 class _ParentBallPass:
@@ -534,6 +558,21 @@ def _tilted_forms(pts):
     out[..., 0, 0, 1] += 0.2 * pts[..., 0]
     out[..., 0, 1, 0] -= 0.2 * pts[..., 0]
     return out
+
+
+def _flat_forms(pts):
+    S = StructureTriple.standard(1)
+    return np.broadcast_to(np.stack([-S.i_mat, -S.j_mat, -S.k_mat]), pts.shape[:-1] + (3, 4, 4))
+
+
+@pytest.mark.parametrize("kind", ["dense", "function", "member"])
+def test_flat_forms_given_as_a_perturbation_give_the_flat_sweep_bitwise(kind):
+    # both brackets are the one `fields._wedge_pairing`: the Kaehler forms
+    # supplied at every node must reproduce the flat sweep to the bit
+    u = _parity_grids()[kind]
+    x, radii = np.array([0.003, -0.006, 0.0045, 0.0015]), [3 * u.h, 5 * u.h, 6 * u.h]
+    assert (almost_monotone_sweep(u, x, radii, perturbation=_flat_forms)
+            == almost_monotone_sweep(u, x, radii))
 
 
 def test_perturbed_forms_are_read_at_the_nodes():

@@ -12,7 +12,8 @@ import pytest
 import test_acceptance
 import test_norms
 import test_poisson
-from fueterlab import cli
+from fueterlab import cli, exterior, fields
+from fueterlab.bubbletree import calibration_defect
 from fueterlab.fields import (
     GridField,
     energy_identity_defects,
@@ -141,4 +142,49 @@ def test_criterion_6_fails_on_a_solver_that_drops_tau(monkeypatch, capsys):
     monkeypatch.setattr(test_acceptance, "fixed_point_solve", _solve_without_tau)
     with pytest.raises(AssertionError):
         test_acceptance.test_06_fixed_point_scheme()
+    _printed_only_fail(capsys, 1)
+
+
+def _residual_k_flipped(A, S_dom, S_tar, connection=None):
+    """triholo_residual with the sign of its K du k term flipped."""
+    A = np.asarray(A, dtype=float)
+    k_term = np.einsum("ij,...jk,kl->...il", S_tar.k_mat, A, S_dom.k_mat)
+    return triholo_residual(A, S_dom, S_tar, connection) + 2.0 * k_term
+
+
+def test_criterion_2_fails_on_a_residual_with_one_sign_flipped(monkeypatch, capsys):
+    # the kernel oracle and the basis check both read the mutant: its kernel
+    # is empty, so the frozen dimension 12 is what fails
+    monkeypatch.setattr(fields, "triholo_residual", _residual_k_flipped)
+    monkeypatch.setattr(test_acceptance, "triholo_residual", _residual_k_flipped)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_02_linear_kernel()
+    _printed_only_fail(capsys, 1)
+
+
+def _d_eval_one_sided(field, x, vectors, h):
+    """exterior._d_eval with the forward difference (f(x + h v) - f(x)) / h in
+    place of the central one: first order in h, so the slopes fall to 1."""
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    tot = 0.0
+    for t, vt in enumerate(vectors):
+        rest = vectors[:t] + vectors[t + 1 :]
+        tot += (-1) ** t * (field(x + h * vt).evaluate(rest) - field(x).evaluate(rest)) / h
+    return tot
+
+
+def test_criterion_5_fails_on_a_one_sided_difference(monkeypatch, capsys):
+    monkeypatch.setattr(exterior, "_d_eval", _d_eval_one_sided)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_05_radial_scaling_identities()
+    _printed_only_fail(capsys, 1)
+
+
+def test_criterion_11_fails_on_a_calibration_defect_mutant(monkeypatch, capsys):
+    # off by 1e-9 on every plane: the vectorized sweep stays right, so only
+    # the API spot check can see it
+    monkeypatch.setattr(test_acceptance, "calibration_defect",
+                        lambda *args: calibration_defect(*args) + 1e-9)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_11_structure_recovery_and_calibration()
     _printed_only_fail(capsys, 1)
