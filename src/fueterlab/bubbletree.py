@@ -32,6 +32,7 @@ __all__ = [
     "TreeNode",
     "QuantizeConfig",
     "NoConcentrationError",
+    "NoAdmissibleSliceError",
     "make_profile",
     "synth_sequence",
     "blowup_set_detect",
@@ -50,6 +51,10 @@ __all__ = [
 
 class NoConcentrationError(RuntimeError):
     """The localized energy ratio never reaches the concentration target."""
+
+
+class NoAdmissibleSliceError(RuntimeError):
+    """No slice X1 has its maximal function and its Lorentz norm in bounds."""
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +548,8 @@ def slice_select(seq: ConcentratingSequence, ell, grid_n=9, r_out=0.25) -> Slice
             if lor <= 60.0:
                 admissible.append((Mf[i, j], lor, x1))
     if not admissible:
-        raise RuntimeError("no admissible slice (bad sequence)")
+        raise NoAdmissibleSliceError(f"no slice of the {grid_n}x{grid_n} X1 grid at ell {ell} "
+                                     "has maximal function <= 0.05 and Lorentz norm <= 60")
     admissible.sort(key=lambda t: (t[0], t[1], float(np.linalg.norm(t[2]))))
     best = admissible[0]
     frac = len(admissible) / float(grid_n * grid_n)
@@ -689,7 +695,6 @@ class ExtractedBubble:
     energy: float
     sat_radius: float
     converged: bool
-    depth: int = 0
 
 
 # annuli per batch of `_median_energy_radius`: under tracemalloc each of its
@@ -914,8 +919,6 @@ def _qualified_peaks(series, eps1):
     """
     e = np.asarray([v for _, v in series], dtype=float)
     t = np.asarray([s for s, _ in series], dtype=float)
-    if len(e) < 3:
-        return []
     cand = [
         k
         for k in range(1, len(e) - 1)
@@ -932,23 +935,17 @@ def _qualified_peaks(series, eps1):
                     merged[-1] = k
                 continue
         merged.append(k)
-    if not merged:
-        return []
     # adjacent dips: between consecutive peaks, and toward each boundary
-    bounds = []
+    peaks = []
     prev = 0
-    for i, k in enumerate(merged):
-        nxt = merged[i + 1] if i + 1 < len(merged) else len(e) - 1
+    for k, nxt in zip(merged, merged[1:] + [len(e) - 1]):
         li = prev + int(np.argmin(e[prev : k + 1]))
         ri = k + int(np.argmin(e[k : nxt + 1]))
-        bounds.append((li, ri))
-        prev = ri
-    peaks = []
-    for k, (li, ri) in zip(merged, bounds):
         if e[k] >= 2.0 * e[li] and e[k] >= 2.0 * e[ri]:
             peaks.append(
                 {"t": t[k], "energy": float(e[k]), "t_left": t[li], "t_right": t[ri]}
             )
+        prev = ri
     return peaks
 
 
@@ -1044,9 +1041,10 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
     search, first (deepest) extraction, then neck scans upward until no window
     exceeds eps1; returns (BubbleTree, report).
 
-    Bubble scales are median-energy radii; disjoint annular domains split at
-    scale-adapted boundaries mu * sep^0.47, so the neck remainder shrinks as
-    the scales separate with l.
+    Bubble scales are median-energy radii.  The energy ledger is one ascending
+    list of annulus edges from mu_0 * 1e-5 to r_out, split at mu * sep^{+-0.47}
+    between consecutive scales and at min(mu (r_out / mu)^0.75, 0.9 r_out) above
+    the last; bubble k takes (edges[2k], edges[2k+1]) and its neck the next one.
     """
     config = config or QuantizeConfig()
     ells = sorted(ells)
@@ -1063,12 +1061,12 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
                            radii=config.theta_radii)
     first = rescale_and_extract(seq, ells, x1, x2c, crossings,
                                 outer_bound=config.r_out, eps0=config.eps0)
-    bubbles = [first]
+    mus = [first.scale_median]
     sl = seq.slice_map(ell, x1)
 
     # scan the neck above the deepest bubble; every qualified peak (interior
     # local max with low dips on both flanks) is a further bubble, and its
-    # flanking dips delimit the provisional segment
+    # flanking dips delimit the segment its median-energy scale is read from
     diagnostics = {"depth_cap_hit": False}
     inner = first.sat_radius
     if inner < config.r_out * 0.98:
@@ -1084,55 +1082,35 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
             if not lo < hi:
                 continue
             E_seg = _disk_energy(sl, x2c, hi, rmin=lo, nrad=500)
-            med = _median_energy_radius(sl, x2c, lo, hi, E_seg)
-            bubbles.append(ExtractedBubble(x2c.copy(), math.exp(-(p["t"] + 0.5)),
-                                           med, float(E_seg), hi, True))
+            mus.append(_median_energy_radius(sl, x2c, lo, hi, E_seg))
 
-    # deepest-first chain: the smallest scale is the deepest leaf
-    bubbles.sort(key=lambda b: b.scale_median)
-    S = len(bubbles)
-    for k, b in enumerate(bubbles):
-        b.depth = S - 1 - k
-
-    # scale-adapted disjoint domains and energy attribution
-    mus = [b.scale_median for b in bubbles]
-    cuts = []
-    for k in range(S - 1):
-        sep = mus[k + 1] / mus[k]
-        cuts.append((mus[k] * sep**0.47, mus[k + 1] * sep**-0.47))
-    outer_cut = min(mus[-1] * (config.r_out / mus[-1]) ** 0.75,
-                    0.9 * config.r_out)
-    for k, b in enumerate(bubbles):
-        lo = mus[0] * 1e-5 if k == 0 else cuts[k - 1][1]
-        hi = cuts[k][0] if k < S - 1 else outer_cut
-        b.energy = _disk_energy(sl, x2c, hi, rmin=lo, nrad=500)
+    # deepest first: the smallest scale is the deepest leaf
+    mus.sort()
+    S = len(mus)
+    edges = [mus[0] * 1e-5]
+    for mu, mu_next in zip(mus, mus[1:]):
+        sep = mu_next / mu
+        edges += [mu * sep**0.47, mu_next * sep**-0.47]
+    edges += [min(mus[-1] * (config.r_out / mus[-1]) ** 0.75, 0.9 * config.r_out),
+              config.r_out]
+    energies = [_disk_energy(sl, x2c, hi, rmin=lo, nrad=500)
+                for lo, hi in zip(edges, edges[1:])]
 
     base_disk = _disk_energy(seq.base_slice_map(), x2c, config.r_out)
     total_disk = _disk_energy(sl, x2c, config.r_out)
-    residual = max(0.0, total_disk - base_disk - sum(b.energy for b in bubbles))
+    residual = max(0.0, total_disk - base_disk - sum(energies[0::2]))
 
     structure, struct_res = _center_structure(sl, x2c, mus[0])
-    struct_tuple = None if structure is None else (structure.a, structure.b,
-                                                   structure.c)
+    struct_tuple = None if structure is None else (structure.a, structure.b, structure.c)
 
+    # one chain from the root, largest scale first: each neck, then its bubble
     nodes = [TreeNode(kind="root", center=None, depth=-1)]
-    idx_of = {}
-    for k in reversed(range(S)):  # largest scale first, chained toward root
-        b = bubbles[k]
-        parent = idx_of.get(k + 1, 0)
-        if k < S - 1:
-            neck_energy = _disk_energy(sl, x2c, cuts[k][1], rmin=cuts[k][0], nrad=500)
-        else:
-            neck_energy = _disk_energy(sl, x2c, config.r_out, rmin=outer_cut, nrad=500)
-        nodes.append(TreeNode(kind="neck", center=b.center.copy(),
-                              energy=float(neck_energy), parent=parent,
-                              depth=b.depth))
-        neck_idx = len(nodes) - 1
-        nodes.append(TreeNode(kind="bubble", center=b.center.copy(),
-                              scale=b.scale_median, energy=b.energy,
-                              structure=struct_tuple, parent=neck_idx,
-                              depth=b.depth))
-        idx_of[k] = len(nodes) - 1
+    for k in reversed(range(S)):
+        nodes.append(TreeNode(kind="neck", center=x2c.copy(), energy=energies[2 * k + 1],
+                              parent=len(nodes) - 1, depth=S - 1 - k))
+        nodes.append(TreeNode(kind="bubble", center=x2c.copy(), scale=mus[k],
+                              energy=energies[2 * k], structure=struct_tuple,
+                              parent=len(nodes) - 1, depth=S - 1 - k))
 
     tree = BubbleTree(nodes=nodes, theta=theta.theta, residual_neck_energy=residual)
     report = {

@@ -304,16 +304,17 @@ def bundled_sequence(name, seed=5):
 
 
 def cmd_extract_bubbles(args) -> int:
-    from .bubbletree import NoConcentrationError, QuantizeConfig, quantize
+    from .bubbletree import (NoAdmissibleSliceError, NoConcentrationError, QuantizeConfig,
+                             quantize)
 
     cfg = _load_config(args, seed=5)
     seq = bundled_sequence(args.manifest, seed=cfg.seed)
     qcfg = QuantizeConfig(eps0=cfg.eps0, eps1=cfg.eps1, r_out=cfg.r_out)
     try:
         tree, report = quantize(seq, [cfg.ell - 1, cfg.ell], qcfg)
-    except NoConcentrationError as e:
-        return _emit({"config": asdict(cfg), "error": "no-concentration",
-                      "detail": str(e)}, args, 1)
+    except (NoAdmissibleSliceError, NoConcentrationError) as e:
+        error = "no-concentration" if isinstance(e, NoConcentrationError) else "no-admissible-slice"
+        return _emit({"config": asdict(cfg), "error": error, "detail": str(e)}, args, 1)
     payload = {
         "config": asdict(cfg),
         "manifest": args.manifest,

@@ -530,6 +530,55 @@ def test_qualified_peaks_match_the_differenced_density(monkeypatch, manifest):
             assert abs(p["energy"] - q["energy"]) < 0.02 * q["energy"]
 
 
+def _peak(t, energy, t_left, t_right):
+    return {"t": t, "energy": energy, "t_left": t_left, "t_right": t_right}
+
+
+@pytest.mark.parametrize("energies, want", [
+    ([], []),
+    ([5.0], []),
+    ([1.0, 5.0], []),
+    # a plateau is one peak, at its first point, with the dips beyond it
+    ([0.0, 4.0, 4.0, 4.0, 0.0], [_peak(1.0, 4.0, 0.0, 4.0)]),
+    # a ripple with no dip below half its lower top is one peak, at the higher top
+    ([0.0, 4.0, 3.0, 5.0, 0.0], [_peak(3.0, 5.0, 0.0, 4.0)]),
+    # two peaks share the dip between them
+    ([0.0, 4.0, 1.0, 6.0, 0.0], [_peak(1.0, 4.0, 0.0, 2.0), _peak(3.0, 6.0, 2.0, 4.0)]),
+    # a peak below eps1 is no peak, and no dip either
+    ([0.0, 0.5, 0.0, 4.0, 0.0], [_peak(3.0, 4.0, 0.0, 4.0)]),
+    ([0.0, 0.5, 0.0], []),
+    # a peak needs a dip below half its height on both sides
+    ([3.0, 4.0, 0.0], []),
+    ([0.0, 4.0, 3.0], []),
+    ([0.0, 4.0, 0.0, 6.0, 4.0], [_peak(1.0, 4.0, 0.0, 2.0)]),
+])
+def test_qualified_peaks_on_hand_built_series(energies, want):
+    series = [(float(t), e) for t, e in enumerate(energies)]
+    assert bubbletree._qualified_peaks(series, 1.0) == want
+
+
+@pytest.mark.parametrize("manifest", ["two", "three"])
+@pytest.mark.parametrize("ell", [6, 8, 10])
+def test_quantize_builds_one_chain_of_necks_and_bubbles(manifest, ell):
+    from fueterlab.cli import bundled_sequence
+
+    tree, rep = quantize(bundled_sequence(manifest), [ell - 1, ell])
+    root, *chain = tree.nodes
+    S = len(chain) // 2
+    assert (root.kind, root.parent, root.center) == ("root", -1, None)
+    assert [n.kind for n in chain] == ["neck", "bubble"] * S
+    assert [n.parent for n in chain] == list(range(2 * S))
+    # along the chain the scales fall and the depths rise: the deepest bubble,
+    # depth S - 1, is the last leaf
+    bubbles = tree.bubbles()
+    assert [b.depth for b in bubbles] == list(range(S))
+    assert all(a.scale > b.scale for a, b in zip(bubbles, bubbles[1:]))
+    assert all(list(map(float, n.center)) == rep["center_x2"] for n in chain)
+    assert rep["bubble_count"] == S
+    assert tree.sum_energies() == rep["sum_energies"]
+    assert rep["residual_neck_energy"] >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # quantize
 

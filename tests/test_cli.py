@@ -634,6 +634,29 @@ def test_failed_norm_checks_have_an_error_and_a_detail(monkeypatch, capsys):
     assert rep["detail"].startswith("lorentz_ordering_ok false over 3 fields")
 
 
+@pytest.mark.parametrize("flags, config, error", [
+    # the deeper scale 4^-257 overflows |y|^2 in the profile gradient, so
+    # every slice's Lorentz norm is NaN
+    (["--ell", "257"], None, "no-admissible-slice"),
+    ([], '{"r_out": 1e-9}', "no-admissible-slice"),
+    (["--ell", "256"], None, "no-concentration"),
+    ([], '{"eps0": 1e6}', "no-concentration"),
+])
+def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, error, tmp_path):
+    # a fresh process: in-process, the overflow warnings would be errors
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "cfg.json")]
+    src = Path(cli.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-m", "fueterlab.cli", "extract-bubbles",
+                          "--manifest", "two", *flags], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    rep = json.loads(run.stdout)  # one JSON object, nothing else
+    assert rep["error"] == error and rep["detail"]
+
+
 # ---------------------------------------------------------------------------
 # reports against committed bytes.  A deliberate report change regenerates
 # the file with `python -m fueterlab.cli ARGS > tests/golden/NAME`; the

@@ -13,7 +13,7 @@ import test_acceptance
 import test_norms
 import test_poisson
 from fueterlab import cli, exterior, fields
-from fueterlab.bubbletree import calibration_defect
+from fueterlab.bubbletree import calibration_defect, quantize
 from fueterlab.fields import (
     GridField,
     energy_identity_defects,
@@ -187,4 +187,33 @@ def test_criterion_11_fails_on_a_calibration_defect_mutant(monkeypatch, capsys):
                         lambda *args: calibration_defect(*args) + 1e-9)
     with pytest.raises(AssertionError):
         test_acceptance.test_11_structure_recovery_and_calibration()
+    _printed_only_fail(capsys, 1)
+
+
+def _bubbles_swapped_with_necks(*args, **kwargs):
+    """quantize, but each bubble carries its neck's energy and the neck the
+    bubble's; the sum and the gap are read from the mutated tree."""
+    tree, rep = quantize(*args, **kwargs)
+    for bubble in tree.bubbles():
+        neck = tree.nodes[bubble.parent]
+        bubble.energy, neck.energy = neck.energy, bubble.energy
+    rep["sum_energies"] = tree.sum_energies()
+    rep["abs_gap"] = abs(rep["theta"] - rep["sum_energies"])
+    return tree, rep
+
+
+def _bubbles_left_in_the_residual(*args, **kwargs):
+    """quantize, but the residual neck energy keeps the bubbles' energies."""
+    tree, rep = quantize(*args, **kwargs)
+    tree.residual_neck_energy += tree.sum_energies()
+    rep["residual_neck_energy"] = tree.residual_neck_energy
+    return tree, rep
+
+
+@pytest.mark.parametrize("mutant", [_bubbles_swapped_with_necks, _bubbles_left_in_the_residual])
+def test_criterion_10_fails_on_a_quantize_ledger_mutant(mutant, monkeypatch, capsys):
+    # a gap near 100% against the 2% bound, and a residual near 100% against 5%
+    monkeypatch.setattr(test_acceptance, "quantize", mutant)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_10_quantization("two", 2, 1)
     _printed_only_fail(capsys, 1)
