@@ -418,40 +418,35 @@ def _x1_ball_volume(m):
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
-def _ball4_ratio(seq: ConcentratingSequence, ell, center2, r, base_only=False,
-                 method="direct"):
-    """Energy ratio of the 4m-ball centered on the concentration plane, via
-    the exact slab reduction for plane-invariant members:
-    int_{B_r} |du|^2 = int |grad_{X2} u|^2 vol_{4m-2}(sqrt(r^2 - s^2)) dX2.
+def _x1_weight(m, r, s_sq):
+    """vol_{4m-2}(sqrt(r^2 - s_sq)): the X1-ball volume over a plane point at
+    squared distance s_sq from the center of the 4m-ball B_r."""
+    return _x1_ball_volume(m) * np.maximum(r * r - s_sq, 0.0) ** ((4 * m - 2) / 2.0)
 
-    method='direct' quadratures the full slice (exact, use at the cluster
-    center); method='model' integrates the analytic radial bubble densities
-    against arc-averaged weights (robust off-center, detection grade).
-    """
-    if not seq.x1_invariant and not base_only:
+
+def _ball4_ratio(sl: _SliceMap, center2, r):
+    """Theta ratio of the 4m-ball B_r on the concentration plane: direct quadrature
+    of the slice `sl` (use at the cluster center) in the slab reduction, exact for
+    plane-invariant members: int_{B_r} |du|^2 = int |grad_{X2} u|^2 `_x1_weight` dX2."""
+    m = sl.seq.m
+    return _disk_energy(sl, center2, r, weight=lambda s: _x1_weight(m, r, s * s)) / r**(4 * m - 2)
+
+
+def _model_ratio(seq: ConcentratingSequence, ell, center2, r):
+    """Sigma ratio: the ratio of `_ball4_ratio` from the analytic radial bubble
+    densities against the 64-angle ring mean of the X1-ball weight (robust
+    off-center, detection grade)."""
+    if not seq.x1_invariant:
         raise NotImplementedError("4-ball ratios need a plane-invariant sequence")
-    k = 4 * seq.m - 2
-    vol = _x1_ball_volume(seq.m)
-
-    def weight_sq(s_sq):
-        # the X1-ball volume over a plane point at squared distance s_sq
-        return vol * np.maximum(r * r - s_sq, 0.0) ** (k / 2.0)
-
-    def weight(s):
-        return weight_sq(s * s)
-
-    if base_only or method == "direct":
-        sl = seq.base_slice_map() if base_only else seq.slice_map(ell)
-        return _disk_energy(sl, center2, r, weight=weight) / r**k
-
     theta_s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
     def ring_mean(rho, D, r):
         D = D[..., None]
-        return weight_sq(D * D + rho[..., None] ** 2
-                         - 2.0 * D * rho[..., None] * np.cos(theta_s)).mean(axis=-1)
+        return _x1_weight(seq.m, r, D * D + rho[..., None] ** 2
+                          - 2.0 * D * rho[..., None] * np.cos(theta_s)).mean(axis=-1)
 
-    return float(_bubble_model_energy(seq, ell, center2, r, ring_mean, weight)[0]) / r**k
+    return float(_bubble_model_energy(seq, ell, center2, r, ring_mean, lambda s: _x1_weight(
+        seq.m, r, s * s))[0]) / r**(4 * seq.m - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +463,7 @@ def blowup_set_detect(seq: ConcentratingSequence, eps0, r, ells, grid_n=17):
     for i, x in enumerate(ax):
         for j, y in enumerate(ax):
             c = np.array([x, y])
-            vals = [_ball4_ratio(seq, ell, c, r, method="model") for ell in ells]
+            vals = [_model_ratio(seq, ell, c, r) for ell in ells]
             if min(vals) >= eps0 - r:
                 flagged.append(((i, j), c.copy()))
     return flagged
@@ -490,14 +485,14 @@ def defect_density(seq: ConcentratingSequence, center2, ells,
     The omega_{4m-2} division matches the quantization normalization, where
     Theta equals the sum of 2-D bubble energies.
     """
+    if not seq.x1_invariant:
+        raise NotImplementedError("4-ball ratios need a plane-invariant sequence")
     vol = _x1_ball_volume(seq.m)
+    bases = [_ball4_ratio(seq.base_slice_map(), center2, r) for r in radii]
     per_ell = {}
     for ell in ells:
-        vals = []
-        for r in radii:
-            ratio = _ball4_ratio(seq, ell, center2, r)
-            base = _ball4_ratio(seq, ell, center2, r, base_only=True)
-            vals.append((ratio - base) / vol)
+        vals = [(_ball4_ratio(seq.slice_map(ell), center2, r) - base) / vol
+                for r, base in zip(radii, bases)]
         A = np.column_stack([np.ones(len(radii)), np.asarray(radii)])
         coef, *_ = np.linalg.lstsq(A, np.asarray(vals), rcond=None)
         per_ell[ell] = float(coef[0])
@@ -521,6 +516,9 @@ def _slice_lorentz(sl: _SliceMap, center, r_out):
     with their cell measures."""
     scales = [b.scale(sl.ell) for b in sl.seq.bubbles] or [r_out]
     rmin = max(1e-14, min(scales) * 1e-3)
+    if not rmin < r_out:
+        raise NoAdmissibleSliceError(f"r_out {r_out!r} is not above the slice quadrature's "
+                                     f"inner radius {rmin!r} at ell {sl.ell}")
     t, rad, pts = _log_polar(center, rmin, r_out, 400, 24)
     dt = t[1] - t[0]
     g = np.sqrt(sl.grad_sq(pts))
@@ -663,18 +661,16 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
             f"localized ratio peaks at {f:.3e} < target {target:.3e}"
         )
     # descend geometrically, re-centering the search on the previous argmax
-    hi, lo = 0.5, 0.5
-    x2_hi = x2c
+    hi = 0.5
     while True:
         lo = hi / 4.0
         x2_lo, f_lo = _tracked_max(sl, lo, x2c, span=2.0 * lo)
         if f_lo < target:
             break
-        hi, x2c, x2_hi = lo, x2_lo, x2_lo
+        hi, x2c = lo, x2_lo
         if lo < 1e-14:
-            raise NoConcentrationError("ratio above target at all scales")
-    mid = math.sqrt(lo * hi)
-    x2_mid = x2c
+            raise NoConcentrationError(f"ratio above target at scale {lo!r}, the last tried, "
+                                       "below the search's floor 1e-14")
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         x2_mid, f_mid = _tracked_max(sl, mid, x2c, span=1.5 * mid, grid=5)

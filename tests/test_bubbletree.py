@@ -152,6 +152,25 @@ def test_off_sigma_point_has_no_defect():
     assert abs(d.theta) < 0.03 * seq.manifest.theta
 
 
+def test_defect_density_takes_each_base_ratio_once(monkeypatch):
+    # the base slice map does not depend on ell: one quadrature per radius
+    calls = []
+    ratio = bubbletree._ball4_ratio
+    monkeypatch.setattr(bubbletree, "_ball4_ratio",
+                        lambda sl, *args: calls.append(sl.base_only) or ratio(sl, *args))
+    defect_density(one_bubble(), (0.0, 0.0), [7, 8, 9])
+    assert calls.count(True) == 3 and calls.count(False) == 9
+
+
+def test_4_ball_ratios_need_a_plane_invariant_sequence():
+    noisy = synth_sequence([(1.0, ABC, (0.0, 0.0), 2.0, 1.0)],
+                           noise={"center_x1": (0.1, 0.0), "amplitude": 0.5}, seed=2)
+    with pytest.raises(NotImplementedError):
+        defect_density(noisy, (0.0, 0.0), [8])
+    with pytest.raises(NotImplementedError):
+        blowup_set_detect(noisy, 0.1, 0.05, [8], grid_n=3)
+
+
 # ---------------------------------------------------------------------------
 # slice selection
 
@@ -425,6 +444,13 @@ def test_neck_windows_decay_for_smooth_field():
     assert e_deep < 1e-3 * max(e_outer, 1e-300)
 
 
+def test_neck_scan_finds_no_window_above_an_unreachable_eps1():
+    seq = one_bubble()
+    view = neck_view(seq, 8, (0.0, 0.0), np.zeros(2), 4 * seq.bubbles[0].scale(8), 0.25)
+    t_hit, e_max, series = neck_scan(view, 1e9)
+    assert t_hit is None and series and e_max == max(e for _, e in series)
+
+
 def test_neck_scan_pure_neck_and_two_scale():
     seq1 = one_bubble()
     ell = 8
@@ -670,6 +696,12 @@ def test_bubble_structure_rank_errors():
         bubble_structure(full)
 
 
+def test_center_structure_of_a_slice_without_bubbles_is_none():
+    # a constant slice has a zero jet, which no structure reads
+    s, res = bubbletree._center_structure(zero_bubble().slice_map(8), np.zeros(2), 1e-2)
+    assert s is None and math.isnan(res)
+
+
 def test_calibration_defect_cases():
     S = StructureTriple.standard(1)
     rng = np.random.default_rng(1)
@@ -902,7 +934,7 @@ def test_bubble_model_energies_match_the_parent_quadratures_bitwise():
     for seq in seqs[:2] + seqs[3:]:  # the 4-ball model needs a plane-invariant sequence
         for c in centers:
             for r in (0.05, 0.12):
-                got = bubbletree._ball4_ratio(seq, 7, c, r, method="model")
+                got = bubbletree._model_ratio(seq, 7, c, r)
                 assert got == _parent_ball4_ratio(seq, 7, c, r, method="model")
         for ell in (6, 9):
             sl = seq.slice_map(ell)

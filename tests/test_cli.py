@@ -641,6 +641,8 @@ def test_failed_norm_checks_have_an_error_and_a_detail(monkeypatch, capsys):
     ([], '{"r_out": 1e-9}', "no-admissible-slice"),
     (["--ell", "256"], None, "no-concentration"),
     ([], '{"eps0": 1e6}', "no-concentration"),
+    # the descent passes the 1e-14 floor while the ratio is still above target
+    (["--ell", "20"], None, "no-concentration"),
 ])
 def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, error, tmp_path):
     # a fresh process: in-process, the overflow warnings would be errors
@@ -655,6 +657,10 @@ def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, er
     assert "Traceback" not in run.stderr
     rep = json.loads(run.stdout)  # one JSON object, nothing else
     assert rep["error"] == error and rep["detail"]
+    if config == '{"r_out": 1e-9}':  # below the slice quadrature's inner radius
+        assert "r_out" in rep["detail"] and "Warning" not in run.stderr
+    if flags == ["--ell", "20"]:
+        assert "floor" in rep["detail"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 import test_acceptance
 import test_norms
 import test_poisson
-from fueterlab import cli, exterior, fields
+from fueterlab import cli, exterior, fields, stencil
 from fueterlab.bubbletree import calibration_defect, quantize
+from fueterlab.cli import bundled_sequence
 from fueterlab.fields import (
     GridField,
     energy_identity_defects,
@@ -23,6 +24,7 @@ from fueterlab.fields import (
 )
 from fueterlab.norms import lorentz_21, lorentz_interpolation_check
 from fueterlab.poisson import PerturbedProblem, fixed_point_solve, w21_norm
+from fueterlab.stencil import second
 
 W21_MUTANTS = {
     "zero": lambda u: 0.0,
@@ -216,4 +218,34 @@ def test_criterion_10_fails_on_a_quantize_ledger_mutant(mutant, monkeypatch, cap
     monkeypatch.setattr(test_acceptance, "quantize", mutant)
     with pytest.raises(AssertionError):
         test_acceptance.test_10_quantization("two", 2, 1)
+    _printed_only_fail(capsys, 1)
+
+
+def _second_times_h(p, c, m, h, out=None):
+    """stencil.second with one of its two 1/h factors lost: criterion 4's
+    slope moves from 2 to 3, and w21_norm's Hessian term shrinks by h."""
+    return np.multiply(second(p, c, m, h, out=out), h, out=out)
+
+
+@pytest.mark.parametrize("module, check", [
+    (test_acceptance, "test_04_discrete_laplacian_decay"),
+    (test_poisson, "test_w21_norm_and_energy_match_exact_derivatives"),
+])
+def test_the_second_difference_checks_fail_when_it_loses_a_1_over_h(module, check, monkeypatch,
+                                                                    capsys):
+    monkeypatch.setattr(stencil, "second", _second_times_h)
+    with pytest.raises(AssertionError):
+        getattr(module, check)()
+    _printed_only_fail(capsys, 1 if module is test_acceptance else 0)
+
+
+def test_criterion_12_fails_on_an_unseeded_draw(tmp_path, monkeypatch, capsys):
+    # extract-bubbles builds its sequence from an unseeded generator, so the
+    # bubble frames change from run to run; the other two commands keep their
+    # seeds.  (A norms mutant would survive: its report reads the same bytes
+    # for every seed.)
+    monkeypatch.setattr(cli, "bundled_sequence",
+                        lambda name, seed: bundled_sequence(name, seed=None))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_12_determinism(tmp_path, capsys)
     _printed_only_fail(capsys, 1)

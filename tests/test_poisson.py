@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,56 @@ def test_w21_regression_bound_over_suite():
     # two-sided: a norm that reads too little fails as one that reads too much;
     # the suite's peak ratio was measured as 1.270 (at 21 nodes)
     assert worst >= 0.98 * 1.270
+
+
+def _exact_w21_and_energy(poly, nodes, L=0.5):
+    """The node sums of `w21_norm` and `dirichlet_energy` on the box grid of
+    `nodes` per axis, over the same interior nodes (two layers in from every
+    edge), with the exact u, du and d^2 u of the polynomial in place of the
+    central differences.  Each derivative is read off the exponent table of
+    `_expand()`: d^k sum_e c_e x^e = sum_e c_e prod_j e_j! / (e_j - k_j)! x^(e - k)."""
+    (exps, coefs), _ = poly._expand()
+    h = 2.0 * L / (nodes - 1)
+    ax = (-L + np.arange(nodes) * h)[2:-2]
+    eye = np.eye(4, dtype=int)
+    orders = ([np.zeros(4, dtype=int)] + list(eye)
+              + [eye[a] + eye[b] for a in range(4) for b in range(4)])
+    tables = [(np.maximum(exps - k, 0),
+               coefs * np.array([math.prod(map(math.perm, e, k)) for e in exps])[:, None])
+              for k in orders]
+    w21 = energy = 0.0
+    for x0 in ax:  # one plane of nodes at a time
+        pts = np.stack(np.meshgrid([x0], ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+        powers = pts[:, :, None] ** np.arange(exps.max() + 1)  # (P, 4, degree + 1)
+        sq = []
+        for e, c in tables:
+            d = math.prod(powers[:, j, e[:, j]] for j in range(4)) @ c  # (P, 4)
+            sq.append(np.sum(d * d, axis=-1))
+        grad_sq, hess_sq = sum(sq[1:5]), sum(sq[5:])
+        w21 += np.sum(np.sqrt(sq[0]) + np.sqrt(grad_sq) + np.sqrt(hess_sq))
+        energy += np.sum(grad_sq)
+    return w21 * h**4, energy * h**4
+
+
+def test_w21_norm_and_energy_match_exact_derivatives():
+    # central differences are exact on quadratics, so the degree <= 2 members
+    # agree to rounding (measured: |gap| <= 3.1e-14 for w21, <= 2.5e-16 for the
+    # energy); on the degree-4 members the differencing error is positive and
+    # O(h^2) (measured two-grid slopes 2.09-2.31)
+    for k, poly in enumerate(triholomorphic_suite()):
+        gaps = []
+        for nodes in (13, 21):
+            u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.5,
+                                        materialize=True)
+            w21, energy = _exact_w21_and_energy(poly, nodes)
+            gaps.append([(w21_norm(u) - w21) / w21, (dirichlet_energy(u) - energy) / energy])
+        gaps = np.array(gaps)  # (grid, [w21, energy])
+        if k < 3:
+            assert np.all(np.abs(gaps) <= [1e-12, 1e-14])
+        else:
+            assert np.all(gaps > 0)
+            slopes = np.log(gaps[0] / gaps[1]) / math.log(20 / 12)  # h = 1/12, 1/20
+            assert np.all((1.9 < slopes) & (slopes < 2.5))
 
 
 def test_domain_doubling_truncation_control():
@@ -595,6 +646,11 @@ def test_non_contraction_matches_the_parent_implementation():
         _parent_fixed_point_solve(P, max_iter=40)
     assert str(got.value) == str(want.value)
     assert got.value.ratios == want.value.ratios
+
+
+def test_fixed_point_solve_raises_when_tol_is_out_of_reach():
+    with pytest.raises(RuntimeError, match="did not reach tol"):
+        fixed_point_solve(default_problem(N=8, seed=1), tol=1e-30, max_iter=3)
 
 
 def test_fixed_point_solve_holds_a_fixed_set_of_grid_buffers():
