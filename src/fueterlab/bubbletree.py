@@ -618,7 +618,7 @@ def _bubble_model_energy(seq, ell, centers, r, angular, weight=None):
         # rows of a batch; one center keeps the former
         D = np.linalg.norm(centers[0] - b.center)[None] if one else (
             np.linalg.norm(centers - b.center, axis=1))  # (C,)
-        rmin = max(1e-16, b.scale(ell) * 1e-5)
+        rmin = b.scale(ell) * 1e-5
         t = np.linspace(np.log(rmin), np.log(float(np.max(D) + r)), 400)
         rho = np.exp(t)
         dens = _bubble_radial_density(seq, b, ell, rho)  # (R,)

@@ -56,43 +56,37 @@ def _ball_slabs(u: GridField, center, reach):
         raise ValueError("center must be a point of the domain")
     if reach + 2 * h > u.L - np.abs(center).max():
         raise ValueError("ball exits the domain interior")
-    tdim = u.target_dim
     coords = u.axis_coords()
     # per-axis index windows: core (quadrature nodes) and extended (stencil)
     lo = [np.searchsorted(coords, center[a] - reach - 1e-12) for a in range(d)]
     hi = [np.searchsorted(coords, center[a] + reach + 1e-12, side="right") for a in range(d)]
-    core_coords = [coords[lo[a] : hi[a]] for a in range(1, d)]
     ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(1, d))
-    core = (slice(1, -1),) * (d - 1)  # the core window inside the extended one
-
-    # squared distance and coordinates over the remaining axes
-    sq_rest = 0.0
-    for a, cc in enumerate(core_coords):
-        shp = [1] * (d - 1)
-        shp[a] = len(cc)
-        sq_rest = sq_rest + ((cc - center[1 + a]) ** 2).reshape(shp)
-    du_core = np.empty((d,) + sq_rest.shape + (tdim,))
-    sq_rest = sq_rest.ravel()
-    # core-window points; the axis-0 coordinate is set per slab
-    pts_core = np.empty((len(sq_rest), d))
-    for a, g in enumerate(np.meshgrid(*core_coords, indexing="ij")):
-        pts_core[:, 1 + a] = g.ravel()
+    # the core nodes over the remaining axes, raveled: their points (the
+    # axis-0 coordinate is set per slab), squared distances and flat indices
+    # in the extended window, whose axis-a neighbours sit `step[a]` away
+    step = [math.prod(s.stop - s.start for s in ext[a + 1:]) for a in range(d - 1)]
+    grids = np.meshgrid(*(range(lo[a], hi[a]) for a in range(1, d)), indexing="ij")
+    pts_core = np.empty((grids[0].size, d))
+    sq_rest, flat = 0.0, 0
+    for a, g in enumerate(grids):
+        g = g.ravel()
+        x = pts_core[:, 1 + a] = coords[g]
+        sq_rest = sq_rest + (x - center[1 + a]) ** 2
+        flat = flat + (g - ext[a].start) * step[a]
 
     # slabs with a node within reach (rounding is monotone: the min decides)
     rest_min = sq_rest.min(initial=np.inf)
     starts = (i for i in range(lo[0], hi[0])
               if (coords[i] - center[0]) ** 2 + rest_min <= reach**2)
-    for i, (bm, b0, bp) in _planes(u, starts, 1, hi[0], ext):
+    for i, planes in _planes(u, starts, 1, hi[0], ext):
         rho_sq = (coords[i] - center[0]) ** 2 + sq_rest
         sel = np.nonzero(rho_sq <= reach**2)[0]
-        # du on the whole core window by box slices, then the ball nodes' rows
-        stencil.first(bp[core], bm[core], h, out=du_core[0])
-        for a in range(d - 1):
-            p, m = (stencil._at(b0, d - 1, {a: s}) for s in (1, -1))
-            stencil.first(p, m, h, out=du_core[1 + a])
-        du = np.empty((len(sel), tdim, d))
-        for a in range(d):
-            du[:, :, a] = du_core[a].reshape(-1, tdim)[sel]
+        at = flat[sel]
+        bm, b0, bp = (b.reshape(-1, u.target_dim) for b in planes)
+        du = np.empty((len(sel), u.target_dim, d))
+        stencil.first(bp[at], bm[at], h, out=du[:, :, 0])
+        for a, s in enumerate(step, 1):
+            stencil.first(b0[at + s], b0[at - s], h, out=du[:, :, a])
         pts_core[:, 0] = coords[i]
         yield pts_core[sel], rho_sq[sel], du
 

@@ -643,6 +643,7 @@ def test_failed_norm_checks_have_an_error_and_a_detail(monkeypatch, capsys):
     ([], '{"eps0": 1e6}', "no-concentration"),
     # the descent passes the 1e-14 floor while the ratio is still above target
     (["--ell", "20"], None, "no-concentration"),
+    (["--ell", "100"], None, "no-concentration"),
 ])
 def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, error, tmp_path):
     # a fresh process: in-process, the overflow warnings would be errors
@@ -659,7 +660,7 @@ def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, er
     assert rep["error"] == error and rep["detail"]
     if config == '{"r_out": 1e-9}':  # below the slice quadrature's inner radius
         assert "r_out" in rep["detail"] and "Warning" not in run.stderr
-    if flags == ["--ell", "20"]:
+    if flags in (["--ell", "20"], ["--ell", "100"], ["--ell", "256"]):
         assert "floor" in rep["detail"]
 
 

@@ -48,6 +48,13 @@ def test_wedge_basics():
     assert wedge(dx01, dx01).norm() == 0.0
 
 
+def test_negation_is_scaling_by_minus_one():
+    f = random_form(np.random.default_rng(6), 4, 2)
+    g = -f
+    assert (g.n, g.k) == (f.n, f.k)
+    assert np.array_equal(g.coeffs, ((-1) * f).coeffs)
+
+
 def test_wedge_against_evaluation_oracle():
     rng = np.random.default_rng(2)
     for n, ka, kb in [(4, 1, 1), (4, 2, 1), (4, 2, 2), (8, 2, 2), (8, 1, 3)]:

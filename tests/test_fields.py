@@ -139,6 +139,20 @@ def test_evaluate_on_no_points_returns_no_values():
     assert u.evaluate(np.empty((0, 4))).shape == (0, 4)
 
 
+def test_evaluate_on_a_dense_torus_wraps_across_the_seam():
+    # h = 1/16, so node coordinates and half steps are exact: nodes give the
+    # stored values, and half a step either side of the seam x0 = 0 ~ L gives
+    # the mean of planes N - 1 and 0
+    vals = np.random.default_rng(4).normal(size=(8, 8, 8, 8, 4))
+    u = GridField.from_array(vals, 1, 1, domain="torus")
+    c = u.axis_coords()
+    nodes = [[c[7], c[0], c[3], c[5]], [c[2], c[6], c[1], c[4]]]
+    assert np.array_equal(u.evaluate(nodes), vals[[7, 2], [0, 6], [3, 1], [5, 4]])
+    mean = (vals[-1, 0, 3, 5] + vals[0, 0, 3, 5]) / 2
+    for x0 in (u.L - u.h / 2, -u.h / 2):
+        assert np.array_equal(u.evaluate([[x0, c[0], c[3], c[5]]]), [mean])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
 def test_function_backed_grid_rejects_non_finite_values():
     # log(x + 0.3) is NaN wherever a coordinate is below -0.3, on every slab
@@ -469,6 +483,15 @@ def test_jacobian_matches_finite_differences():
         e[a] = h
         fd = (poly.value(x + e) - poly.value(x - e)) / (2 * h)
         assert np.max(np.abs(J[..., a] - fd)) < 1e-7
+
+
+def test_a_constant_term_is_its_own_value_with_a_zero_jacobian():
+    c = np.array([0.5, -1.25, 2.0, 0.75])
+    poly = FueterPolynomialMap([((), c)])
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 7, 4))
+    for value in (poly.value, poly.value_direct):
+        assert np.array_equal(value(pts), np.broadcast_to(c, (3, 7, 4)))
+    assert np.array_equal(poly.jacobian(pts), np.zeros((3, 7, 4, 4)))
 
 
 def _parent_expand(poly):

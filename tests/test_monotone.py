@@ -770,6 +770,31 @@ def test_ball_pass_reads_the_parent_blocks_in_the_parent_order(monkeypatch):
     assert not u.is_dense()
 
 
+@pytest.mark.parametrize("materialize", [True, False])
+def test_ball_pass_differences_only_the_nodes_it_yields(materialize, monkeypatch):
+    # each of the 4m difference columns takes its operands at the M nodes a
+    # slab yields, M x 4n values each, not at the slab's whole core window
+    operands = []
+
+    def first(p, m, h, out=None):
+        operands.append((p.size, m.size))
+        return central(p, m, h, out=out)
+
+    central = stencil.first
+    monkeypatch.setattr(stencil, "first", first)
+    u = GridField.from_function(standard_triholomorphic_field(seed=3, degree=4), 1, 1, 17,
+                                L=0.55, materialize=materialize)
+    slabs = 0
+    for center in (ORIGIN, np.array([0.003, -0.006, 0.0045, 0.0015])):
+        for pts, _, du in monotone._ball_slabs(u, center, 0.3):
+            size = len(pts) * u.target_dim
+            assert operands == [(size, size)] * u.dim
+            assert du.shape == (len(pts), u.target_dim, u.dim)
+            operands.clear()
+            slabs += 1
+    assert slabs > 10 and u.is_dense() == materialize
+
+
 def _parent_cell_weights(u: GridField, center, radii):
     # verbatim copy from before the near band's subcell distances were formed
     # over fixed chunks of nodes: one (M, 81) array for the whole band
