@@ -4,13 +4,8 @@ fixed-point scheme, and bubble-tree energy quantization on synthetic
 concentrating sequences.
 """
 
-from .quat import (
-    SphereStructure,
-    StructureTriple,
-    apply_structure,
-    kaehler_form,
-)
-from .exterior import KForm, contract, pullback, tangential_part, wedge, wedge_power
+from .quat import SphereStructure, StructureTriple, kaehler_form
+from .exterior import KForm, contract, tangential_part, wedge, wedge_power
 from .fields import (
     GridField,
     differential,

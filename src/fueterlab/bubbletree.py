@@ -42,7 +42,6 @@ __all__ = [
     "rescale_and_extract",
     "neck_view",
     "neck_scan",
-    "neck_l2inf_check",
     "quantize",
     "bubble_structure",
     "calibration_defect",
@@ -87,12 +86,14 @@ class BubbleProfile:
         self.structure = structure
         self.target_dim = self.frame.shape[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _sigma(self, y):
         r2 = np.sum(y * y, axis=-1)
         den = 1.0 + r2
-        return np.stack(
-            [2 * y[..., 0] / den, 2 * y[..., 1] / den, (r2 - 1.0) / den], axis=-1
-        )
+        s = np.stack([2 * y[..., 0] / den, 2 * y[..., 1] / den, (r2 - 1.0) / den], axis=-1)
+        # past |y| ~ 1.3e154 r2 overflows and (r2 - 1) / den is NaN: the limit is the pole
+        s[np.isinf(r2), 2] = 1.0
+        return s
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -101,6 +102,7 @@ class BubbleProfile:
     def far_value(self):
         return self.amplitude * self.frame @ np.array([0.0, 0.0, 1.0])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def grad(self, y):
         """(..., 4n, 2) derivative of value."""
         y = np.asarray(y, dtype=float)
@@ -118,11 +120,16 @@ class BubbleProfile:
             for k in range(2):
                 # the frame contraction, summed over i in einsum's order
                 out[..., u, k] = F[u, 0] * ds[0][k] + F[u, 1] * ds[1][k] + F[u, 2] * ds[2][k]
+        # past |y| ~ 1e77 den overflows and ds is 0, its limit; past ~1e154 so do
+        # the products 2 y1 y1, and inf - inf is NaN there: the same limit
+        out[np.isnan(out)] = 0.0
         out *= self.amplitude
         return out
 
+    @np.errstate(over="ignore")
     def energy_density(self, rad):
-        """|grad phi|^2 as a function of |y| (radially symmetric)."""
+        """|grad phi|^2 as a function of |y| (radially symmetric); past
+        |y| ~ 1e77 the denominator overflows, and the density is 0, its limit."""
         return self.amplitude**2 * 8.0 / (1.0 + np.asarray(rad) ** 2) ** 2
 
     def energy_within(self, R):
@@ -578,8 +585,9 @@ def _bubble_radial_density(seq, b: BubbleSpec, ell, rho):
     y = rho / d
     chi, dchi = _chi_radial(seq, rho + np.linalg.norm(b.center))
     g2 = b.profile.energy_density(y) / d**2
-    dev2 = lam * 4.0 / (1.0 + y * y)
-    ddev2 = -lam * 8.0 * y / (1.0 + y * y) ** 2 / d
+    with np.errstate(over="ignore"):  # as the density, the deviation's limit is 0
+        dev2 = lam * 4.0 / (1.0 + y * y)
+        ddev2 = -lam * 8.0 * y / (1.0 + y * y) ** 2 / d
     return chi * chi * g2 + dchi * dchi * dev2 + chi * dchi * ddev2
 
 
@@ -945,13 +953,6 @@ def _qualified_peaks(series, eps1):
     return peaks
 
 
-def neck_l2inf_check(view: NeckView):
-    """sup over the neck of |X2 - c| |grad_{X2} u|, evaluated in the cylinder
-    chart where it equals sup |grad W| exactly.
-    Checks the paper's L^{2,infty} neck estimate: the sup tends to 0 along the sequence."""
-    return float(np.sqrt(view.g.max()))
-
-
 # ---------------------------------------------------------------------------
 # quantization pipeline
 
@@ -1045,6 +1046,13 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
     config = config or QuantizeConfig()
     ells = sorted(ells)
     ell = ells[-1]
+    for b in seq.bubbles:
+        # past this the bubble's core energy density 8 a^2 / scale^2 is no float
+        if not 8.0 * b.profile.amplitude**2 <= b.scale(ell) ** 2 * np.finfo(float).max:
+            raise ValueError(f"ell {ell} is past the bubble model: the scale law {b.coef!r} * "
+                             f"{b.rate!r}^-ell gives the scale {b.scale(ell)!r}, at which the "
+                             f"core energy density 8 a^2 / scale^2 overflows (a = "
+                             f"{b.profile.amplitude!r})")
     choice = slice_select(seq, ell, r_out=config.r_out)
     x1 = choice.x1
     crossings = []

@@ -1,6 +1,6 @@
-"""Exterior algebra on R^n: k-forms, wedge, interior product, pullback of
-2-forms, tangential parts, and the radial scaling identities behind the
-monotonicity derivation.
+"""Exterior algebra on R^n: k-forms, wedge, interior product, tangential
+parts, and the radial scaling identities behind the monotonicity derivation.
+The pullback of a 2-form w along A is `form_from_matrix(A.T @ w.as_matrix() @ A)`.
 
 Forms are stored dense over increasing multi-indices (at most C(8,4) = 70
 coefficients for the dimensions used here), so brute-force evaluation stays
@@ -26,7 +26,6 @@ __all__ = [
     "wedge",
     "wedge_power",
     "contract",
-    "pullback",
     "tangential_part",
     "radial_scaling_defect",
 ]
@@ -94,14 +93,8 @@ class KForm:
         if self.n != other.n or self.k != other.k:
             raise ValueError("forms have mismatched dimension or degree")
 
-    def coefficient(self, J) -> float:
-        return float(self.coeffs[index_positions(self.n, self.k)[tuple(J)]])
-
     def set_coefficient(self, J, value):
         self.coeffs[index_positions(self.n, self.k)[tuple(J)]] = value
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def evaluate(self, vectors) -> float:
         """Evaluate on k vectors: sum_J c_J det(rows J of the column matrix)."""
@@ -217,18 +210,6 @@ def contract(X, a: KForm) -> KForm:
                 rest = J[:t] + J[t + 1 :]
                 out.coeffs[pos[rest]] += ((-1) ** t) * X[jt] * c
     return out
-
-
-def pullback(A, omega: KForm) -> KForm:
-    """Pullback of a 2-form along the linear map A: (A* w)(X, Y) = w(A X, A Y),
-    the 2-form of the matrix A^T W A; `as_matrix` rejects any other degree.
-
-    A has shape (n_target, n_source); omega lives on the target.
-    """
-    A = np.asarray(A, dtype=float)
-    if omega.n != A.shape[0]:
-        raise ValueError("form dimension does not match the map's target")
-    return form_from_matrix(A.T @ omega.as_matrix() @ A)
 
 
 def tangential_part(a: KForm, x) -> KForm:

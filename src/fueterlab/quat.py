@@ -25,7 +25,6 @@ __all__ = [
     "left_mult_matrix",
     "StructureTriple",
     "SphereStructure",
-    "apply_structure",
     "kaehler_form",
 ]
 
@@ -116,14 +115,6 @@ class SphereStructure:
     def matrix(self, triple: StructureTriple) -> np.ndarray:
         """The matrix of a*i + b*j + c*k."""
         return self.a * triple.i_mat + self.b * triple.j_mat + self.c * triple.k_mat
-
-
-def apply_structure(S: StructureTriple, coeffs: SphereStructure, v) -> np.ndarray:
-    """Evaluate (a*i + b*j + c*k) on a vector of dimension 4d."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != S.dim:
-        raise ValueError(f"vector has dimension {v.shape[-1]}, structure acts on {S.dim}")
-    return v @ coeffs.matrix(S).T
 
 
 def kaehler_form(S: StructureTriple, which: str) -> KForm:

@@ -635,33 +635,57 @@ def test_failed_norm_checks_have_an_error_and_a_detail(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flags, config, error", [
-    # the deeper scale 4^-257 overflows |y|^2 in the profile gradient, so
-    # every slice's Lorentz norm is NaN
-    (["--ell", "257"], None, "no-admissible-slice"),
+    # the deepest member the bubble model represents (ell 256 is past it)
+    (["--ell", "255"], None, "no-concentration"),
     ([], '{"r_out": 1e-9}', "no-admissible-slice"),
-    (["--ell", "256"], None, "no-concentration"),
+    (["--ell", "200"], None, "no-concentration"),
     ([], '{"eps0": 1e6}', "no-concentration"),
     # the descent passes the 1e-14 floor while the ratio is still above target
     (["--ell", "20"], None, "no-concentration"),
     (["--ell", "100"], None, "no-concentration"),
 ])
-def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, error, tmp_path):
-    # a fresh process: in-process, the overflow warnings would be errors
+def test_extract_bubbles_exits_1_with_a_report_not_a_traceback(flags, config, error, tmp_path,
+                                                               capsys):
+    # in-process, so a numpy warning on the way is an error
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         flags = flags + ["--config", str(tmp_path / "cfg.json")]
-    src = Path(cli.__file__).resolve().parent.parent
-    run = subprocess.run([sys.executable, "-m", "fueterlab.cli", "extract-bubbles",
-                          "--manifest", "two", *flags], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert run.returncode == 1
-    assert "Traceback" not in run.stderr
-    rep = json.loads(run.stdout)  # one JSON object, nothing else
+    code, out = run_cli(["extract-bubbles", "--manifest", "two", *flags], capsys)
+    assert code == 1
+    rep = json.loads(out)  # one JSON object, nothing else
     assert rep["error"] == error and rep["detail"]
     if config == '{"r_out": 1e-9}':  # below the slice quadrature's inner radius
-        assert "r_out" in rep["detail"] and "Warning" not in run.stderr
-    if flags in (["--ell", "20"], ["--ell", "100"], ["--ell", "256"]):
+        assert "r_out" in rep["detail"]
+    if flags[:1] == ["--ell"]:
         assert "floor" in rep["detail"]
+
+
+def _no_constant(name):
+    raise AssertionError(f"the report holds {name}")
+
+
+# the first member past the bubble model, where a bubble's core energy
+# density 8 a^2 / scale^2 overflows: ell 256 for "two" and 171 for "three"
+@pytest.mark.parametrize("manifest, ell, past", [
+    ("two", 200, False), ("two", 255, False), ("two", 256, True), ("two", 257, True),
+    ("two", 553, True), ("three", 170, False), ("three", 171, True),
+])
+def test_deep_members_print_no_numpy_warning_and_no_nan(manifest, ell, past):
+    # a fresh process: what the user sees on stderr
+    src = Path(cli.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-m", "fueterlab.cli", "extract-bubbles",
+                          "--manifest", manifest, "--ell", str(ell)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    if past:
+        assert run.returncode == 2 and run.stdout == ""
+        assert re.fullmatch(rf"error: ell {ell} is past the bubble model: the scale law "
+                            r"1\.0 \* [248]\.0\^-ell gives the scale \S+, at which the core "
+                            r"energy density 8 a\^2 / scale\^2 overflows \(a = \S+\)\n",
+                            run.stderr)
+    else:
+        assert run.returncode == 1 and run.stderr == ""
+        rep = json.loads(run.stdout, parse_constant=_no_constant)
+        assert rep["error"] == "no-concentration" and "floor" in rep["detail"]
 
 
 # ---------------------------------------------------------------------------

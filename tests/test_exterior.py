@@ -8,7 +8,8 @@ from fueterlab.exterior import (
     basis_form,
     contract,
     dr_form,
-    pullback,
+    form_from_matrix,
+    index_positions,
     radial_scaling_defect,
     tangential_part,
     wedge,
@@ -45,7 +46,7 @@ def eval_oracle_wedge(a, b, vectors):
 def test_wedge_basics():
     assert basis_form(4, (0, 1)).evaluate([np.eye(4)[0], np.eye(4)[1]]) == 1.0
     dx01 = basis_form(4, (0, 1))
-    assert wedge(dx01, dx01).norm() == 0.0
+    assert not wedge(dx01, dx01).coeffs.any()
 
 
 def test_negation_is_scaling_by_minus_one():
@@ -111,22 +112,28 @@ def test_contract():
     e = np.eye(4)
     a = basis_form(4, (0, 1))
     c = contract(e[0], a)
-    assert c.k == 1 and abs(c.coefficient((1,)) - 1.0) < 1e-15
+    assert c.k == 1 and abs(c.coeffs[index_positions(4, 1)[(1,)]] - 1.0) < 1e-15
     rng = np.random.default_rng(6)
     for _ in range(10):
         X = rng.normal(size=4)
         f = random_form(rng, 4, 3)
         twice = contract(X, contract(X, f))
-        assert twice.norm() < 1e-12
+        assert np.linalg.norm(twice.coeffs) < 1e-12
     with pytest.raises(ValueError):
         contract(e[0], KForm(4, 0, [1.0]))
+
+
+def pullback(A, w):
+    """The pullback of the 2-form w along the linear map A, the 2-form of the
+    matrix A^T W A; `as_matrix` rejects any other degree."""
+    return form_from_matrix(A.T @ w.as_matrix() @ A)
 
 
 def test_pullback_functorial_and_inner_product_form():
     rng = np.random.default_rng(8)
     S = StructureTriple.standard(1)
     OI = kaehler_form(S, "i")
-    assert pullback(np.zeros((4, 4)), OI).norm() == 0.0
+    assert not pullback(np.zeros((4, 4)), OI).coeffs.any()
     assert np.allclose(pullback(np.eye(4), OI).coeffs, OI.coeffs)
     # (A* O_I)(e1, e2) = <I A e1, A e2>
     for _ in range(20):
@@ -154,7 +161,7 @@ def test_tangential_part():
     for k in (1, 2, 3):
         a = random_form(rng, 4, k)
         at = tangential_part(a, x)
-        assert contract(er, at).norm() < 1e-12
+        assert np.linalg.norm(contract(er, at).coeffs) < 1e-12
         # forms with no radial component are fixed
         a_norad = a - wedge(dr_form(x), contract(er, a))
         again = tangential_part(a_norad, x)
@@ -162,7 +169,7 @@ def test_tangential_part():
     # dr ^ beta has zero tangential part
     beta = random_form(rng, 4, 1)
     pure = wedge(dr_form(x), beta)
-    assert contract(er, tangential_part(pure, x)).norm() < 1e-12
+    assert np.linalg.norm(contract(er, tangential_part(pure, x)).coeffs) < 1e-12
 
 
 def test_tangential_part_matches_hodge_of_radial_plane():

@@ -249,3 +249,32 @@ def test_criterion_12_fails_on_an_unseeded_draw(tmp_path, monkeypatch, capsys):
     with pytest.raises(AssertionError):
         test_acceptance.test_12_determinism(tmp_path, capsys)
     _printed_only_fail(capsys, 1)
+
+
+def _trace_term(u, X):
+    """sum over the 1-interior of |Du|^2 div_h X h^{4m}: the trace half of
+    the stress-energy pairing dE = 2 sum <D_a u, D_b u> D_a X^b - this."""
+    d, h = u.dim, u.h
+    Xv = X(np.stack(np.meshgrid(*([u.axis_coords()] * d), indexing="ij"), axis=-1))
+    vals = u.block(())
+    grad_sq = sum(np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1) for a in range(d))
+    div = sum(stencil.d1(Xv[..., a], a, h, False, d) for a in range(d))
+    return float(np.vdot(grad_sq, div)) * h**d
+
+
+VARIATION_MUTANTS = {
+    "zero": lambda u, X: 0.0,
+    # 1 <D_a u, D_b u> D_a X^b in place of 2 (dE / E 5.1e-2 and 8.7e-3 on the
+    # degree-2 members), and the trace term dropped (-1.0e-1 and -1.7e-2)
+    "factor_one": lambda u, X: 0.5 * (fields.domain_variation_derivative(u, X)
+                                      - _trace_term(u, X)),
+    "no_trace": lambda u, X: fields.domain_variation_derivative(u, X) + _trace_term(u, X),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(VARIATION_MUTANTS))
+def test_criterion_13_fails_on_a_first_variation_mutant(mutant, monkeypatch, capsys):
+    monkeypatch.setattr(test_acceptance, "domain_variation_derivative", VARIATION_MUTANTS[mutant])
+    with pytest.raises(AssertionError):
+        test_acceptance.test_13_stationarity()
+    _printed_only_fail(capsys, 1)

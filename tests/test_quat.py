@@ -10,7 +10,6 @@ from fueterlab.quat import (
     QK,
     SphereStructure,
     StructureTriple,
-    apply_structure,
     kaehler_form,
     left_mult_matrix,
     quat_mul_array,
@@ -115,15 +114,15 @@ def test_apply_structure_basis_and_involution():
     S = StructureTriple.standard(1)
     rng = np.random.default_rng(5)
     v = rng.normal(size=4)
-    got = apply_structure(S, SphereStructure(1, 0, 0), v)
+    got = v @ SphereStructure(1, 0, 0).matrix(S).T
     assert np.allclose(got, S.i_mat @ v)
     # J^2 = -Id and isometry on a batch of 1000 random vectors
     abc = rng.normal(size=3)
     abc /= np.linalg.norm(abc)
     coeffs = SphereStructure(*abc)
     vs = rng.normal(size=(1000, 4))
-    once = apply_structure(S, coeffs, vs)
-    twice = apply_structure(S, coeffs, once)
+    once = vs @ coeffs.matrix(S).T
+    twice = once @ coeffs.matrix(S).T
     assert np.max(np.abs(twice + vs)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(once, axis=-1) - np.linalg.norm(vs, axis=-1))) < 1e-12
 
@@ -138,9 +137,9 @@ def test_kaehler_form_skew_and_normalization():
     # the pair (e, i e) is a unit holomorphic pair: w_i(e, i e) = |e|^2 = 1
     assert abs(w.evaluate([e, S.i_mat @ e]) - 1.0) < 1e-12
     # coefficient expansion on H: w_i = dx^01 + dx^23
-    assert abs(w.coefficient((0, 1)) - 1.0) < 1e-15
-    assert abs(w.coefficient((2, 3)) - 1.0) < 1e-15
-    assert abs(w.coefficient((0, 2))) + abs(w.coefficient((1, 3))) < 1e-15
+    M = w.as_matrix()
+    assert abs(M[0, 1] - 1.0) < 1e-15 and abs(M[2, 3] - 1.0) < 1e-15
+    assert abs(M[0, 2]) + abs(M[1, 3]) < 1e-15
     for X, Y in [(rng.normal(size=4), rng.normal(size=4)) for _ in range(20)]:
         assert abs(w.evaluate([X, Y]) + w.evaluate([Y, X])) < 1e-12
 
