@@ -480,7 +480,6 @@ def blowup_set_detect(seq: ConcentratingSequence, eps0, r, ells, grid_n=17):
 class DefectDensity:
     theta: float
     reliable: bool
-    per_ell: dict
 
 
 def defect_density(seq: ConcentratingSequence, center2, ells,
@@ -496,18 +495,17 @@ def defect_density(seq: ConcentratingSequence, center2, ells,
         raise NotImplementedError("4-ball ratios need a plane-invariant sequence")
     vol = _x1_ball_volume(seq.m)
     bases = [_ball4_ratio(seq.base_slice_map(), center2, r) for r in radii]
-    per_ell = {}
+    thetas = []
     for ell in ells:
         vals = [(_ball4_ratio(seq.slice_map(ell), center2, r) - base) / vol
                 for r, base in zip(radii, bases)]
         A = np.column_stack([np.ones(len(radii)), np.asarray(radii)])
         coef, *_ = np.linalg.lstsq(A, np.asarray(vals), rcond=None)
-        per_ell[ell] = float(coef[0])
-    thetas = [per_ell[e] for e in ells]
+        thetas.append(float(coef[0]))
     theta = thetas[-1]
     scale = max(abs(t) for t in thetas) or 1.0
     reliable = (max(thetas) - min(thetas)) <= 0.05 * scale
-    return DefectDensity(theta, reliable, per_ell)
+    return DefectDensity(theta, reliable)
 
 
 @dataclass
@@ -694,7 +692,6 @@ def concentration_scale(seq: ConcentratingSequence, ell, x1=(0.0, 0.0), eps0=0.1
 @dataclass
 class ExtractedBubble:
     center: np.ndarray
-    scale_crossing: float
     scale_median: float
     energy: float
     sat_radius: float
@@ -731,7 +728,7 @@ def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
 
     The recovered scale is the median-energy radius (profile-normalized);
     the crossing scale from the concentration search carries a threshold-
-    dependent prefactor instead and is kept for the scale-law diagnostics.
+    dependent prefactor instead, and `quantize` reports it as `crossing_scale`.
     """
     center = np.asarray(center, dtype=float)
     ang = np.linspace(0, 2 * np.pi, 16, endpoint=False)
@@ -766,8 +763,7 @@ def rescale_and_extract(seq: ConcentratingSequence, ells, x1, center, deltas,
             f"recovered profile energy {E_curr:.3e} below the bubble threshold"
         )
     med = _median_energy_radius(sl, center, d * 1e-3, r_stop, E_curr)
-    return ExtractedBubble(center, float(d), med, float(E_curr), float(r_stop),
-                           converged)
+    return ExtractedBubble(center, med, float(E_curr), float(r_stop), converged)
 
 
 def _paraboloid_step(f, step):

@@ -1,6 +1,6 @@
 """Discretized maps u: grid in R^{4m} -> R^{4n}: differentials, the
 quaternionic del-bar residual, the pointwise energy identity, the
-Laplacian, pullback closedness and domain variations.
+Dirichlet energy and domain variations.
 
 Grids are either dense (values stored per node) or function-backed (values
 produced on demand, slab by slab), so ball quadrature at fine spacings never
@@ -18,7 +18,7 @@ import threading
 import numpy as np
 
 from . import stencil
-from .exterior import KForm, basis_form, index_tuples, wedge, wedge_power
+from .exterior import basis_form, index_tuples, wedge, wedge_power
 from .quat import ONE, QI, QJ, QK, StructureTriple, kaehler_form, quat_mul_array
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "triholo_residual",
     "dirichlet_energy",
     "energy_identity_defects",
-    "laplacian_direct",
-    "pullback_closedness_defect",
     "domain_variation_derivative",
     "save_fld1",
     "load_fld1",
@@ -242,9 +240,9 @@ def differential(u: GridField, node, read=None) -> np.ndarray:
 # pointwise algebra: residual and energy identity
 
 
-def triholo_residual(A, S_dom: StructureTriple, S_tar: StructureTriple, connection=None):
-    """R = du - I du i - J du j - K du k - (optional zeroth-order term), for
-    one jet of shape (4n, 4m) or a batch of shape (..., 4n, 4m).
+def triholo_residual(A, S_dom: StructureTriple, S_tar: StructureTriple):
+    """R = du - I du i - J du j - K du k, for one jet of shape (4n, 4m) or a
+    batch of shape (..., 4n, 4m).
 
     The map is flagged triholomorphic at the node when ||R||_F is below the
     caller's tolerance.
@@ -255,11 +253,6 @@ def triholo_residual(A, S_dom: StructureTriple, S_tar: StructureTriple, connecti
     R = A.copy()
     for St, Sd in zip(S_tar.mats(), S_dom.mats()):
         R -= np.einsum("ij,...jk,kl->...il", St, A, Sd)
-    if connection is not None:
-        C = np.asarray(connection, dtype=float)
-        if C.shape != A.shape:
-            raise ValueError("connection term must match the jet shape")
-        R -= C
     return R
 
 
@@ -446,59 +439,6 @@ def dirichlet_energy(u: GridField) -> float:
         for s in sums:
             total += s
     return total * u.h**u.dim
-
-
-def laplacian_direct(u: GridField, node) -> np.ndarray:
-    """sum_a (u(+h e_a) - 2 u + u(-h e_a)) / h^2 at an interior node."""
-    node = tuple(int(i) for i in node)
-    if not u.is_interior(node):
-        raise ValueError("laplacian stencil reaches the boundary")
-    c = u.block(node)
-    return sum(stencil.second(_neighbor(u, node, a, +1), c, _neighbor(u, node, a, -1), u.h)
-               for a in range(u.dim))
-
-
-def pullback_closedness_defect(u: GridField, Omega: KForm) -> float:
-    """Max over interior 3-cells of the Stokes sum of u*Omega over the cell
-    faces, normalized by cell volume; zero for closed pullbacks.
-
-    Omega must be a constant-coefficient (hence closed) 2-form on the target.
-    """
-    if Omega.k != 2 or Omega.n != u.target_dim:
-        raise ValueError("Omega must be a 2-form on the target")
-    W = Omega.as_matrix()
-    vals = u.values
-    d = u.dim
-    h = u.h
-    if u.domain == "torus":
-        # wrap-pad two layers so the box slicing below covers every cell
-        vals = np.pad(vals, [(2, 2)] * d + [(0, 0)], mode="wrap")
-
-    # du along each axis at every 1-interior node, then the components b < c
-    # of the pullback 2-form G_bc = du_b^T W du_c, the only ones `flux` reads
-    du = [stencil.d1(vals, a, h, False, d) for a in range(d)]
-    G = {(b, c): np.einsum("...i,ij,...j->...", du[b], W, du[c]) for b, c in index_tuples(d, 2)}
-
-    M = du[0].shape[0]  # at least 3: a box has 5 nodes or more, a torus is padded
-
-    def flux(a, b, c):
-        # G_bc averaged over the 4 corners of each (b, c)-face, on an a-range
-        # one node longer, then the difference of opposite faces along a
-        tot = 0.0
-        for db in (0, 1):
-            for dc in (0, 1):
-                sl = [slice(0, M - 1)] * d
-                sl[a] = slice(0, M)
-                sl[b] = slice(db, M - 1 + db)
-                sl[c] = slice(dc, M - 1 + dc)
-                tot = tot + G[b, c][tuple(sl)]
-        return np.diff(tot / 4.0, axis=a)
-
-    worst = 0.0
-    for (a, b, c) in index_tuples(d, 3):
-        s = flux(a, b, c) - flux(b, a, c) + flux(c, a, b)
-        worst = max(worst, float(np.max(np.abs(s))) / h)
-    return worst
 
 
 def domain_variation_derivative(u: GridField, X) -> float:

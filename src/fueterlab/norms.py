@@ -183,11 +183,12 @@ def _window_oscillation(vals, k):
     """Mean of |f - mean_Q| over every anchored periodic k-cube, max over anchors."""
     d = vals.ndim
     N = vals.shape[0]
-    pad = np.pad(vals, [(0, k - 1)] * d, mode="wrap")
-    # box means at every anchor via the padded cumulative trick would be fine,
-    # but for the oscillation we walk over the k^d in-cube offsets, accumulating
-    # |f(anchor + off) - mean(anchor)| one offset at a time: O(k^d) passes of
-    # size N^d, no k^d blowup in memory
+    # the circular convolution with the [0, k)^d box kernel is the mean over
+    # the cube [x - k + 1, x] that ends at each anchor x, so the padding goes
+    # before the grid and pad[off : off + N] is f on that same cube; the walk
+    # over the k^d in-cube offsets accumulates |f(x - k + 1 + off) - mean(x)|
+    # one offset at a time: O(k^d) passes of size N^d, no k^d blowup in memory
+    pad = np.pad(vals, [(k - 1, 0)] * d, mode="wrap")
     kf = _box_kernel_fft(vals.shape, 1.0, k)
     means = _periodic_conv(vals, kf)
     acc = np.zeros_like(vals)

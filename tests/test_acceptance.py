@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from fueterlab import stencil
 from fueterlab.bubbletree import (
     QuantizeConfig,
     SphereStructure,
@@ -23,7 +24,6 @@ from fueterlab.fields import (
     dirichlet_energy,
     domain_variation_derivative,
     energy_identity_defects,
-    laplacian_direct,
     standard_triholomorphic_field,
     triholo_residual,
     triholomorphic_kernel,
@@ -107,8 +107,8 @@ def test_04_discrete_laplacian_decay():
     for nodes in (9, 17, 33):
         u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.5,
                                     materialize=True)
-        mid = tuple(s // 2 for s in u.shape)
-        sups.append(np.max(np.abs(laplacian_direct(u, mid))))
+        window = tuple(slice(s // 2 - 1, s // 2 + 2) for s in u.shape)
+        sups.append(np.max(np.abs(stencil.laplacian(u.block(window), u.h, False, u.dim))))
         hs.append(u.h)
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     report(4, "discrete Laplacian of a harmonic field decays at rate h^2 at the centre",
@@ -194,8 +194,25 @@ def test_08_weak_l1():
         sweep(ScalarGrid(np.abs(rng.normal(size=(64, 64))), 1 / 64), 2)
     for _ in range(1000):
         sweep(ScalarGrid(np.abs(rng.normal(size=(8,) * 4)), 1 / 8), 4)
-    report(8, "weak-L1 bound with 5^d at every level, 1000 fields in 2-D and 4-D",
-           worst_excess <= 1e-9, f"(worst excess {worst_excess:.2e})")
+    # sharpness: for a point mass (||f||_1 = 1) the bound is attained up to a
+    # constant, lambda |{Mf > lambda}| read 0.70-0.98 on 64^2 and 0.49-0.97 on
+    # 24^4; with Mf = |f| it reads <= 0.031 and <= 0.0004
+    sharp_ok = True
+    lows = []
+    for N, d, floor in ((64, 2, 0.5), (24, 4, 0.25)):
+        v = np.zeros((N,) * d)
+        v[(N // 2,) * d] = float(N) ** d
+        f = ScalarGrid(v, 1 / N)
+        M = hl_maximal(f).values
+        low = min(lam * np.count_nonzero(M > lam) * f.cell / f.l1()
+                  for lam in (4, 8, 16, 32, 64, 128))
+        sharp_ok = sharp_ok and low >= floor
+        lows.append(f"{low:.2f} (>= {floor}, {N}^{d})")
+    report(8, "weak-L1 bound with 5^d at every level, 1000 fields in 2-D and 4-D; "
+              "a point mass comes within a floor of it",
+           worst_excess <= 1e-9 and sharp_ok,
+           f"(worst excess {worst_excess:.2e}, point-mass lambda |{{Mf > lambda}}| "
+           f"min {', '.join(lows)})")
 
 
 def test_09_lorentz_machinery():

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fueterlab import stencil
-from fueterlab.exterior import index_tuples
 from fueterlab.fields import (
     FueterPolynomialMap,
     GridField,
@@ -24,9 +23,7 @@ from fueterlab.fields import (
     dirichlet_energy,
     domain_variation_derivative,
     energy_identity_defects,
-    laplacian_direct,
     load_fld1,
-    pullback_closedness_defect,
     residual_operator_matrix,
     save_fld1,
     standard_triholomorphic_field,
@@ -40,6 +37,11 @@ from fueterlab.quat import ONE, QI, QJ, QK, StructureTriple, kaehler_form, quat_
 
 S1 = StructureTriple.standard(1)
 S2 = StructureTriple.standard(2)
+
+
+def _window(node):
+    """The 3^{4m} nodes around node, as an index for GridField.block."""
+    return tuple(slice(i - 1, i + 2) for i in node)
 
 
 def grid_from_poly(poly, nodes=17, L=0.5):
@@ -174,7 +176,7 @@ def test_function_backed_grid_rejects_non_finite_values():
     with pytest.raises(ValueError, match="finite"):
         differential(u, (4, 8, 8, 8))
     with pytest.raises(ValueError, match="finite"):
-        laplacian_direct(u, (4, 8, 8, 8))
+        stencil.laplacian(u.block(_window((4, 8, 8, 8))), u.h, False, u.dim)
     assert not u.is_dense()
 
 
@@ -270,13 +272,6 @@ def test_triholo_residual_zero_jet_and_identity_jet():
     R = triholo_residual(np.eye(4), S1, S1)
     assert np.allclose(R, 4.0 * np.eye(4), atol=1e-14)
     assert abs(np.linalg.norm(R) - 8.0) < 1e-12
-
-
-def test_triholo_residual_connection_term():
-    rng = np.random.default_rng(2)
-    A = rng.normal(size=(4, 4))
-    C = triholo_residual(A, S1, S1)
-    assert np.max(np.abs(triholo_residual(A, S1, S1, connection=C))) < 1e-14
 
 
 def test_triholo_residual_of_a_batch_is_the_residual_of_each_jet():
@@ -879,103 +874,21 @@ def test_dirichlet_energy_bubble_scale_invariance():
 
 
 def test_laplacian_direct_basics():
+    # the Laplacian at a node is stencil.laplacian of the window around it
     rng = np.random.default_rng(9)
     A = rng.normal(size=(4, 4))
     u = GridField.from_function(lambda p: p @ A.T, 1, 1, 9, L=0.5, materialize=True)
-    assert np.max(np.abs(laplacian_direct(u, (4, 4, 4, 4)))) < 1e-10
+    lap = stencil.laplacian(u.block(_window((4, 4, 4, 4))), u.h, False, u.dim)
+    assert lap.shape == (1, 1, 1, 1, 4)
+    assert np.max(np.abs(lap)) < 1e-10
 
     def quad(p):
         r2 = np.sum(p * p, axis=-1)
         return np.stack([r2, r2, r2, r2], axis=-1)
 
     v = GridField.from_function(quad, 1, 1, 9, L=0.5, materialize=True)
-    lap = laplacian_direct(v, (4, 4, 4, 4))
+    lap = stencil.laplacian(v.block(_window((4, 4, 4, 4))), v.h, False, v.dim)
     assert np.max(np.abs(lap - 2.0 * 4)) < 1e-9
-
-
-def test_pullback_closedness_defect():
-    Om = kaehler_form(S1, "i")
-    const = GridField.from_function(lambda p: np.ones(p.shape), 1, 1, 9, L=0.5,
-                                    materialize=True)
-    assert pullback_closedness_defect(const, Om) == 0.0
-    rng = np.random.default_rng(10)
-    A = rng.normal(size=(4, 4))
-    aff = GridField.from_function(lambda p: p @ A.T, 1, 1, 9, L=0.5, materialize=True)
-    assert pullback_closedness_defect(aff, Om) < 1e-12
-    poly = standard_triholomorphic_field(seed=4, degree=4)
-    defects = []
-    for nodes in (9, 17, 33):
-        u = grid_from_poly(poly, nodes)
-        defects.append(pullback_closedness_defect(u, Om))
-    assert defects[2] < defects[1] < defects[0]
-    # pairwise slopes climb toward 2 (1.29, 1.69, 1.83 at 9/17/33/49 nodes);
-    # assert the finest measured pair
-    last_slope = (np.log(defects[2]) - np.log(defects[1])) / np.log(0.5)
-    assert last_slope > 1.5
-
-
-def _parent_pullback_closedness_defect(u: GridField, Omega) -> float:
-    # verbatim copy from before each face term became one flux(a, b, c)
-    if Omega.k != 2 or Omega.n != u.target_dim:
-        raise ValueError("Omega must be a 2-form on the target")
-    W = Omega.as_matrix()
-    vals = u.values
-    d = u.dim
-    h = u.h
-    if u.domain == "torus":
-        # wrap-pad two layers so the box slicing below covers every cell
-        vals = np.pad(vals, [(2, 2)] * d + [(0, 0)], mode="wrap")
-
-    # du at every 1-interior node, then the pullback 2-form G_{ab} = (du^T W du)_{ab}
-    du = np.stack([stencil.d1(vals, a, h, False, d) for a in range(d)], axis=-1)
-    G = np.einsum("...ia,ij,...jb->...ab", du, W, du)
-
-    M = G.shape[0]
-    if M < 3:
-        raise ValueError("grid too small for interior 3-cells")
-
-    def corner_avg(comp, base_sl, ax_pair, shift_ax=None):
-        # average of G[..., ax_pair] over the 4 corners of a face
-        a, b = ax_pair
-        tot = 0.0
-        for da in (0, 1):
-            for db in (0, 1):
-                sl = list(base_sl)
-                sl[a] = slice(sl[a].start + da, sl[a].stop + da)
-                sl[b] = slice(sl[b].start + db, sl[b].stop + db)
-                if shift_ax is not None:
-                    ax, st = shift_ax
-                    sl[ax] = slice(sl[ax].start + st, sl[ax].stop + st)
-                tot = tot + comp[tuple(sl)]
-        return tot / 4.0
-
-    worst = 0.0
-    base = [slice(0, M - 1)] * d
-    for (a, b, c) in index_tuples(d, 3):
-        Gbc, Gac, Gab = G[..., b, c], G[..., a, c], G[..., a, b]
-        s = corner_avg(Gbc, base, (b, c), (a, 1)) - corner_avg(Gbc, base, (b, c), (a, 0))
-        s -= corner_avg(Gac, base, (a, c), (b, 1)) - corner_avg(Gac, base, (a, c), (b, 0))
-        s += corner_avg(Gab, base, (a, b), (c, 1)) - corner_avg(Gab, base, (a, b), (c, 0))
-        worst = max(worst, float(np.max(np.abs(s))) / h)
-    return worst
-
-
-@pytest.mark.parametrize("grid", ["poly9", "poly17", "torus8", "box7"])
-def test_pullback_closedness_defect_matches_the_parent_corner_sums_bitwise(grid):
-    rng = np.random.default_rng(16)
-    poly = standard_triholomorphic_field(seed=4, degree=4)
-    u = {
-        "poly9": lambda: grid_from_poly(poly, 9),
-        "poly17": lambda: grid_from_poly(poly, 17),
-        "torus8": lambda: GridField.from_array(rng.normal(size=(8,) * 4 + (4,)), 1, 1,
-                                               domain="torus", L=1.0),
-        "box7": lambda: GridField.from_array(rng.normal(size=(7,) * 4 + (4,)), 1, 1),
-    }[grid]()
-    for which in ("i", "j", "k"):
-        Om = kaehler_form(S1, which)
-        got = pullback_closedness_defect(u, Om)
-        assert got > 0.0
-        assert got == _parent_pullback_closedness_defect(u, Om)
 
 
 def _bump_field(p):

@@ -147,11 +147,11 @@ def test_criterion_6_fails_on_a_solver_that_drops_tau(monkeypatch, capsys):
     _printed_only_fail(capsys, 1)
 
 
-def _residual_k_flipped(A, S_dom, S_tar, connection=None):
+def _residual_k_flipped(A, S_dom, S_tar):
     """triholo_residual with the sign of its K du k term flipped."""
     A = np.asarray(A, dtype=float)
     k_term = np.einsum("ij,...jk,kl->...il", S_tar.k_mat, A, S_dom.k_mat)
-    return triholo_residual(A, S_dom, S_tar, connection) + 2.0 * k_term
+    return triholo_residual(A, S_dom, S_tar) + 2.0 * k_term
 
 
 def test_criterion_2_fails_on_a_residual_with_one_sign_flipped(monkeypatch, capsys):
@@ -237,6 +237,15 @@ def test_the_second_difference_checks_fail_when_it_loses_a_1_over_h(module, chec
     with pytest.raises(AssertionError):
         getattr(module, check)()
     _printed_only_fail(capsys, 1 if module is test_acceptance else 0)
+
+
+def test_criterion_8_fails_when_the_maximal_function_is_f_itself(monkeypatch, capsys):
+    # Mf = |f| keeps the weak-L1 bound at every level; only the point mass's
+    # lambda |{Mf > lambda}| (<= 0.031 in 2-D, <= 0.0004 in 4-D) sees it
+    monkeypatch.setattr(test_acceptance, "hl_maximal", lambda f: f.like(np.abs(f.values)))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_08_weak_l1()
+    _printed_only_fail(capsys, 1)
 
 
 def test_criterion_12_fails_on_an_unseeded_draw(tmp_path, monkeypatch, capsys):

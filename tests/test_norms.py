@@ -211,6 +211,32 @@ def test_bmo_basics():
         assert bmo_norm(grid2(v)) <= 3.0 * np.abs(v).max() + 1e-12
 
 
+def _oscillation_by_cube(vals, k):
+    """max over every periodic k-cube Q of the mean of |f - mean_Q f|, one
+    cube at a time: the reference for `_window_oscillation`."""
+    N = vals.shape[0]
+    worst = 0.0
+    for x in np.ndindex(vals.shape):
+        cube = vals[np.ix_(*((xa + np.arange(k)) % N for xa in x))]
+        worst = max(worst, float(np.mean(np.abs(cube - cube.mean()))))
+    return worst
+
+
+@pytest.mark.parametrize("shape, sides", [((16, 16), (1, 2, 3, 4, 8, 16)),
+                                          ((6,) * 4, (2, 3, 6))])
+def test_bmo_oscillation_matches_every_cube_by_brute_force(shape, sides):
+    # each cube's oscillation is measured against its own mean
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=shape)
+    for k in sides:
+        assert abs(norms._window_oscillation(vals, k) - _oscillation_by_cube(vals, k)) < 1e-12
+    # no cube of a 0/1 step oscillates by more than 1/2 about its mean
+    step = np.zeros((N2, N2))
+    step[: int(0.3 * N2)] = 1.0
+    for k in (4, 8, 16):
+        assert norms._window_oscillation(step, k) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_duality_pairing():
     z = grid2(np.zeros((N2, N2)))
     f = step2(0.3)
