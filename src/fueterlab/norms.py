@@ -150,10 +150,10 @@ def hl_maximal(f: ScalarGrid) -> ScalarGrid:
 
 def weak_l1_excess(f: ScalarGrid, Mf: ScalarGrid) -> float:
     """max(0, sup over levels v of |{Mf >= v}| v - 5^d ||f||_1) for
-    Mf = hl_maximal(f), the levels being the values of Mf rounded to 12
-    decimals; 0 when the weak-L1 bound holds at every level."""
+    Mf = hl_maximal(f), the levels being the values of Mf, where the sup is
+    attained; 0 when the weak-L1 bound holds at every level."""
     M = Mf.values
-    levels = np.unique(np.round(M, 12))
+    levels = np.unique(M)
     counts = M.size - np.searchsorted(np.sort(M, axis=None), levels, side="left")
     excess = counts * f.cell * levels - VITALI_CONSTANT_BASE**f.d * f.l1()
     return max(0.0, float(excess.max()))

@@ -10,7 +10,6 @@ roundoff, not merely to O(h^2).
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -63,7 +62,9 @@ def poisson_solve(f: ScalarGrid, spectrum=None, out=None) -> ScalarGrid:
     Delta_h v = f - mean(f) with mean(v) = 0.  The spectrum is transformed
     and divided in place (one axis-0 plane at a time): in `spectrum` if
     given, a complex grid whose real part may hold f's values.  v is written
-    into `out` if given."""
+    into `out` if given, which may be `spectrum.real`: numpy skips the
+    assignment of a view to itself, so f's values already in the real part
+    and v left there are copied neither in nor out."""
     vals = f.values
     F = np.empty(vals.shape, complex) if spectrum is None else spectrum
     F.real = vals
@@ -156,9 +157,9 @@ def _coef(arr, ij, shape):
 # default_problem(seed=3) on 2 cores, median of 3 solves in each of 3
 # processes: at 20^4 0.72 s with 2 planes, 0.85 s with 1 and 0.67 s with 4;
 # at 32^4 4.7 s with 2, 4.9 s with 1 and 4.7 s with 4.  Its traced peak
-# beyond P at 20^4 is 5.2 grids with 2 planes, 5.0 with 1 and 5.7 with 4,
-# and `solve-w21 --grid 20` peaks at 57.7 MB RSS with 2, 57.2 with 1 and 58.3
-# with 4
+# beyond P at 20^4 is 4.0 grids with 2 planes, 3.7 with 1 and 4.7 with 4,
+# and `solve-w21 --grid 20` peaks at 56.5 MB RSS with 2, 56.0 with 1 and
+# 57.4 with 4
 _RHS_PLANES = 2
 
 
@@ -182,8 +183,9 @@ def _rhs_operator(P: PerturbedProblem, out=None):
     the operator's own), which the next call overwrites.  Over the blocks of
     `_wrapped_blocks` of chi and of w, Delta chi, each d_a chi, chi mu_ij and
     chi tau_j, each difference of w and the source are formed into two
-    block-sized buffers and added into the output's block in the
-    term-by-term formula's order, so every bit stays."""
+    block-sized buffers and added into a third in the term-by-term
+    formula's order, so every bit stays; that block is then written into
+    the output's planes, which need not be contiguous."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
@@ -193,13 +195,13 @@ def _rhs_operator(P: PerturbedProblem, out=None):
     tau = [(j, c) for j in range(d) if np.any(c := _coef(P.tau, j, chi.shape))]
     out = np.empty_like(chi) if out is None else out
     block = (min(_RHS_PLANES, chi.shape[0]),) + chi.shape[1:]
-    dchi, diff = np.empty(block), np.empty(block)
+    total, dchi, diff = np.empty(block), np.empty(block), np.empty(block)
 
     def rhs(w):
         for (b, cp), (_, wb) in zip(_wrapped_blocks(chi), _wrapped_blocks(w)):
             k = b.stop - b.start
             dc, df = dchi[:k], diff[:k]  # dc holds each chi coefficient too
-            acc = stencil.laplacian(cp, h, False, out=out[b])
+            acc = stencil.laplacian(cp, h, False, out=total[:k])
             acc *= w[b]
             for a in range(d):
                 dw = stencil.d1(wb, a, h, False, out=df)
@@ -212,6 +214,7 @@ def _rhs_operator(P: PerturbedProblem, out=None):
                 acc -= np.multiply(dc, stencil.d1(wb, j, h, False, out=df), out=df)
             np.multiply(chi[b], sq[b], out=dc)
             acc += np.multiply(dc, P.f.values[b], out=dc)
+            out[b] = acc
         return out
 
     return rhs
@@ -227,7 +230,8 @@ def contraction_step(w: ScalarGrid, P: PerturbedProblem) -> ScalarGrid:
 
 
 def _w11(v, h, grid=None):
-    """The W^{1,1} norm of v on the torus, in a grid buffer."""
+    """The W^{1,1} norm of v on the torus, in a grid buffer (which may be a
+    strided view, such as a complex grid's imaginary part)."""
     grid = np.empty_like(v) if grid is None else grid
     total = np.abs(v, out=grid).sum()
     for a in range(v.ndim):
@@ -248,11 +252,12 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
     """
     h = P.f.h
     shape = P.f.values.shape
-    # four whole grids: v, nxt (the right-hand side, then the next iterate)
-    # and one spectrum, whose memory then serves as a contiguous float grid
+    # three whole grids: v and one spectrum, whose real part takes the
+    # right-hand side and then the next iterate, and whose imaginary part
+    # is the scratch grid of the W^{1,1} norm and the final residual
     spectrum = np.empty(shape, complex)
-    grid = spectrum.view(float).ravel()[: math.prod(shape)].reshape(shape)
-    v, nxt = np.zeros(shape), np.empty(shape)
+    nxt, grid = spectrum.real, spectrum.imag
+    v = np.zeros(shape)
     prev_diff = None
     ratios = []
     flat_count = 0
