@@ -30,7 +30,7 @@ from .fields import (
 )
 from .monotone import ratio_profile
 from .norms import ScalarGrid, hl_maximal, lorentz_21, lorentz_2inf, weak_l1_excess
-from .poisson import NonContractionError, default_problem, fixed_point_solve
+from .poisson import NonContractionError, NotConvergedError, default_problem, fixed_point_solve
 from .quat import StructureTriple
 
 FORMAT_VERSION = "FUETERLAB1"
@@ -213,6 +213,12 @@ def _field_jets(f, u):
 def cmd_monotonicity(args) -> int:
     cfg = _load_config(args)
     radii = args.radii or [0.15, 0.2, 0.3, 0.4]
+    # the ball sums carry the cell volume h^4 = (2 max(radii) / (grid - 8))^4, at this
+    # floor the smallest normal float; below it the ratios lose digits, read 0, then NaN
+    floor = np.finfo(float).tiny ** 0.25 * (cfg.grid - 8) / 2
+    if min(radii) < floor:
+        raise ValueError(f"--radii must be at least {floor:.4g} on grid {cfg.grid}, "
+                         f"got {min(radii)!r}")
     # box sized so the largest ball plus the stencil margin stays interior
     L = max(radii) / (1.0 - 7.0 / (cfg.grid - 1))
     if args.field == "constant":
@@ -260,10 +266,10 @@ def cmd_solve_w21(args) -> int:
     P = default_problem(N=cfg.grid, magnitude=cfg.magnitude, seed=cfg.seed)
     try:
         v, stats = fixed_point_solve(P, tol=args.tol, max_iter=args.max_iter)
-    except NonContractionError as e:
+    except NotConvergedError as e:
         payload = {
             "config": asdict(cfg),
-            "error": "non-contraction",
+            "error": "non-contraction" if isinstance(e, NonContractionError) else "not-converged",
             "detail": str(e),
             "ratios_tail": [float(r) for r in e.ratios[-5:]],
         }

@@ -70,18 +70,17 @@ def _finite(values, what="field"):
 
 
 class GridField:
-    """A map u from a uniform grid in R^{4m} (torus [0,L)^{4m} or box
-    [-L,L]^{4m}) into R^{4n}.
+    """A map u from a uniform grid on the box [-L,L]^{4m} into R^{4n}.
 
     Either ``values`` (shape ``shape + (4n,)``) or ``fn`` (vectorized callable
     from (..., 4m) points to (..., 4n) values) must be given.  All axes share
-    the spacing h; a box needs at least 5 nodes per axis for the central
-    stencils.
+    the spacing h, and need at least 5 nodes for the central stencils.
+    `domain` is "box", the one domain; FLD1 headers carry it.
     """
 
     def __init__(self, m, n, domain, L, shape, values=None, fn=None):
-        if domain not in ("torus", "box"):
-            raise ValueError("domain must be 'torus' or 'box'")
+        if domain != "box":
+            raise ValueError(f"domain must be 'box', got {domain!r}")
         self.m = int(m)
         self.n = int(n)
         self.domain = domain
@@ -96,8 +95,7 @@ class GridField:
         if len(set(shape)) != 1:
             raise ValueError("all axes share one node count")
         self.shape = shape
-        N = shape[0]
-        self.h = self.L / N if domain == "torus" else 2.0 * self.L / (N - 1)
+        self.h = 2.0 * self.L / (shape[0] - 1)
         self._values = None
         self._fn = fn
         if values is not None:
@@ -133,21 +131,15 @@ class GridField:
         return 4 * self.n
 
     def axis_coords(self):
-        N = self.shape[0]
-        if self.domain == "torus":
-            return np.arange(N) * self.h
-        return -self.L + np.arange(N) * self.h
+        return -self.L + np.arange(self.shape[0]) * self.h
 
     def interior_margin(self):
         """Nodes this many layers from a box edge are excluded from statistics."""
-        return 0 if self.domain == "torus" else 2
+        return 2
 
     def is_interior(self, node):
         """Whether a central stencil at node stays on the grid."""
-        if self.domain == "torus":
-            return True
-        N = self.shape[0]
-        return all(1 <= i <= N - 2 for i in node)
+        return all(1 <= i <= self.shape[0] - 2 for i in node)
 
     # -- values
 
@@ -156,12 +148,10 @@ class GridField:
         if self._values is None:
             nbytes = 8 * self.target_dim * int(np.prod(self.shape))
             if nbytes > _DENSE_LIMIT_BYTES:
-                raise MemoryError(
-                    f"refusing to materialize {nbytes / 1e9:.1f} GB; use slab access"
-                )
+                raise MemoryError(f"refusing to materialize {nbytes / 1e9:.1f} GB; use block")
             values = np.empty(self.shape + (self.target_dim,))
             for i in range(self.shape[0]):
-                values[i] = self.slab(i)
+                values[i] = self.block(i)
             self._values = values
         return self._values
 
@@ -201,24 +191,15 @@ class GridField:
             pts[..., a] = x.reshape((-1,) + (1,) * k) if x.ndim else x
         return self._call(pts)
 
-    def slab(self, i):
-        """Values on the hyperplane of axis-0 index i (wrapped on a torus)."""
-        return self.block(i % self.shape[0] if self.domain == "torus" else i)
-
     def __repr__(self):
         kind = "dense" if self.is_dense() else "fn"
-        return (
-            f"GridField(m={self.m}, n={self.n}, {self.domain}, L={self.L}, "
-            f"shape={self.shape}, h={self.h:.5g}, {kind})"
-        )
+        return (f"GridField(m={self.m}, n={self.n}, {self.domain}, L={self.L}, "
+                f"shape={self.shape}, h={self.h:.5g}, {kind})")
 
 
 def _neighbor(u, node, axis, step, read=None):
-    node = list(node)
-    node[axis] += step
-    if u.domain == "torus":
-        node[axis] %= u.shape[0]
-    return (read or u.block)(tuple(node))
+    """u at node + step h e_axis, read by read(node), u.block by default."""
+    return (read or u.block)(tuple(i + step * (a == axis) for a, i in enumerate(node)))
 
 
 def differential(u: GridField, node, read=None) -> np.ndarray:
@@ -335,32 +316,27 @@ def triholomorphic_kernel(S_dom, S_tar):
 
 def _planes(u: GridField, starts, k, end, inslab=()):
     """Yield (i0, planes) for each i0 of `starts`: the axis-0 planes
-    i0 - 1 .. min(i0 + k, end), wrapped on a torus, each `u.block((i,) + inslab)`.
-    The one reader of streamed planes.  Each plane is read once: a step keeps
-    the planes it shares with the one before, and a torus keeps planes N - 1
-    and 0, which its last step reads again."""
-    N = u.shape[0]
-    planes, kept = {}, {}
+    i0 - 1 .. min(i0 + k, end), each `u.block((i,) + inslab)`.  The one
+    reader of streamed planes.  Each plane is read once: a step keeps the
+    planes it shares with the one before."""
+    planes = {}
     for i0 in starts:
-        idx = [i % N for i in range(i0 - 1, min(i0 + k, end) + 1)]
-        known = {**kept, **planes}
-        planes = {i: known[i] if i in known else u.block((i,) + inslab) for i in idx}
-        if u.domain == "torus" and not kept:
-            kept = {i: planes[i] for i in (N - 1, 0)}
-        yield i0, [planes[i] for i in idx]
+        idx = range(i0 - 1, min(i0 + k, end) + 1)
+        planes = {i: planes[i] if i in planes else u.block((i,) + inslab) for i in idx}
+        yield i0, list(planes.values())
 
 
 def _flat_windows(u: GridField, scratch, kernel):
     """{i0: kernel(i0, block, comps, bufs)} over the windows of axis-0 planes
-    i0 .. i0 + k - 1 of the interior (every plane on a torus), k <= _WINDOW_PLANES.
+    i0 .. i0 + k - 1 of the interior, k <= _WINDOW_PLANES.
 
     `block` is the `stencil.FlatBlock` over a window's planes from `_planes`,
-    halo planes included, and the in-slab nodes 1 .. N - 2 of a box (all its
-    differences read) or a torus's planes padded by `stencil.wrap`.  comps[c]
-    holds component c of the window raveled, and `bufs` is `scratch` more
-    flat buffers.  A function-backed box evaluates its callable on these
-    in-slab planes, `values` on whole slabs: the two agree bitwise only if the
-    callable's value at a point does not depend on the shape of its batch.
+    halo planes included, and their in-slab nodes 1 .. N - 2 (all that the
+    differences read).  comps[c] holds component c of the window raveled,
+    and `bufs` is `scratch` more flat buffers.  A function-backed grid
+    evaluates its callable on these in-slab planes, `values` on whole slabs:
+    the two agree bitwise only if the callable's value at a point does not
+    depend on the shape of its batch.
 
     The windows run on one worker per CPU in the affinity mask, at most one
     per window, when the grid is dense and its blocks hold at least
@@ -369,14 +345,13 @@ def _flat_windows(u: GridField, scratch, kernel):
     front.  The workers take the windows from one generator under a lock; a
     worker's exception is raised here once every worker has stopped."""
     N, d = u.shape[0], u.dim
-    periodic = u.domain == "torus"
     margin = u.interior_margin()
     starts = range(margin, N - margin, _WINDOW_PLANES)
-    ring = N + 2 if periodic else N - 2  # in-slab extent of a window's block
+    ring = N - 2  # in-slab extent of a window's block
     size = (min(_WINDOW_PLANES, N - 2 * margin) + 2) * ring ** (d - 1)
     fan_out = u.is_dense() and size >= _FANOUT_SIZE
     workers = min(len(os.sched_getaffinity(0)), len(starts)) if fan_out else 1
-    inslab = () if periodic else (slice(1, N - 1),) * (d - 1)
+    inslab = (slice(1, N - 1),) * (d - 1)
     windows = _planes(u, starts, _WINDOW_PLANES, N - margin, inslab)
     lock = threading.Lock()
     results, errors = {}, []
@@ -391,11 +366,7 @@ def _flat_windows(u: GridField, scratch, kernel):
                 block = stencil.FlatBlock((len(planes),) + (ring,) * (d - 1))
                 for c in range(u.target_dim):
                     dst = comps[c, : block.size].reshape(block.shape)
-                    for j, plane in enumerate(planes):
-                        if periodic:
-                            stencil.wrap(plane[..., c], out=dst[j])
-                        else:
-                            dst[j] = plane[..., c]
+                    np.stack([plane[..., c] for plane in planes], out=dst)
                 results[i0] = kernel(i0, block, comps, bufs)
         except BaseException as e:  # noqa: BLE001 - raised again by the caller
             errors.append(e)
@@ -454,8 +425,6 @@ def domain_variation_derivative(u: GridField, X) -> float:
     read u exactly (a quadratic u) and O(h^2) for a smooth stationary u.  A
     function-backed grid is evaluated on its nodes, not materialized.
     """
-    if u.domain != "box":
-        raise ValueError("domain variations are defined on box grids")
     d, h, N = u.dim, u.h, u.shape[0]
     pts = np.stack(np.meshgrid(*([u.axis_coords()] * d), indexing="ij"), axis=-1)
     Xv = np.asarray(X(pts), dtype=float)
@@ -488,7 +457,7 @@ def save_fld1(u: GridField, path):
         f.write(header.encode("ascii"))
         # plane by plane, so a function-backed grid is never materialized
         for i in range(u.shape[0]):
-            f.write(np.ascontiguousarray(u.slab(i), dtype="<f8").data)
+            f.write(np.ascontiguousarray(u.block(i), dtype="<f8").data)
 
 
 # an FLD1 header holds each of these fields once, as key=value, read from its

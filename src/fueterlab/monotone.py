@@ -50,16 +50,15 @@ def _ball_slabs(u: GridField, center, reach):
     center = np.asarray(center, dtype=float)
     d = u.dim
     h = u.h
-    if u.domain != "box":
-        raise NotImplementedError("ball quadrature expects a box domain")
     if center.shape != (d,):
         raise ValueError("center must be a point of the domain")
     if reach + 2 * h > u.L - np.abs(center).max():
         raise ValueError("ball exits the domain interior")
     coords = u.axis_coords()
     # per-axis index windows: core (quadrature nodes) and extended (stencil)
-    lo = [np.searchsorted(coords, center[a] - reach - 1e-12) for a in range(d)]
-    hi = [np.searchsorted(coords, center[a] + reach + 1e-12, side="right") for a in range(d)]
+    tol = min(1e-12, 1e-9 * h)  # rounding slack, a fraction of h on the finest grids
+    lo = [np.searchsorted(coords, center[a] - reach - tol) for a in range(d)]
+    hi = [np.searchsorted(coords, center[a] + reach + tol, side="right") for a in range(d)]
     ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(1, d))
     # the core nodes over the remaining axes, raveled: their points (the
     # axis-0 coordinate is set per slab), squared distances and flat indices

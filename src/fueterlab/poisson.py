@@ -21,6 +21,7 @@ from .norms import ScalarGrid
 
 __all__ = [
     "PerturbedProblem",
+    "NotConvergedError",
     "NonContractionError",
     "poisson_solve",
     "contraction_step",
@@ -39,12 +40,16 @@ __all__ = [
 W21_SUITE_C = 2.0
 
 
-class NonContractionError(RuntimeError):
-    """The fixed-point map failed to contract; carries the measured ratios."""
+class NotConvergedError(RuntimeError):
+    """The fixed-point iteration stopped short of tol; carries the measured ratios."""
 
     def __init__(self, message, ratios):
         super().__init__(message)
         self.ratios = list(ratios)
+
+
+class NonContractionError(NotConvergedError):
+    """The fixed-point map failed to contract, or its iterate overflowed."""
 
 
 def _symbol_axes(shape, h):
@@ -246,9 +251,9 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
     distance of consecutive iterates drops below tol.
 
     Returns (v, stats) with the measured contraction ratio and the final
-    residual of the cutoff equation; raises NonContractionError when the
-    ratios sit at or above 1 for three consecutive steps, or when the
-    iteration stalls without converging.
+    residual of the cutoff equation.  Raises NonContractionError when the ratios
+    sit at or above 1 for three consecutive steps, when an iterate overflows or
+    when max_iter runs out at a ratio >= 0.9; NotConvergedError when it runs out sooner.
     """
     h = P.f.h
     shape = P.f.values.shape
@@ -263,9 +268,14 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
     flat_count = 0
     rhs = _rhs_operator(P, nxt)
     for it in range(1, max_iter + 1):
-        poisson_solve(P.f.like(rhs(v)), spectrum, nxt)
-        # the increment nxt - v takes the place of v, which is done with
-        diff = _w11(np.subtract(nxt, v, out=v), h, grid)
+        try:  # an overflow raises here, not as a numpy warning and a non-finite grid
+            with np.errstate(over="raise", invalid="raise"):
+                poisson_solve(P.f.like(rhs(v)), spectrum, nxt)
+                # the increment nxt - v takes the place of v, which is done with
+                diff = _w11(np.subtract(nxt, v, out=v), h, grid)
+        except FloatingPointError:
+            raise NonContractionError(
+                f"non-contraction: the iterate overflowed at iteration {it}", ratios) from None
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
             ratios.append(ratio)
@@ -297,16 +307,12 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
                 "residual_sup": float(res_abs.max()),
             }
             return P.f.like(v), stats
-    last = ratios[-1] if ratios else float("inf")
-    if last >= 0.9:
+    last = f"ratio {ratios[-1]:.4f}" if ratios else "no ratio measured"
+    if ratios and ratios[-1] >= 0.9:
         raise NonContractionError(
-            f"non-contraction: stalled after {max_iter} iterations at ratio {last:.4f}",
-            ratios,
-        )
-    raise RuntimeError(
-        f"did not reach tol={tol} in {max_iter} iterations (ratio {last:.4f}); "
-        "increase max_iter"
-    )
+            f"non-contraction: stalled after {max_iter} iterations at {last}", ratios)
+    raise NotConvergedError(
+        f"did not reach tol={tol} in {max_iter} iterations ({last}); increase max_iter", ratios)
 
 
 def _median(xs):

@@ -107,7 +107,8 @@ def test_identity_check_rejects_short_payload(tmp_path, capsys):
     ("h", "abc", "header field h has a malformed value 'abc'"),
     ("h", "nan", "header spacing inconsistent with L and dims"),
     ("dims", "6,6,x,6", "header field dims has a malformed value '6,6,x,6'"),
-    ("domain", "sphere", "domain must be 'torus' or 'box'"),
+    ("domain", "sphere", "domain must be 'box', got 'sphere'"),
+    ("domain", "torus", "domain must be 'box', got 'torus'"),
 ])
 def test_identity_check_rejects_a_bad_header_field(tmp_path, capsys, key, value, reason):
     path = tmp_path / "u.fld1"
@@ -208,8 +209,6 @@ def _parent_load_fld1(path) -> GridField:
 def _parent_neighbor(u, node, axis, step):
     node = list(node)
     node[axis] += step
-    if u.domain == "torus":
-        node[axis] %= u.shape[0]
     return u.block(tuple(node))
 
 
@@ -295,25 +294,27 @@ def _both_identity_checks(path, capsys, tol=None):
     return runs
 
 
-def _field_values(domain, nodes, n):
-    """A degree-4 triholomorphic field on a box, random values on a torus."""
-    if domain == "box":
+def _field_values(nodes, n):
+    """A degree-4 triholomorphic field into one quaternion, random values
+    into two."""
+    if n == 1:
         poly = fields.standard_triholomorphic_field(seed=3, degree=4)
         return GridField.from_function(poly, 1, 1, nodes, L=0.5, materialize=True).values
     return np.random.default_rng(nodes).normal(size=(nodes,) * 4 + (4 * n,))
 
 
+# `domain` is "box", the one domain, on every case
 @pytest.mark.parametrize("domain, nodes, n", [
     ("box", 13, 1),    # rows 2, 5, 8: planes 0, 10, 11, 12 unread
     ("box", 7, 1),     # rows 2, 3, 4: consecutive rows share planes
-    ("torus", 8, 2),   # rows 2 .. 5, and two target quaternions
-    ("torus", 11, 1),  # rows 2, 4, 6, 8
+    ("box", 8, 2),     # rows 2 .. 5, and two target quaternions
+    ("box", 11, 1),    # rows 2, 4, 6, 8
 ])
 def test_identity_check_field_report_matches_the_parent_bytes(domain, nodes, n, tmp_path,
                                                               capsys):
     path = tmp_path / "u.fld1"
     save_fld1(GridField(1, n, domain, 0.5, (nodes,) * 4,
-                        values=_field_values(domain, nodes, n)), path)
+                        values=_field_values(nodes, n)), path)
     new, old = _both_identity_checks(path, capsys)
     assert new == old
     assert new[0] in (0, 1) and new[1] and new[2] == ""
@@ -341,7 +342,7 @@ def _set(values, node, value):
     ("overflow nan 12", "bad field file: field values must be finite"),
 ])
 def test_a_bad_field_exits_2_as_the_parent_did(defect, reason, tmp_path, capsys):
-    values = _field_values("box", 13, 1)
+    values = _field_values(13, 1)
     if defect.startswith("overflow"):
         values = _set(_set(values, (6, 2, 2, 2, 0), 1e308), (4, 2, 2, 2, 0), -1e308)
     if "nan" in defect:
@@ -361,7 +362,7 @@ def test_identity_check_holds_a_few_planes_of_its_field(tmp_path):
     # a 21^4 field: 6.2 MB of payload in planes of 0.3 MB, of which the
     # check holds at most three, where loading the whole field held all 21
     path = tmp_path / "u.fld1"
-    save_fld1(GridField(1, 1, "box", 0.5, (21,) * 4, values=_field_values("box", 21, 1)), path)
+    save_fld1(GridField(1, 1, "box", 0.5, (21,) * 4, values=_field_values(21, 1)), path)
     payload = 8 * 4 * 21**4
     out = tmp_path / "report.json"
     tracemalloc.start()
@@ -453,6 +454,32 @@ def test_monotonicity_constant_field(capsys):
         assert float(ratio) == 0.0 and float(term) == 0.0 and float(defect) == 0.0
 
 
+def _ratio_over_r_squared(radius, capsys):
+    code, out = run_cli(["monotonicity", "--grid", "12", "--radii", radius], capsys)
+    assert code == 0
+    r, ratio = out.splitlines()[1].split(",")[:2]
+    return float(ratio) / float(r) ** 2
+
+
+@pytest.mark.parametrize("radius", ["1e-13", "1e-60", "2.5e-77"])
+def test_monotonicity_reads_the_same_scaled_ratio_down_to_the_floor(radius, capsys):
+    # on grid 12, h = r / 2: below h = 1e-12 the ball pass once widened its
+    # index windows by more than h and raised IndexError (r = 1e-13); at the
+    # floor 2.443e-77 the cell volume h^4 is still a normal float
+    want = _ratio_over_r_squared("1e-20", capsys)
+    assert abs(_ratio_over_r_squared(radius, capsys) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("radii", ["2.4e-77", "1e-200", "1e-200,0.3"])
+def test_monotonicity_rejects_radii_below_the_floor(radii, capsys):
+    # below the floor the ratios lost digits, then read 0, then NaN (r = 1e-200)
+    code = main(["monotonicity", "--grid", "12", "--radii", radii])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: --radii must be at least 2.443e-77 on grid 12, "
+                            f"got {float(radii.split(',')[0])!r}\n")
+
+
 def test_monotonicity_triholomorphic(capsys):
     code, out = run_cli(["monotonicity", "--grid", "33", "--seed", "3"], capsys)
     assert code == 0
@@ -484,6 +511,38 @@ def test_solve_w21_non_contraction(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["error"] == "non-contraction"
+
+
+def _solve_w21_report(argv, capsys):
+    """The report of a solve-w21 run that exits 1, with nothing on stderr."""
+    code = main(["solve-w21"] + argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    return json.loads(captured.out)
+
+
+@pytest.mark.parametrize("max_iter, last", [
+    ("1", "no ratio measured"),
+    ("2", "ratio 0.1350"),
+    ("3", "ratio 0.4764"),
+])
+def test_solve_w21_cut_short_by_max_iter_is_not_converged(max_iter, last, capsys):
+    # the solve contracts, but --max-iter stops it first: not a non-contraction
+    rep = _solve_w21_report(["--grid", "8", "--max-iter", max_iter], capsys)
+    assert rep["error"] == "not-converged"
+    assert rep["detail"] == (f"did not reach tol=1e-10 in {max_iter} iterations ({last}); "
+                             "increase max_iter")
+    assert len(rep["ratios_tail"]) == int(max_iter) - 1
+    assert all(r < 0.9 for r in rep["ratios_tail"])
+
+
+@pytest.mark.parametrize("magnitude, at", [("1e154", 4), ("1e200", 3)])
+def test_solve_w21_reports_an_overflowing_iterate_as_non_contraction(magnitude, at, capsys):
+    # the iterate grows by ~magnitude a step, and overflows without a numpy warning
+    rep = _solve_w21_report(["--grid", "6", "--magnitude", magnitude], capsys)
+    assert rep["error"] == "non-contraction"
+    assert rep["detail"] == f"non-contraction: the iterate overflowed at iteration {at}"
+    assert len(rep["ratios_tail"]) == at - 2 and min(rep["ratios_tail"]) > 1e150
 
 
 def test_extract_bubbles_two(capsys):

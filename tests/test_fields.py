@@ -97,9 +97,9 @@ def test_differential_boundary_error():
 
 def test_fld1_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    for domain, n in (("box", 1), ("torus", 1), ("box", 2)):
+    for n in (1, 2):
         vals = rng.normal(size=(5, 5, 5, 5, 4 * n))
-        u = GridField.from_array(vals, 1, n, domain=domain, L=0.5)
+        u = GridField.from_array(vals, 1, n, L=0.5)
         path = tmp_path / "field.fld1"
         save_fld1(u, path)
         v = load_fld1(path)
@@ -147,10 +147,23 @@ def test_evaluate_on_a_dense_grid_raises():
     # function-backed source still evaluates anywhere
     src = GridField.from_function(lambda p: 2.0 * p, 1, 1, 7, materialize=True)
     assert np.array_equal(src.evaluate([[0.1, 0.0, 0.0, 0.0]]), [[0.2, 0.0, 0.0, 0.0]])
-    for u in (GridField.from_array(src.values, 1, 1),
-              GridField.from_array(np.zeros((8,) * 4 + (4,)), 1, 1, domain="torus")):
-        with pytest.raises(ValueError, match="values at its nodes only"):
-            u.evaluate(np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="values at its nodes only"):
+        GridField.from_array(src.values, 1, 1).evaluate(np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("domain", ["torus", "sphere", ""])
+def test_a_grid_field_is_a_box(domain, tmp_path):
+    # the box [-L, L]^4 is the one domain: any other raises naming domain,
+    # in the constructor and in an FLD1 header
+    with pytest.raises(ValueError, match=f"^domain must be 'box', got '{domain}'$"):
+        GridField(1, 1, domain, 0.5, (5,) * 4, values=np.zeros((5,) * 4 + (4,)))
+    path = tmp_path / "field.fld1"
+    save_fld1(GridField.from_array(np.zeros((5,) * 4 + (4,)), 1, 1), path)
+    raw = path.read_bytes()
+    assert b" domain=box " in raw[: raw.index(b"\n")]
+    path.write_bytes(raw.replace(b" domain=box ", f" domain={domain} ".encode(), 1))
+    with pytest.raises(ValueError, match=f"^domain must be 'box', got '{domain}'$"):
+        load_fld1(path)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
@@ -158,7 +171,7 @@ def test_function_backed_grid_rejects_non_finite_values():
     # log(x + 0.3) is NaN wherever a coordinate is below -0.3, on every slab
     u = GridField.from_function(lambda p: np.log(p + 0.3), 1, 1, 7)
     with pytest.raises(ValueError, match="finite"):
-        u.slab(6)
+        u.block(6)
     with pytest.raises(ValueError, match="finite"):
         u.values  # noqa: B018
     assert not u.is_dense()
@@ -680,7 +693,7 @@ def test_dirichlet_energy_function_backed_matches_materialized():
     poly = standard_triholomorphic_field(seed=2, degree=4)
     streamed = GridField.from_function(poly, 1, 1, 9, domain="box", L=0.5)
     dense = GridField.from_function(poly, 1, 1, 9, domain="box", L=0.5, materialize=True)
-    assert np.array_equal(streamed.slab(4), dense.slab(4))
+    assert np.array_equal(streamed.block(4), dense.block(4))
     want = dirichlet_energy(dense)
     assert want > 0.0
     assert dirichlet_energy(streamed) == want
@@ -688,34 +701,26 @@ def test_dirichlet_energy_function_backed_matches_materialized():
 
 def _parent_windows(self):
     """Yield (i0, window) over the axis-0 planes i0 .. i0 + k - 1 of the
-    interior (every plane on a torus), k <= _WINDOW_PLANES.
+    interior, k <= _WINDOW_PLANES (the parent's box path).
 
     A window holds those planes and one halo plane on each side of them,
-    so box differences over it cover exactly its k planes.  On a box it
-    holds the whole in-slab extent (a view when the grid is dense); on a
-    torus the plane indices wrap and the in-slab axes are padded by one
-    periodic layer.  A function-backed grid is evaluated slab by slab,
-    each plane once, and never materialized.
+    so box differences over it cover exactly its k planes.  It holds the
+    whole in-slab extent (a view when the grid is dense).  A
+    function-backed grid is evaluated slab by slab, each plane once, and
+    never materialized.
     """
     N = self.shape[0]
-    periodic = self.domain == "torus"
     margin = self.interior_margin()
     lo, hi = margin, N - margin
-    pad = [(0, 0)] + [(1, 1)] * (self.dim - 1) + [(0, 0)]
-    planes, wrap = {}, {}
+    planes = {}
     for i0 in range(lo, hi, _WINDOW_PLANES):
-        idx = [i % N for i in range(i0 - 1, min(i0 + _WINDOW_PLANES, hi) + 1)]
-        if self._values is not None and not periodic:
+        idx = list(range(i0 - 1, min(i0 + _WINDOW_PLANES, hi) + 1))
+        if self._values is not None:
             yield i0, self._values[idx[0] : idx[-1] + 1]
             continue
-        # the two planes a window shares with the next are evaluated once,
-        # and so are planes N - 1 and 0, which a torus's last window reads again
-        known = {**wrap, **planes}
-        planes = {i: known[i] if i in known else self.slab(i) for i in idx}
-        if periodic and not wrap:
-            wrap = {i: planes[i] for i in (N - 1, 0)}
-        win = np.stack([planes[i] for i in idx])
-        yield i0, np.pad(win, pad, mode="wrap") if periodic else win
+        # the two planes a window shares with the next are evaluated once
+        planes = {i: planes[i] if i in planes else self.block(i) for i in idx}
+        yield i0, np.stack([planes[i] for i in idx])
 
 
 def _parent_dirichlet_energy(u: GridField) -> float:
@@ -727,7 +732,7 @@ def _parent_dirichlet_energy(u: GridField) -> float:
     d = u.dim
     # the in-slab differences cover the 1-interior of a window's planes
     core = (slice(1, -1),) * (d - 1)
-    inner = (slice(None) if u.domain == "torus" else slice(margin - 1, N - margin - 1),) * (d - 1)
+    inner = (slice(margin - 1, N - margin - 1),) * (d - 1)
     total = 0.0
     for _, win in _parent_windows(u):
         for k in range(1, win.shape[0] - 1):
@@ -741,9 +746,9 @@ def _parent_dirichlet_energy(u: GridField) -> float:
 
 @pytest.mark.parametrize("m, n, domain, nodes, dense", [
     (1, 1, "box", 11, True),
-    (1, 2, "torus", 7, True),
+    (1, 2, "box", 7, True),
     (1, 1, "box", 10, False),
-    (1, 1, "torus", 9, False),
+    (1, 1, "box", 9, False),
     (2, 1, "box", 6, True),
 ])
 def test_dirichlet_energy_matches_the_parent_implementation_bitwise(m, n, domain, nodes, dense,
@@ -782,13 +787,13 @@ def _plane_counting_grid(domain, nan_plane=None):
     return u, calls
 
 
-@pytest.mark.parametrize("domain", ["box", "torus"])
+@pytest.mark.parametrize("domain", ["box"])
 def test_fanned_out_norms_evaluate_each_plane_once(domain, workers):
     # more workers than cores and a short switch interval, so that a window
     # or a plane taken twice or lost would show in the counts or the bits
     u, calls = _plane_counting_grid(domain)
-    # a box reads planes 1 .. N - 2, each over its in-slab nodes 1 .. N - 2
-    planes = ring = 13 if domain == "torus" else 11
+    # planes 1 .. N - 2 are read, each over its in-slab nodes 1 .. N - 2
+    planes = ring = 11
     norms = (dirichlet_energy, w21_norm)
     want = [norm(u) for norm in norms]
     before = threading.active_count()

@@ -1,5 +1,5 @@
-"""Property tests of the FLD1 field file: bit-exact round trips over box and
-torus grids, dense and function-backed, and rejection of corrupted files."""
+"""Property tests of the FLD1 field file: bit-exact round trips over box
+grids, dense and function-backed, and rejection of corrupted files."""
 
 import re
 
@@ -13,16 +13,15 @@ from fueterlab.fields import GridField, load_fld1, save_fld1
 
 @st.composite
 def grids(draw):
-    domain = draw(st.sampled_from(["box", "torus"]))
     n = draw(st.sampled_from([1, 2]))
     nodes = draw(st.integers(5, 7))
     L = draw(st.floats(0.1, 10.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         values = rng.normal(size=(nodes,) * 4 + (4 * n,))
-        return GridField(1, n, domain, L, (nodes,) * 4, values=values)
+        return GridField(1, n, "box", L, (nodes,) * 4, values=values)
     A = rng.normal(size=(4, 4 * n))
-    return GridField.from_function(lambda p: np.sin(p @ A), 1, n, nodes, domain=domain, L=L)
+    return GridField.from_function(lambda p: np.sin(p @ A), 1, n, nodes, L=L)
 
 
 @pytest.fixture(scope="module")

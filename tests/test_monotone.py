@@ -109,10 +109,6 @@ def test_ball_exits_domain():
 @pytest.mark.parametrize("ball", [ratio_profile, almost_monotone_sweep],
                          ids=["ratio_profile", "almost_monotone_sweep"])
 def test_ball_input_checks(ball):
-    torus = GridField.from_function(lambda p: np.ones(p.shape), 1, 1, 17, domain="torus",
-                                    L=0.55)
-    with pytest.raises(NotImplementedError, match="box domain"):
-        ball(torus, ORIGIN, [0.1])
     with pytest.raises(ValueError, match="center must be a point"):
         ball(CONST, np.zeros(3), [0.1])
     with pytest.raises(ValueError, match="nothing to integrate"):

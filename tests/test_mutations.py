@@ -46,6 +46,14 @@ def test_the_w21_band_fails_on_a_w21_norm_mutant(module, check, mutant, monkeypa
     _printed_only_fail(capsys, 1 if module is test_acceptance else 0)
 
 
+def test_criterion_7_fails_on_a_w21_norm_half_again_too_large(monkeypatch, capsys):
+    # its max ratio 1.905 stays within C = 2: only the exact side can see it
+    monkeypatch.setattr(test_acceptance, "w21_norm", lambda u: 1.5 * w21_norm(u))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_07_w21_regression()
+    _printed_only_fail(capsys, 1)
+
+
 def _printed_only_fail(capsys, lines):
     """The check printed `lines` lines, and each says FAIL: the check failed
     for its criterion's reason.  They are read here, so `pytest -s` does not
@@ -229,6 +237,7 @@ def _second_times_h(p, c, m, h, out=None):
 
 @pytest.mark.parametrize("module, check", [
     (test_acceptance, "test_04_discrete_laplacian_decay"),
+    (test_acceptance, "test_07_w21_regression"),
     (test_poisson, "test_w21_norm_and_energy_match_exact_derivatives"),
 ])
 def test_the_second_difference_checks_fail_when_it_loses_a_1_over_h(module, check, monkeypatch,

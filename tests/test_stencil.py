@@ -182,11 +182,8 @@ def _old_w21_norm(u):
     vals = u.values
     d = u.dim
     h = u.h
-    if u.domain == "torus":
-        sl = tuple(slice(None) for _ in range(d))
-    else:
-        N = u.shape[0]
-        sl = tuple(slice(2, N - 2) for _ in range(d))
+    N = u.shape[0]
+    sl = tuple(slice(2, N - 2) for _ in range(d))
     absu = np.linalg.norm(vals, axis=-1)
     grad_sq = 0.0
     hess_sq = 0.0
@@ -202,20 +199,15 @@ def _old_du_squared_slabs(u):
     N = u.shape[0]
     margin = u.interior_margin()
     d = u.dim
-    i_range = range(N) if u.domain == "torus" else range(margin, N - margin)
-    inner = tuple(
-        slice(None) if u.domain == "torus" else slice(margin, N - margin)
-        for _ in range(d - 1)
-    )
+    inner = tuple(slice(margin, N - margin) for _ in range(d - 1))
     cache = {}
 
     def get(i):
-        key = i % N if u.domain == "torus" else i
-        if key not in cache:
-            cache[key] = u.slab(key)
-        return cache[key]
+        if i not in cache:
+            cache[i] = u.block(i)
+        return cache[i]
 
-    for i in i_range:
+    for i in range(margin, N - margin):
         sm, s0, sp = get(i - 1), get(i), get(i + 1)
         acc = np.sum(((sp - sm) / (2 * u.h)) ** 2, axis=-1)
         for a in range(1, d):
@@ -223,7 +215,7 @@ def _old_du_squared_slabs(u):
             minus = np.roll(s0, +1, axis=a - 1)
             acc += np.sum(((plus - minus) / (2 * u.h)) ** 2, axis=-1)
         yield i, acc[inner]
-        cache.pop((i - 1) % N if u.domain == "torus" else i - 1, None)
+        cache.pop(i - 1, None)
 
 
 def _old_dirichlet_energy(u):
@@ -235,11 +227,10 @@ def _old_dirichlet_energy(u):
 
 def _parity_fields():
     rng = np.random.default_rng(21)
-    torus = GridField(1, 1, "torus", 1.0, (8,) * 4, values=rng.normal(size=(8,) * 4 + (4,)))
     box = GridField(1, 1, "box", 0.5, (11,) * 4, values=rng.normal(size=(11,) * 4 + (4,)))
     A = rng.normal(size=(4, 4))
     streamed = GridField.from_function(lambda p: np.sin(p @ A.T), 1, 1, 10, domain="box")
-    return [torus, box, streamed]
+    return [box, streamed]
 
 
 def test_w21_norm_matches_roll_implementation_bitwise():
@@ -247,7 +238,7 @@ def test_w21_norm_matches_roll_implementation_bitwise():
         assert w21_norm(u) == _old_w21_norm(u)
 
 
-@pytest.mark.parametrize("domain", ["box", "torus"])
+@pytest.mark.parametrize("domain", ["box"])
 @pytest.mark.parametrize("N", [5, 6, 7, 12])
 def test_w21_norm_bitwise_when_windows_do_not_tile_the_planes(domain, N):
     rng = np.random.default_rng(N)
@@ -273,7 +264,7 @@ def test_sum_of_squares_adds_in_the_order_of_numpys_last_axis_sum(count):
     assert np.array_equal(got, np.sum(np.stack(list(values), axis=-1) ** 2, axis=-1))
 
 
-@pytest.mark.parametrize("domain", ["box", "torus"])
+@pytest.mark.parametrize("domain", ["box"])
 def test_w21_norm_streams_a_function_backed_grid(domain):
     A = np.random.default_rng(4).normal(size=(4, 4))
     fn = lambda p: np.sin(p @ A.T)  # noqa: E731
