@@ -226,7 +226,12 @@ def cmd_monotonicity(args) -> int:
     else:
         fn = standard_triholomorphic_field(seed=cfg.seed, degree=4)
     u = GridField.from_function(fn, 1, 1, cfg.grid, domain="box", L=L)
-    prof = ratio_profile(u, np.zeros(4), radii)
+    try:  # an overflow raises here, not as a numpy warning and an inf or nan row
+        with np.errstate(over="raise", invalid="raise"):
+            prof = ratio_profile(u, np.zeros(4), radii)
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"--radii up to {max(radii)!r} overflow the ball sums "
+                         f"on grid {cfg.grid}") from None
     _write(prof.to_csv(), args)
     return 0
 

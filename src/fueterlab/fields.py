@@ -433,13 +433,13 @@ def domain_variation_derivative(u: GridField, X) -> float:
     if np.max(np.linalg.norm(Xv, axis=-1)[shell]) > 1e-14:
         raise ValueError("vector field support touches the boundary layer")
     vals = u.block(())
-    du = [stencil.d1(vals, a, h, False, d) for a in range(d)]
-    div = sum(stencil.d1(Xv[..., a], a, h, False, d) for a in range(d))
+    du = [stencil.d1(vals, a, h, d) for a in range(d)]
+    div = sum(stencil.d1(Xv[..., a], a, h, d) for a in range(d))
     total = 0.0
     for a in range(d):
         for b in range(d):
             g = np.einsum("...i,...i->...", du[a], du[b])
-            total += 2.0 * np.vdot(g, stencil.d1(Xv[..., b], a, h, False, d))
+            total += 2.0 * np.vdot(g, stencil.d1(Xv[..., b], a, h, d))
             if a == b:
                 total -= np.vdot(g, div)
     return float(total) * h**d

@@ -158,7 +158,7 @@ def _profile(u: GridField, x, radii) -> RatioProfile:
     energy = np.zeros(len(radii))
     radial = np.zeros(len(radii[1:]))  # one per annulus, none for an empty ladder
     for pts, rho_sq, du, w in _cell_weights(u, x, radii):
-        safe = np.maximum(np.sqrt(rho_sq), 1e-300)
+        safe = np.where(rho_sq > 0.0, np.sqrt(rho_sq), np.inf)  # the centre adds 0
         dur = np.einsum("mia,ma->mi", du, (pts - x) / safe[:, None])
         dur_sq = np.einsum("mi,mi->m", dur, dur)
         du_sq = np.einsum("mia,mia->m", du, du)

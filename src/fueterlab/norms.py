@@ -110,7 +110,7 @@ def _gauss_kernel_fft(shape, h, t):
 
 
 @lru_cache(maxsize=None)
-def _box_kernel_fft(shape, h, k):
+def _box_kernel_fft(shape, k):
     # cube of side k cells anchored at the origin offset
     kern = np.zeros(shape)
     kern[tuple(slice(0, k) for _ in shape)] = 1.0
@@ -118,9 +118,9 @@ def _box_kernel_fft(shape, h, k):
     return np.fft.rfftn(kern)
 
 
-def _periodic_conv(f, kern_fft):
-    F = np.fft.rfftn(f)
-    return np.fft.irfftn(F * kern_fft, s=f.shape, axes=tuple(range(f.ndim)))
+def _periodic_conv(F, kern_fft, shape):
+    """Circular convolution on a grid of `shape`, from the np.fft.rfftn spectra."""
+    return np.fft.irfftn(F * kern_fft, s=shape, axes=tuple(range(len(shape))))
 
 
 def _maximal_radii(g: ScalarGrid):
@@ -143,8 +143,7 @@ def hl_maximal(f: ScalarGrid) -> ScalarGrid:
     out = np.full(f.values.shape, -np.inf)
     for r in _maximal_radii(f):
         kf, count = _ball_kernel_fft(f.values.shape, f.h, float(r))
-        avg = np.fft.irfftn(G * kf, s=out.shape, axes=tuple(range(f.d))) / count
-        np.maximum(out, avg, out=out)
+        np.maximum(out, _periodic_conv(G, kf, out.shape) / count, out=out)
     return f.like(np.maximum(out, 0.0))
 
 
@@ -171,16 +170,17 @@ def _dyadic_scales(h):
 def h1_norm(f: ScalarGrid) -> float:
     """|| sup_{0<t<1} |Phi_t * f| ||_{L^1} with Phi a unit-mass Gaussian
     truncated at 4 standard radii, t over the dyadic set {h, 2h, 4h, ...}."""
+    F = np.fft.rfftn(f.values)  # shared by every scale
     sup = np.zeros_like(f.values)
     for t in _dyadic_scales(f.h):
         kf = _gauss_kernel_fft(f.values.shape, f.h, float(t))
-        conv = np.abs(_periodic_conv(f.values, kf))
+        conv = np.abs(_periodic_conv(F, kf, sup.shape))
         np.maximum(sup, conv, out=sup)
     return float(np.sum(sup) * f.cell)
 
 
-def _window_oscillation(vals, k):
-    """Mean of |f - mean_Q| over every anchored periodic k-cube, max over anchors."""
+def _window_oscillation(vals, F, k):
+    """Mean of |f - mean_Q| over every periodic k-cube, max over anchors; F = rfftn(vals)."""
     d = vals.ndim
     N = vals.shape[0]
     # the circular convolution with the [0, k)^d box kernel is the mean over
@@ -189,8 +189,7 @@ def _window_oscillation(vals, k):
     # over the k^d in-cube offsets accumulates |f(x - k + 1 + off) - mean(x)|
     # one offset at a time: O(k^d) passes of size N^d, no k^d blowup in memory
     pad = np.pad(vals, [(k - 1, 0)] * d, mode="wrap")
-    kf = _box_kernel_fft(vals.shape, 1.0, k)
-    means = _periodic_conv(vals, kf)
+    means = _periodic_conv(F, _box_kernel_fft(vals.shape, k), vals.shape)
     acc = np.zeros_like(vals)
     for off in np.ndindex(*(k,) * d):
         sl = tuple(slice(o, o + N) for o in off)
@@ -211,15 +210,16 @@ def bmo_norm(f: ScalarGrid) -> float:
         k *= 2
     if sides[-1] != N:
         sides.append(N)
+    F, A = np.fft.rfftn(vals), np.fft.rfftn(np.abs(vals))  # shared by every side
     osc = 0.0
     big = 0.0
     for k in sides:
         vol = (k * f.h) ** d
         if vol <= 1.0 + 1e-12:
-            osc = max(osc, _window_oscillation(vals, k))
+            osc = max(osc, _window_oscillation(vals, F, k))
         if vol >= 1.0 - 1e-12:
-            kf = _box_kernel_fft(vals.shape, 1.0, k)
-            big = max(big, float(_periodic_conv(np.abs(vals), kf).max()))
+            kf = _box_kernel_fft(vals.shape, k)
+            big = max(big, float(_periodic_conv(A, kf, vals.shape).max()))
     return osc + big
 
 
@@ -276,9 +276,10 @@ def _grad_magnitude(values, h):
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 2:
         vals = vals[..., None]
+    vals = stencil.wrap(vals, ndim=2)  # the two grid axes only
     acc = 0.0
     for a in range(2):
-        acc = acc + np.sum(stencil.d1(vals, a, h, True) ** 2, axis=-1)
+        acc = acc + np.sum(stencil.d1(vals, a, h, 2) ** 2, axis=-1)
     return np.sqrt(acc)
 
 
@@ -299,8 +300,9 @@ def jacobian_hardy_bound(psi: ScalarGrid, phi: ScalarGrid):
         raise ValueError("grids must match")
     if psi.d != 2:
         raise ValueError("jacobian bound implemented for 2-D grids")
-    gp = [stencil.d1(psi.values, a, psi.h, True) for a in range(2)]
-    gq = [stencil.d1(phi.values, a, psi.h, True) for a in range(2)]
+    wp, wq = stencil.wrap(psi.values), stencil.wrap(phi.values)
+    gp = [stencil.d1(wp, a, psi.h) for a in range(2)]
+    gq = [stencil.d1(wq, a, psi.h) for a in range(2)]
     J = gp[0] * gq[1] - gp[1] * gq[0]
     h1 = h1_norm(psi.like(J))
     norm_p = np.sqrt(np.sum(gp[0] ** 2 + gp[1] ** 2) * psi.cell)

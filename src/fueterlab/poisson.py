@@ -206,17 +206,17 @@ def _rhs_operator(P: PerturbedProblem, out=None):
         for (b, cp), (_, wb) in zip(_wrapped_blocks(chi), _wrapped_blocks(w)):
             k = b.stop - b.start
             dc, df = dchi[:k], diff[:k]  # dc holds each chi coefficient too
-            acc = stencil.laplacian(cp, h, False, out=total[:k])
+            acc = stencil.laplacian(cp, h, out=total[:k])
             acc *= w[b]
             for a in range(d):
-                dw = stencil.d1(wb, a, h, False, out=df)
-                acc += np.multiply(stencil.d1(cp, a, h, False, out=dc), dw, out=df)
+                dw = stencil.d1(wb, a, h, out=df)
+                acc += np.multiply(stencil.d1(cp, a, h, out=dc), dw, out=df)
             for i, j, mu_ij in mu:
                 np.multiply(chi[b], mu_ij[b], out=dc)
-                acc -= np.multiply(dc, stencil.d2(wb, i, j, h, False, out=df), out=df)
+                acc -= np.multiply(dc, stencil.d2(wb, i, j, h, out=df), out=df)
             for j, tau_j in tau:
                 np.multiply(chi[b], tau_j[b], out=dc)
-                acc -= np.multiply(dc, stencil.d1(wb, j, h, False, out=df), out=df)
+                acc -= np.multiply(dc, stencil.d1(wb, j, h, out=df), out=df)
             np.multiply(chi[b], sq[b], out=dc)
             acc += np.multiply(dc, P.f.values[b], out=dc)
             out[b] = acc
@@ -241,7 +241,7 @@ def _w11(v, h, grid=None):
     total = np.abs(v, out=grid).sum()
     for a in range(v.ndim):
         for b, vb in _wrapped_blocks(v):
-            stencil.d1(vb, a, h, False, out=grid[b])
+            stencil.d1(vb, a, h, out=grid[b])
         total += np.abs(grid, out=grid).sum()
     return float(total * h**v.ndim)
 
@@ -292,7 +292,7 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
             r = rhs(v)
             r -= r.mean()
             for b, vb in _wrapped_blocks(v):
-                stencil.laplacian(vb, h, False, out=grid[b])
+                stencil.laplacian(vb, h, out=grid[b])
             res_abs = np.subtract(grid, r, out=grid)
             np.abs(res_abs, out=res_abs)
             residual = float(res_abs.sum() * h**v.ndim)
@@ -486,13 +486,14 @@ def manufactured_problem(N=16, magnitude=0.05, seed=0):
 
     # source from the discrete equation on {chi = 1}; w* vanishes on the
     # cutoff transition so the chi-derivative terms drop out exactly
-    lap = stencil.laplacian(w_star, h, True)
+    ws = stencil.wrap(w_star)  # the torus as a box, padded once
+    lap = stencil.laplacian(ws, h)
     corr = np.zeros(shape)
     for i in range(d):
         for j in range(d):
-            corr += mu[i, j] * stencil.d2(w_star, i, j, h, True)
+            corr += mu[i, j] * stencil.d2(ws, i, j, h)
     for j in range(d):
-        corr += tau[j] * stencil.d1(w_star, j, h, True)
+        corr += tau[j] * stencil.d1(ws, j, h)
     f_vals = lap + corr
     P = PerturbedProblem(chi, mu, tau, ScalarGrid(f_vals, h))
     return P, w_star

@@ -9,13 +9,13 @@ callers that gather their own neighbours share them.  Each takes `out=`, an
 array the result is written into (its operations run in the same order, so
 the values are the same to the bit); without it the result is a new array.
 
-The grid functions `d1`, `d2` and `laplacian` act on arrays whose first
-`ndim` axes are the grid (any further axes are components).  On a box they
+The grid functions `d1`, `d2` and `laplacian` act on boxes: arrays whose
+first `ndim` axes are the grid (any further axes are components).  They
 take neighbours by slices and return only the nodes one step inside every
-edge, where each stencil is defined.  On a torus they pad the grid axes once
-by one periodic layer (`wrap`), which makes a box whose result is every node
-of the torus.  `d1`, `d2`, `laplacian` and `wrap` take `out=` as the
-formulas do.
+edge, where each stencil is defined.  A torus is the box that `wrap` pads
+by one periodic layer, so its caller wraps it once and the box differences
+of the result are every node of the torus.  `d1`, `d2`, `laplacian` and
+`wrap` take `out=` as the formulas do.
 
 `FlatBlock` is the same box differences on a C-contiguous block raveled to
 one axis.  There the neighbour x + sum_a s_a h e_a of every node of the
@@ -87,41 +87,32 @@ def wrap(v, out=None, ndim=None):
     return out
 
 
-def _box(v, periodic, ndim):
-    """(v as a box, its grid-axis count): a torus is padded by one periodic layer."""
-    nd = v.ndim if ndim is None else ndim
-    if periodic:
-        v = wrap(v, ndim=nd)
-    return v, nd
-
-
 def _at(v, ndim, steps):
     """v at x + sum_a steps[a] h e_a over the box's 1-interior, on the first
-    ndim (grid) axes."""
+    ndim (grid) axes, or on every axis when ndim is None."""
+    nd = v.ndim if ndim is None else ndim
     return v[tuple(slice(1 + steps.get(a, 0), v.shape[a] - 1 + steps.get(a, 0))
-                   for a in range(ndim))]
+                   for a in range(nd))]
 
 
-def d1(v, a, h, periodic, ndim=None, out=None):
+def d1(v, a, h, ndim=None, out=None):
     """First central difference along grid axis a."""
-    v, nd = _box(v, periodic, ndim)
-    return _first_along(lambda steps: _at(v, nd, steps), a, h, out)
+    return _first_along(lambda steps: _at(v, ndim, steps), a, h, out)
 
 
-def d2(v, a, b, h, periodic, ndim=None, out=None):
+def d2(v, a, b, h, ndim=None, out=None):
     """Second central difference along grid axes a and b (mixed when a != b)."""
-    v, nd = _box(v, periodic, ndim)
-    return _second_along(lambda steps: _at(v, nd, steps), a, b, h, out)
+    return _second_along(lambda steps: _at(v, ndim, steps), a, b, h, out)
 
 
-def laplacian(v, h, periodic, ndim=None, out=None):
+def laplacian(v, h, ndim=None, out=None):
     """Sum of the second differences along every grid axis."""
-    v, nd = _box(v, periodic, ndim)
+    nd = v.ndim if ndim is None else ndim
     out = np.empty(_at(v, nd, {}).shape) if out is None else out
     out[...] = 0.0
     buf = np.empty_like(out)
     for a in range(nd):
-        out += d2(v, a, a, h, False, nd, buf)
+        out += d2(v, a, a, h, nd, buf)
     return out
 
 

@@ -110,7 +110,7 @@ def test_04_discrete_laplacian_decay():
         u = GridField.from_function(poly, 1, 1, nodes, domain="box", L=0.5,
                                     materialize=True)
         window = tuple(slice(s // 2 - 1, s // 2 + 2) for s in u.shape)
-        sups.append(np.max(np.abs(stencil.laplacian(u.block(window), u.h, False, u.dim))))
+        sups.append(np.max(np.abs(stencil.laplacian(u.block(window), u.h, u.dim))))
         hs.append(u.h)
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     report(4, "discrete Laplacian of a harmonic field decays at rate h^2 at the centre",

@@ -509,8 +509,8 @@ def _parent_neck_grad_sq(seq, ell, x1, view):
     dt = view.t[1] - view.t[0]
     dtheta = view.theta[1] - view.theta[0]
     # t is an interval axis (trimmed by the stencil), theta a periodic one
-    Wt = stencil.d1(W, 0, dt, False, ndim=1)
-    Wth = stencil.d1(W, 1, dtheta, True)
+    Wt = stencil.d1(W, 0, dt, ndim=1)
+    Wth = stencil.d1(stencil.wrap(W), 1, dtheta)
     return np.sum(Wt**2, axis=-1) + np.sum(Wth[1:-1] ** 2, axis=-1)
 
 

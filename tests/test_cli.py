@@ -480,6 +480,39 @@ def test_monotonicity_rejects_radii_below_the_floor(radii, capsys):
                             f"got {float(radii.split(',')[0])!r}\n")
 
 
+@pytest.mark.parametrize("grid, radii", [("13", "0.03,0.4"), ("33", "0.01,0.4")])
+def test_monotonicity_reads_finite_with_the_centre_node_in_the_near_band(grid, radii, capsys):
+    # on an odd grid the centre is a node; with the inner radius below the
+    # cell-weight band (about 2h/3) it lay in the annulus, and its floored
+    # distance 1e-300 raised to 2 - d overflowed: 0 * inf printed nan rows
+    code = main(["monotonicity", "--grid", grid, "--radii", radii])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(x)) for row in rows for x in row)
+    assert float(rows[1][2]) > 0.0  # the annulus still has a radial term
+
+
+@pytest.mark.parametrize("field, radius", [
+    ("triholomorphic", "1e40"), ("triholomorphic", "1e60"), ("triholomorphic", "1e100"),
+    ("triholomorphic", "1e200"), ("constant", "1e80")])
+def test_monotonicity_rejects_radii_whose_ball_sums_overflow(field, radius, capsys):
+    # these printed inf or nan after a numpy warning, exited 2 naming no flag,
+    # or ended in an OverflowError traceback
+    code = main(["monotonicity", "--grid", "12", "--field", field, "--radii", radius])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --radii up to {float(radius)!r} overflow the ball sums "
+                            "on grid 12\n")
+
+
+def test_monotonicity_keeps_the_largest_ratio_below_the_ceiling(capsys):
+    code, out = run_cli(["monotonicity", "--grid", "12", "--radii", "1e30"], capsys)
+    assert code == 0
+    assert out == "r,ratio,radial_term,defect\n1e+30,7.1207465869336782e+241,0,0\n"
+
+
 def test_monotonicity_triholomorphic(capsys):
     code, out = run_cli(["monotonicity", "--grid", "33", "--seed", "3"], capsys)
     assert code == 0

@@ -189,7 +189,7 @@ def test_function_backed_grid_rejects_non_finite_values():
     with pytest.raises(ValueError, match="finite"):
         differential(u, (4, 8, 8, 8))
     with pytest.raises(ValueError, match="finite"):
-        stencil.laplacian(u.block(_window((4, 8, 8, 8))), u.h, False, u.dim)
+        stencil.laplacian(u.block(_window((4, 8, 8, 8))), u.h, u.dim)
     assert not u.is_dense()
 
 
@@ -739,7 +739,7 @@ def _parent_dirichlet_energy(u: GridField) -> float:
             sm, s0, sp = win[k - 1], win[k], win[k + 1]
             acc = np.sum(stencil.first(sp[core], sm[core], u.h) ** 2, axis=-1)
             for a in range(d - 1):
-                acc += np.sum(stencil.d1(s0, a, u.h, False, d - 1) ** 2, axis=-1)
+                acc += np.sum(stencil.d1(s0, a, u.h, d - 1) ** 2, axis=-1)
             total += float(acc[inner].sum())
     return total * u.h**u.dim
 
@@ -883,7 +883,7 @@ def test_laplacian_direct_basics():
     rng = np.random.default_rng(9)
     A = rng.normal(size=(4, 4))
     u = GridField.from_function(lambda p: p @ A.T, 1, 1, 9, L=0.5, materialize=True)
-    lap = stencil.laplacian(u.block(_window((4, 4, 4, 4))), u.h, False, u.dim)
+    lap = stencil.laplacian(u.block(_window((4, 4, 4, 4))), u.h, u.dim)
     assert lap.shape == (1, 1, 1, 1, 4)
     assert np.max(np.abs(lap)) < 1e-10
 
@@ -892,7 +892,7 @@ def test_laplacian_direct_basics():
         return np.stack([r2, r2, r2, r2], axis=-1)
 
     v = GridField.from_function(quad, 1, 1, 9, L=0.5, materialize=True)
-    lap = stencil.laplacian(v.block(_window((4, 4, 4, 4))), v.h, False, v.dim)
+    lap = stencil.laplacian(v.block(_window((4, 4, 4, 4))), v.h, v.dim)
     assert np.max(np.abs(lap - 2.0 * 4)) < 1e-9
 
 

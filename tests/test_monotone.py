@@ -526,7 +526,7 @@ def _parent_sup_gradient(u: GridField, center, r):
         vals = np.asarray(u._fn(np.stack(mesh, axis=-1)), dtype=float)
     du_sq = 0.0
     for a in range(d):
-        du_sq = du_sq + np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1)
+        du_sq = du_sq + np.sum(stencil.d1(vals, a, h, d) ** 2, axis=-1)
     mesh = np.meshgrid(*[coords[lo[a] : hi[a]] for a in range(d)], indexing="ij")
     rho_sq = sum((mesh[a] - center[a]) ** 2 for a in range(d))
     inside = rho_sq <= r * r

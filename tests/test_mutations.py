@@ -275,8 +275,8 @@ def _trace_term(u, X):
     d, h = u.dim, u.h
     Xv = X(np.stack(np.meshgrid(*([u.axis_coords()] * d), indexing="ij"), axis=-1))
     vals = u.block(())
-    grad_sq = sum(np.sum(stencil.d1(vals, a, h, False, d) ** 2, axis=-1) for a in range(d))
-    div = sum(stencil.d1(Xv[..., a], a, h, False, d) for a in range(d))
+    grad_sq = sum(np.sum(stencil.d1(vals, a, h, d) ** 2, axis=-1) for a in range(d))
+    div = sum(stencil.d1(Xv[..., a], a, h, d) for a in range(d))
     return float(np.vdot(grad_sq, div)) * h**d
 
 

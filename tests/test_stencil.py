@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fueterlab import stencil
+from fueterlab import norms, poisson, stencil
 from fueterlab.fields import GridField, dirichlet_energy
 from fueterlab.poisson import w21_norm
 from fueterlab.stencil import _sum_of_squares
@@ -43,7 +44,7 @@ def test_d1_exact_on_quadratics(case):
     c = rng.normal(size=4)
     v = c[0] + c[1] * x[a] + c[2] * x[a] ** 2 + c[3] * x[a] * x[b]
     want = c[1] + 2.0 * c[2] * x[a] + c[3] * (x[b] + (x[a] if a == b else 0.0))
-    got = stencil.d1(v, a, h, False)
+    got = stencil.d1(v, a, h)
     assert np.max(np.abs(got - _inner(want, len(x)))) < 1e-12
 
 
@@ -58,16 +59,17 @@ def test_d2_and_mixed_exact_on_cubics_and_products(case):
         want = 6.0 * (c[0] + c[1]) * x[a] + 2.0 * c[3]
     else:
         want = 2.0 * c[1] * x[a] + c[3]
-    got = stencil.d2(v, a, b, h, False)
+    got = stencil.d2(v, a, b, h)
     scale = 1.0 + np.max(np.abs(want))
     assert np.max(np.abs(got - _inner(want, len(x)))) < 1e-11 * scale
     if a != b:
-        prod = stencil.d2(x[a] * x[b], a, b, h, False)
+        prod = stencil.d2(x[a] * x[b], a, b, h)
         assert np.max(np.abs(prod - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# torus (rolled neighbours) and box (sliced neighbours) agree on the interior
+# a torus is the box that `wrap` pads: on the interior, the box differences
+# of the wrapped grid are those of the grid itself
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,14 +80,21 @@ def test_torus_and_box_agree_bitwise_on_interior(ndim, n, comps, a, b, seed):
     shape = (n,) * ndim + ((comps,) if comps else ())
     v = np.random.default_rng(seed).normal(size=shape)
     h = 0.37
+    torus = stencil.wrap(v, ndim=ndim)
     pairs = [
-        (stencil.d1(v, a, h, True), stencil.d1(v, a, h, False, ndim)),
-        (stencil.d2(v, a, b, h, True), stencil.d2(v, a, b, h, False, ndim)),
-        (stencil.laplacian(v, h, True, ndim), stencil.laplacian(v, h, False, ndim)),
+        (stencil.d1(torus, a, h, ndim), stencil.d1(v, a, h, ndim)),
+        (stencil.d2(torus, a, b, h, ndim), stencil.d2(v, a, b, h, ndim)),
+        (stencil.laplacian(torus, h, ndim), stencil.laplacian(v, h, ndim)),
     ]
-    for torus, box in pairs:
+    for wrapped, box in pairs:
+        assert wrapped.shape == shape
         assert box.shape == (n - 2,) * ndim + shape[ndim:]
-        assert np.array_equal(_inner(torus, ndim), box)
+        assert np.array_equal(_inner(wrapped, ndim), box)
+    # padding the component axes too, and differencing them as grid axes,
+    # gives the same values on the components
+    every = stencil.wrap(v)
+    assert np.array_equal(stencil.d1(every, a, h), pairs[0][0])
+    assert np.array_equal(stencil.d2(every, a, b, h), pairs[1][0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,9 +110,9 @@ def test_flat_block_matches_the_box_differences_bitwise(ndim, n, a, b, seed):
     flat = v.ravel()
     buf = np.full(block.size, np.nan)
     block.d1(flat, a, h, buf)
-    assert np.array_equal(block.interior(buf), stencil.d1(v, a, h, False))
+    assert np.array_equal(block.interior(buf), stencil.d1(v, a, h))
     block.d2(flat, a, b, h, buf)
-    assert np.array_equal(block.interior(buf), stencil.d2(v, a, b, h, False))
+    assert np.array_equal(block.interior(buf), stencil.d2(v, a, b, h))
 
 
 def test_flat_block_rejects_an_axis_without_interior_nodes():
@@ -141,8 +150,9 @@ def test_wrap_and_laplacian_match_the_pad_forms_bitwise(ndim, comps, seed):
     h = 0.31
     want = 0.0
     for a in range(ndim):
-        want = want + stencil.d2(padded, a, a, h, False, ndim)
-    for got in (stencil.laplacian(v, h, True, ndim), stencil.laplacian(padded, h, False, ndim)):
+        want = want + stencil.d2(padded, a, a, h, ndim)
+    torus = stencil.wrap(v, ndim=ndim)
+    for got in (stencil.laplacian(torus, h, ndim), stencil.laplacian(padded, h, ndim)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -277,3 +287,34 @@ def test_w21_norm_streams_a_function_backed_grid(domain):
 def test_dirichlet_energy_matches_roll_implementation_bitwise():
     for u in _parity_fields():
         assert dirichlet_energy(u) == _old_dirichlet_energy(u)
+
+
+def test_grid_differences_take_no_periodic_flag():
+    # a torus is differenced as the box `wrap` pads, so no difference takes a flag
+    params = {f: list(inspect.signature(getattr(stencil, f)).parameters)
+              for f in ("d1", "d2", "laplacian")}
+    assert params == {"d1": ["v", "a", "h", "ndim", "out"],
+                      "d2": ["v", "a", "b", "h", "ndim", "out"],
+                      "laplacian": ["v", "h", "ndim", "out"]}
+    assert not hasattr(stencil, "_box")
+
+
+def test_each_torus_caller_wraps_each_grid_once(monkeypatch):
+    wrapped = []
+    real = stencil.wrap
+
+    def wrap(v, out=None, ndim=None):
+        wrapped.append(np.shape(v))
+        return real(v, out, ndim)
+
+    monkeypatch.setattr(stencil, "wrap", wrap)
+    rng = np.random.default_rng(3)
+    poisson.manufactured_problem(8, seed=1)
+    assert wrapped == [(8,) * 4]  # w* once, for its Laplacian, 16 d2 and 4 d1
+    wrapped.clear()
+    psi, phi = (norms.ScalarGrid(rng.normal(size=(12, 12)), 1 / 12) for _ in range(2))
+    norms.jacobian_hardy_bound(psi, phi)
+    assert wrapped == [(12, 12), (12, 12)]
+    wrapped.clear()
+    norms.lorentz_interpolation_check(rng.normal(size=(12, 12, 3)), 1 / 12)
+    assert wrapped == [(12, 12, 3)]
