@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -168,6 +169,7 @@ def cmd_identity_check(args) -> int:
     ok = max_defect < cfg.tol_identity
     payload = {
         "config": asdict(cfg),
+        "draws_sha256": hashlib.sha256(A).hexdigest(),
         "max_defect": max_defect,
         "jets_tested": tested,
         "kernel_dim": kernel_dim,
@@ -243,7 +245,8 @@ def cmd_norms(args) -> int:
     h = 1.0 / N
 
     excess, ordered = [], []
-    for seed in rng.integers(0, 1 << 31, size=args.fields):
+    seeds = rng.integers(0, 1 << 31, size=args.fields)
+    for seed in seeds:
         local = np.random.default_rng(int(seed))
         f = ScalarGrid(np.abs(local.normal(size=(N, N))), h)
         excess.append(weak_l1_excess(f, hl_maximal(f)))
@@ -252,6 +255,7 @@ def cmd_norms(args) -> int:
     weak_worst = max(excess)
     payload = {
         "config": asdict(cfg),
+        "draws_sha256": hashlib.sha256(seeds).hexdigest(),
         "fields_tested": args.fields,
         "weak_l1_worst_excess": weak_worst,
         "weak_l1_ok": bool(weak_worst <= 1e-9),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stencil
-from .fields import GridField, _flat_grad_sq, _flat_windows
+from .fields import GridField, _finite, _flat_grad_sq, _flat_windows
 from .norms import ScalarGrid
 
 __all__ = [
@@ -92,21 +92,21 @@ def poisson_solve(f: ScalarGrid, spectrum=None, out=None) -> ScalarGrid:
 
 @dataclass
 class PerturbedProblem:
-    """Cutoff chi, small coefficients mu^{ij}, tau^j, source f, optional
+    """Cutoff chi, small coefficients mu^{ij}, tau^j, source f and the
     sqrt(det g) weight; all on one periodic grid.
 
-    Each entry mu[i, j] and tau[j] is a constant or a grid, in one of three
-    forms: a (d, d) and a (d,) array of constants; a (d, d, *dims) and a
-    (d, *dims) array of grids; or a table keyed by (i, j) and by j, such as
-    a dict.  A table holds each entry once: a constant as a scalar, and a
-    symmetric pair as one array object at both keys.  sqrt_g too is a
-    constant or a grid."""
+    mu and tau come as (d, d) and (d,) arrays of constants, (d, d, *dims)
+    and (d, *dims) arrays of grids, or tables keyed by (i, j) and by j, such
+    as dicts.  Each is held as a dict over every key in row-major order,
+    whose entries are finite 0-d constants or grids: views of an array, or
+    a table's own arrays, so a symmetric pair given as one array stays one
+    object at both keys.  sqrt_g is one such entry, by default 1."""
 
     chi: np.ndarray
     mu: np.ndarray | Mapping
     tau: np.ndarray | Mapping
     f: ScalarGrid
-    sqrt_g: np.ndarray | None = None
+    sqrt_g: np.ndarray | float = 1.0
 
     def __post_init__(self):
         d = self.f.d
@@ -114,48 +114,41 @@ class PerturbedProblem:
         self.chi = np.asarray(self.chi, dtype=float)
         if self.chi.shape != grid:
             raise ValueError("chi must live on the source grid")
+        _finite(self.chi, "chi")
         self.mu = _table("mu", self.mu, (d, d), grid)
         self.tau = _table("tau", self.tau, (d,), grid)
-        if self.sqrt_g is not None:
-            self.sqrt_g = _entry("sqrt_g", self.sqrt_g, grid)
+        self.sqrt_g = _entry("sqrt_g", self.sqrt_g, grid)
 
 
 def _table(name, given, lead, grid):
-    """`given` as a float array whose shape starts with `lead`, or as a dict
-    keyed by (i, j) for a two-axis `lead` and by j for a one-axis one; each
-    entry must be a constant or a grid (`_entry`)."""
-    keys = [k if len(lead) > 1 else k[0] for k in np.ndindex(lead)]
+    """`given` as a dict keyed by (i, j) for a two-axis `lead` and by j for a
+    one-axis one, in row-major order, each entry checked by `_entry`.  An
+    array whose shape starts with `lead` gives views of its entries."""
+    keys = {k if len(lead) > 1 else k[0]: k for k in np.ndindex(lead)}
     if isinstance(given, Mapping):
-        table = dict(given)
-        if extra := table.keys() - set(keys):
+        if extra := given.keys() - keys.keys():
             raise ValueError(f"{name} has keys outside {lead}: {sorted(extra, key=repr)}")
     else:
-        table = np.asarray(given, dtype=float)
-        if table.shape[:len(lead)] != lead:
-            raise ValueError(f"{name} of shape {table.shape} does not start with {lead}")
+        arr = np.asarray(given, dtype=float)
+        if arr.shape[:len(lead)] != lead:
+            raise ValueError(f"{name} of shape {arr.shape} does not start with {lead}")
+        given = {key: arr[k + (...,)] for key, k in keys.items()}
+    table = {}
     for key in keys:
         label = f"{name}[{str(key).strip('()')}]"
-        if isinstance(table, dict):
-            if key not in table:
-                raise ValueError(f"{label} is missing")
-            table[key] = _entry(label, table[key], grid)
-        else:
-            _entry(label, table[key], grid)
+        if key not in given:
+            raise ValueError(f"{label} is missing")
+        table[key] = _entry(label, given[key], grid)
     return table
 
 
 def _entry(label, value, grid):
-    """value as a float array: a constant, or a grid of shape `grid`."""
+    """value as a finite float array: a constant, or a grid of shape `grid`."""
     arr = np.asarray(value, dtype=float)
     if arr.shape not in ((), grid):
         raise ValueError(f"{label} has shape {arr.shape}: neither a constant nor "
                          f"the grid's {grid}")
-    return arr
-
-
-def _coef(arr, ij, shape):
-    """arr[ij] as a grid of `shape`; a constant is broadcast, not stored."""
-    return np.broadcast_to(arr[ij], shape)
+    return _finite(arr, label)
 
 
 # axis-0 planes per block of `_wrapped_blocks`.  fixed_point_solve of
@@ -194,10 +187,9 @@ def _rhs_operator(P: PerturbedProblem, out=None):
     h = P.f.h
     d = P.f.d
     chi = P.chi
-    sq = np.broadcast_to(P.sqrt_g if P.sqrt_g is not None else 1.0, chi.shape)
-    mu = [(i, j, c) for i, j in np.ndindex(d, d)
-          if np.any(c := _coef(P.mu, (i, j), chi.shape))]
-    tau = [(j, c) for j in range(d) if np.any(c := _coef(P.tau, j, chi.shape))]
+    sq = np.broadcast_to(P.sqrt_g, chi.shape)
+    mu = [(i, j, np.broadcast_to(c, chi.shape)) for (i, j), c in P.mu.items() if np.any(c)]
+    tau = [(j, np.broadcast_to(c, chi.shape)) for j, c in P.tau.items() if np.any(c)]
     out = np.empty_like(chi) if out is None else out
     block = (min(_RHS_PLANES, chi.shape[0]),) + chi.shape[1:]
     total, dchi, diff = np.empty(block), np.empty(block), np.empty(block)
@@ -300,11 +292,9 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
                 continue
             stats = {
                 "iterations": it,
-                "converged": True,
                 "contraction": _median(ratios[-5:]) if ratios else 0.0,
                 "ratios": ratios,
                 "residual": residual,
-                "residual_sup": float(res_abs.max()),
             }
             return P.f.like(v), stats
     last = f"ratio {ratios[-1]:.4f}" if ratios else "no ratio measured"
@@ -431,7 +421,7 @@ def default_problem(N=16, magnitude=0.05, seed=0):
     mu is dominated by magnitude * identity (the worst case at a given max
     norm: at magnitude 1 the scheme reproduces -w on the cutoff plateau and
     genuinely stops contracting), plus a smaller random symmetric part.  Its
-    table holds the diagonal as 4 scalars and each off-diagonal grid once.
+    table holds the diagonal as 4 constants and each off-diagonal grid once.
     """
     rng = np.random.default_rng(seed)
     d = 4
@@ -444,9 +434,7 @@ def default_problem(N=16, magnitude=0.05, seed=0):
         mu[i, i] = magnitude
         for j in range(i + 1, d):
             mu[i, j] = mu[j, i] = 0.2 * magnitude * _smooth_random(shape, h, rng)
-    tau = np.zeros((d,) + shape)
-    for j in range(d):
-        tau[j] = magnitude * _smooth_random(shape, h, rng)
+    tau = {j: magnitude * _smooth_random(shape, h, rng) for j in range(d)}
     src = _smooth_random(shape, h, rng)
     src *= radial_cutoff(shape, h, 0.10 * L, 0.20 * L)
     return PerturbedProblem(chi, mu, tau, ScalarGrid(src, h))
@@ -480,9 +468,7 @@ def manufactured_problem(N=16, magnitude=0.05, seed=0):
     for i in range(d):
         for j in range(i, d):
             mu[i, j] = mu[j, i] = magnitude * _smooth_random(shape, h, rng)
-    tau = np.zeros((d,) + shape)
-    for j in range(d):
-        tau[j] = magnitude * _smooth_random(shape, h, rng)
+    tau = {j: magnitude * _smooth_random(shape, h, rng) for j in range(d)}
 
     # source from the discrete equation on {chi = 1}; w* vanishes on the
     # cutoff transition so the chi-derivative terms drop out exactly

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -256,6 +257,7 @@ def _parent_cmd_identity_check(args) -> int:
     ok = max_defect < cfg.tol_identity
     payload = {
         "config": asdict(cfg),
+        "draws_sha256": hashlib.sha256(A).hexdigest(),
         "max_defect": max_defect,
         "jets_tested": tested,
         "kernel_dim": kernel_dim,

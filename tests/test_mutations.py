@@ -257,13 +257,35 @@ def test_criterion_8_fails_when_the_maximal_function_is_f_itself(monkeypatch, ca
     _printed_only_fail(capsys, 1)
 
 
+def _unseeded(cmd):
+    """cmd, but every generator it makes draws from fresh OS entropy, whatever
+    its seed."""
+    def mutant(args):
+        with pytest.MonkeyPatch.context() as m:
+            default_rng = np.random.default_rng
+            m.setattr(np.random, "default_rng", lambda seed=None: default_rng(None))
+            return cmd(args)
+    return mutant
+
+
 def test_criterion_12_fails_on_an_unseeded_draw(tmp_path, monkeypatch, capsys):
     # extract-bubbles builds its sequence from an unseeded generator, so the
     # bubble frames change from run to run; the other two commands keep their
-    # seeds.  (A norms mutant would survive: its report reads the same bytes
-    # for every seed.)
+    # seeds
     monkeypatch.setattr(cli, "bundled_sequence",
                         lambda name, seed: bundled_sequence(name, seed=None))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_12_determinism(tmp_path, capsys)
+    _printed_only_fail(capsys, 1)
+
+
+@pytest.mark.parametrize("command", ["cmd_norms", "cmd_identity_check"])
+def test_criterion_12_fails_on_a_command_that_draws_unseeded(command, tmp_path, monkeypatch,
+                                                             capsys):
+    # the numbers alone can miss the change: `norms --fields 10 --grid 24`
+    # reads the same at every seed, and `identity-check --jets 200` the same
+    # max_defect at seeds 1, 3 and 4; the sha256 of the draws cannot
+    monkeypatch.setattr(cli, command, _unseeded(getattr(cli, command)))
     with pytest.raises(AssertionError):
         test_acceptance.test_12_determinism(tmp_path, capsys)
     _printed_only_fail(capsys, 1)

@@ -23,7 +23,7 @@ from fueterlab.poisson import (
     smoothstep,
     w21_norm,
 )
-from fueterlab.poisson import _coef, _median, _rhs_operator, _smooth_random, _w11
+from fueterlab.poisson import _median, _rhs_operator, _smooth_random, _w11
 
 
 def test_poisson_solve_zero_and_eigenmode():
@@ -82,11 +82,11 @@ def _rhs_reference(w, P):
         out += stencil.d1(stencil.wrap(chi), a, h) * stencil.d1(stencil.wrap(w), a, h)
     for i in range(d):
         for j in range(d):
-            mu_ij = _coef(P.mu, (i, j), w.shape)
+            mu_ij = np.broadcast_to(P.mu[i, j], w.shape)
             if np.any(mu_ij):
                 out -= chi * mu_ij * stencil.d2(stencil.wrap(w), i, j, h)
     for j in range(d):
-        tau_j = _coef(P.tau, j, w.shape)
+        tau_j = np.broadcast_to(P.tau[j], w.shape)
         if np.any(tau_j):
             out -= chi * tau_j * stencil.d1(stencil.wrap(w), j, h)
     out += chi * sq * P.f.values
@@ -119,8 +119,8 @@ def test_rhs_operator_matches_reference_bitwise(make):
         P = PerturbedProblem(radial_cutoff(shape, h, 0.3, 0.47), mu,
                              np.array([0.0, 0.02, 0.0, -0.01]),
                              ScalarGrid(rng.normal(size=shape), h),
-                             sqrt_g=(1.0 + 0.1 * rng.random(shape)
-                                     if make == "sqrt_g" else None))
+                             **({"sqrt_g": 1.0 + 0.1 * rng.random(shape)}
+                                if make == "sqrt_g" else {}))
     rhs = _rhs_operator(P)
     for _ in range(3):
         w = rng.normal(size=P.f.values.shape)
@@ -141,9 +141,8 @@ def test_fixed_point_zero_source_one_iteration():
 def test_fixed_point_contraction_small_coefficients():
     P = default_problem(N=16, magnitude=0.05, seed=0)
     largest = max(np.abs(c).max() for c in P.mu.values())
-    assert largest <= 0.1 and np.abs(P.tau).max() <= 0.1
+    assert largest <= 0.1 and max(np.abs(c).max() for c in P.tau.values()) <= 0.1
     v, stats = fixed_point_solve(P, tol=1e-10, max_iter=120)
-    assert stats["converged"]
     assert stats["contraction"] < 0.5
     assert stats["residual"] < 10 * 1e-10
 
@@ -170,7 +169,7 @@ def test_fixed_point_non_contraction_diagnosed():
     src = np.zeros(shape)
     src[N // 2, N // 2, N // 2, N // 2] = 0.01
     P = PerturbedProblem(chi, mu, np.zeros((4,) + shape), ScalarGrid(src, h))
-    assert np.abs(P.mu).max() > 0.1
+    assert max(np.abs(c).max() for c in P.mu.values()) > 0.1
     with pytest.raises(NonContractionError):
         fixed_point_solve(P, tol=1e-10, max_iter=60)
 
@@ -409,7 +408,7 @@ def _parent_rhs_operator(P: PerturbedProblem):
             chi_mu[i, j] = twin if same else chi * mu_ij
     chi_tau = []
     for j in range(d):
-        tau_j = _parent_coef(P.tau, (j,), chi.shape)
+        tau_j = _parent_coef(P.tau, j, chi.shape)
         if np.any(tau_j):
             chi_tau.append((j, chi * tau_j))
     source = chi * sq * P.f.values
@@ -486,11 +485,9 @@ def _parent_fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
                 continue
             stats = {
                 "iterations": it,
-                "converged": True,
                 "contraction": float(np.median(ratios[-5:])) if ratios else 0.0,
                 "ratios": ratios,
                 "residual": residual,
-                "residual_sup": float(np.abs(res_field).max()),
             }
             return P.f.like(v), stats
     last = ratios[-1] if ratios else float("inf")
@@ -531,7 +528,7 @@ def _oracle_problem(make):
 def _assert_solves_as_the_parent(P):
     v, stats = fixed_point_solve(P)
     want_v, want_stats = _parent_fixed_point_solve(P)
-    assert stats["converged"] and stats["iterations"] > 3
+    assert stats["iterations"] > 3
     assert v.values.tobytes() == want_v.values.tobytes()
     assert v.values.flags.c_contiguous
     assert stats.keys() == want_stats.keys()
@@ -688,10 +685,10 @@ def _expanded(P):
 def test_coefficient_table_solves_as_the_full_array_bitwise(make):
     P = _oracle_problem(make)
     full = _expanded(P)
-    assert full.mu.shape == (4, 4) + P.f.values.shape
+    assert all(c.shape == P.f.values.shape for c in full.mu.values())
     v, stats = fixed_point_solve(P)
     want_v, want_stats = fixed_point_solve(full)
-    assert stats["converged"] and stats["iterations"] > 3
+    assert stats["iterations"] > 3
     assert v.values.tobytes() == want_v.values.tobytes()
     assert stats.keys() == want_stats.keys()
     for key, want in want_stats.items():
@@ -748,7 +745,46 @@ def _small_problem(N=8, **changes):
     ({"tau": {0: 0.0, 1: 0.0, 3: 0.0}}, r"tau\[2\] is missing"),
     ({"tau": np.zeros(3)}, r"tau of shape \(3,\) does not start with \(4,\)"),
     ({"sqrt_g": np.ones((3, 3))}, r"sqrt_g has shape \(3, 3\)"),
+    # a non-finite value is refused here, not left to overflow the solve
+    ({"mu": np.full((4, 4), np.nan)}, r"mu\[0, 0\] values must be finite"),
+    ({"mu": {**{k: 0.0 for k in np.ndindex(4, 4)}, (2, 1): np.full((8,) * 4, np.inf)}},
+     r"mu\[2, 1\] values must be finite"),
+    ({"tau": np.array([np.inf, 0.0, 0.0, 0.0])}, r"tau\[0\] values must be finite"),
+    ({"tau": {0: 0.0, 1: 0.0, 2: -np.inf, 3: 0.0}}, r"tau\[2\] values must be finite"),
+    ({"sqrt_g": np.nan}, r"sqrt_g values must be finite"),
+    ({"sqrt_g": None}, r"sqrt_g values must be finite"),
+    ({"chi": np.where(np.arange(8**4).reshape((8,) * 4) == 100, np.nan, 1.0)},
+     r"chi values must be finite"),
+    ({"chi": np.full((8,) * 4, -np.inf)}, r"chi values must be finite"),
 ])
 def test_a_bad_coefficient_is_named_where_it_enters(bad, named):
     with pytest.raises(ValueError, match=named):
         _small_problem(**bad)
+
+
+@pytest.mark.parametrize("form", ["constants", "grids", "table"])
+def test_each_coefficient_form_is_held_as_one_table(form):
+    shape = (6,) * 4
+    rng = np.random.default_rng(9)
+    if form == "constants":
+        mu, tau = rng.normal(size=(4, 4)), rng.normal(size=4)
+    elif form == "grids":
+        mu, tau = rng.normal(size=(4, 4) + shape), rng.normal(size=(4,) + shape)
+    else:
+        # keyed out of row-major order, with one grid at a symmetric pair
+        bump, grid = rng.normal(size=shape), rng.normal(size=shape)
+        mu = {(i, j): 0.01 * i for i, j in reversed(list(np.ndindex(4, 4)))}
+        mu[0, 2] = mu[2, 0] = bump
+        tau = {3: -0.5, 1: grid, 0: 0.0, 2: 0.5}
+    P = _small_problem(N=6, mu=mu, tau=tau)
+    for table, given, keys in ((P.mu, mu, list(np.ndindex(4, 4))), (P.tau, tau, list(range(4)))):
+        assert type(table) is dict and list(table) == keys
+        for key, c in table.items():
+            assert type(c) is np.ndarray and c.shape in ((), shape)
+            if isinstance(given, np.ndarray):
+                assert np.shares_memory(c, given) and np.array_equal(c, given[key])
+            else:
+                assert c is given[key] or (c.shape == () and c == given[key])
+    if form == "table":
+        assert P.mu[0, 2] is bump and P.mu[2, 0] is bump and P.tau[1] is grid
+    assert type(P.sqrt_g) is np.ndarray and P.sqrt_g.shape == () and P.sqrt_g == 1.0
