@@ -72,6 +72,20 @@ def _complete_frame(w, v2, n, rng):
     return np.stack(cols, axis=1)  # (n, 3)
 
 
+@np.errstate(over="ignore")
+def _radii(y1, y2):
+    """y1, y2, r2 = |y|^2 and 1 + r2 at the points y = (y1, y2): the terms
+    a profile's value and gradient share.  y1 y1 + y2 y2 adds the same two
+    numbers as np.sum(y * y, axis=-1), so r2 keeps that form's bits."""
+    r2 = y1 * y1 + y2 * y2
+    return y1, y2, r2, 1.0 + r2
+
+
+def _points_last(g):
+    """A component-first (4n, 2, ...) array as a C-contiguous (..., 4n, 2)."""
+    return np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))
+
+
 class BubbleProfile:
     """amplitude * frame @ sigma(y), with sigma the inverse stereographic map
     R^2 -> S^2; smooth, finite energy 8 pi amplitude^2, rank-2 differential.
@@ -87,44 +101,50 @@ class BubbleProfile:
         self.target_dim = self.frame.shape[0]
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _sigma(self, y):
-        r2 = np.sum(y * y, axis=-1)
-        den = 1.0 + r2
-        s = np.stack([2 * y[..., 0] / den, 2 * y[..., 1] / den, (r2 - 1.0) / den], axis=-1)
-        # past |y| ~ 1.3e154 r2 overflows and (r2 - 1) / den is NaN: the limit is the pole
+    def _sigma(self, y1, y2, r2, one_r2):
+        """sigma as (..., 3) at the points of `_radii`."""
+        s = np.stack([2 * y1 / one_r2, 2 * y2 / one_r2, (r2 - 1.0) / one_r2], axis=-1)
+        # past |y| ~ 1.3e154 r2 overflows and (r2 - 1) / (1 + r2) is NaN: the limit is the pole
         s[np.isinf(r2), 2] = 1.0
         return s
 
+    def _value(self, sigma):
+        return self.amplitude * sigma @ self.frame.T
+
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        return self.amplitude * self._sigma(y) @ self.frame.T
+        return self._value(self._sigma(*_radii(y[..., 0], y[..., 1])))
 
     def far_value(self):
         return self.amplitude * self.frame @ np.array([0.0, 0.0, 1.0])
 
     @np.errstate(over="ignore", invalid="ignore")
-    def grad(self, y):
-        """(..., 4n, 2) derivative of value."""
-        y = np.asarray(y, dtype=float)
-        r2 = np.sum(y * y, axis=-1)
-        den = (1.0 + r2) ** 2
-        y1, y2 = y[..., 0], y[..., 1]
+    def _grad(self, y1, y2, r2, one_r2):
+        """The derivative of value at the points of `_radii`, component
+        first: (4n, 2, ...), each (u, k) entry one array over the points."""
+        den = one_r2**2
         # ds[i][k] = d sigma_i / d y_k; the off-diagonal entry is shared
         off = -4 * y1 * y2 / den
-        ds = ((2 * (1.0 + r2 - 2 * y1 * y1) / den, off),
-              (off, 2 * (1.0 + r2 - 2 * y2 * y2) / den),
+        ds = ((2 * (one_r2 - 2 * y1 * y1) / den, off),
+              (off, 2 * (one_r2 - 2 * y2 * y2) / den),
               (4 * y1 / den, 4 * y2 / den))
-        F = self.frame
-        out = np.empty(y.shape[:-1] + (self.target_dim, 2))
-        for u in range(self.target_dim):
-            for k in range(2):
-                # the frame contraction, summed over i in einsum's order
-                out[..., u, k] = F[u, 0] * ds[0][k] + F[u, 1] * ds[1][k] + F[u, 2] * ds[2][k]
+        F = self.frame.reshape(self.frame.shape + (1,) * np.ndim(y1))
+        out = np.empty((self.target_dim, 2) + np.shape(y1))
+        for k in range(2):
+            # the frame contraction, summed over i in einsum's order
+            acc = np.multiply(F[:, 0], ds[0][k], out=out[:, k])
+            acc += F[:, 1] * ds[1][k]
+            acc += F[:, 2] * ds[2][k]
         # past |y| ~ 1e77 den overflows and ds is 0, its limit; past ~1e154 so do
         # the products 2 y1 y1, and inf - inf is NaN there: the same limit
         out[np.isnan(out)] = 0.0
         out *= self.amplitude
         return out
+
+    def grad(self, y):
+        """(..., 4n, 2) derivative of value."""
+        y = np.asarray(y, dtype=float)
+        return _points_last(self._grad(*_radii(y[..., 0], y[..., 1])))
 
     @np.errstate(over="ignore")
     def energy_density(self, rad):
@@ -265,28 +285,38 @@ class _SliceMap:
         return out
 
     def grad(self, x2):
-        """(..., 4n, 2) gradient in the X2 variables."""
+        """(..., 4n, 2) gradient in the X2 variables.  Formed component
+        first, (4n, 2, ...), so each term's (u, k) entry is one array over
+        the points, with the elementwise operations of the term-by-term
+        formula in its order; each bubble's profile shares its radii between
+        its value and its gradient."""
         x2 = np.asarray(x2, dtype=float)
         seq = self.seq
         if self.base_only:
             return seq.base.grad(x2)
-        out = np.array(seq.base.grad(x2), dtype=float)  # summed into in place
+        out = np.ascontiguousarray(np.moveaxis(seq.base.grad(x2), (-2, -1), (0, 1)),
+                                   dtype=float)  # summed into in place
+        xs = np.moveaxis(x2, -1, 0)  # (2, ...)
         rho = np.maximum(np.linalg.norm(x2, axis=-1), 1e-300)
         chi, dchi = _chi_radial(seq, rho)
-        dchi = (dchi / rho)[..., None] * x2  # (..., 2)
+        dchi = dchi / rho * xs  # (2, ...)
         for b in seq.bubbles:
             d = b.scale(self.ell)
-            y = (x2 - b.center) / d
-            out += chi[..., None, None] * b.profile.grad(y) / d
-            dev = b.profile.value(y) - b.profile.far_value()
-            out += dev[..., :, None] * dchi[..., None, :]
+            prof = b.profile
+            radii = _radii(*((x - c) / d for x, c in zip(xs, b.center)))
+            term = prof._grad(*radii)  # chi * grad phi / d, in place
+            term *= chi
+            term /= d
+            out += term
+            dev = prof._value(prof._sigma(*radii)) - prof.far_value()
+            out += np.multiply(np.ascontiguousarray(np.moveaxis(dev, -1, 0))[:, None], dchi,
+                               out=term)
         if seq.noise is not None:
             psi = seq.noise.psi(x2)
-            gpsi = -x2 / seq.noise.x2_scale**2 * psi[..., None]
-            out += seq.noise.eta(self.x1) * np.einsum(
-                "u,...k->...uk", seq.noise.direction, gpsi
-            )
-        return out
+            gpsi = -xs / seq.noise.x2_scale**2 * psi
+            direction = seq.noise.direction.reshape((-1,) + (1,) * gpsi.ndim)
+            out += seq.noise.eta(self.x1) * (direction * gpsi)
+        return _points_last(out)
 
     def grad_sq(self, x2):
         g = self.grad(x2)

@@ -10,6 +10,7 @@ roundoff, not merely to O(h^2).
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -151,13 +152,14 @@ def _entry(label, value, grid):
     return _finite(arr, label)
 
 
-# axis-0 planes per block of `_wrapped_blocks`.  fixed_point_solve of
-# default_problem(seed=3) on 2 cores, median of 3 solves in each of 3
-# processes: at 20^4 0.72 s with 2 planes, 0.85 s with 1 and 0.67 s with 4;
-# at 32^4 4.7 s with 2, 4.9 s with 1 and 4.7 s with 4.  Its traced peak
-# beyond P at 20^4 is 4.0 grids with 2 planes, 3.7 with 1 and 4.7 with 4,
-# and `solve-w21 --grid 20` peaks at 56.5 MB RSS with 2, 56.0 with 1 and
-# 57.4 with 4
+# axis-0 planes per block of `_rhs_plan` and `_wrapped_blocks`.
+# fixed_point_solve of default_problem(seed=3) on 2 cores, median of 3
+# solves in each of 3 processes: at 20^4 0.35-0.37 s with 2 planes,
+# 0.35-0.40 s with 1 and 0.30-0.35 s with 4; at 32^4 2.27-2.35 s with 2,
+# 2.32-2.43 s with 1 and 2.26-2.33 s with 4.  Its traced peak beyond P at
+# 20^4 is 3.97 grids with 2 planes, 3.59 with 1 and 4.68 with 4, and
+# `solve-w21 --grid 20`, run through `cli.main` with the value set, peaks at
+# 56.2 MB RSS with 2, 55.8 with 1 and 57.1 with 4
 _RHS_PLANES = 2
 
 
@@ -176,14 +178,96 @@ def _wrapped_blocks(v):
         yield b, vb
 
 
+def _rhs_plan(chi):
+    """For each block b of `_RHS_PLANES` axis-0 planes, the slices of the
+    right-hand side's work on it.  Every term carries chi, Delta chi or a
+    d_a chi, so off chi's support on planes b.start - 1 ... b.stop, widened
+    by one node, each term is a product with 0.  That box takes, on each
+    in-plane axis, a slice of the axis, or the whole axis where the box
+    widened by one more node would wrap round the torus.
+
+    Yields (box, zeros, pad, gather, fill), slice tuples or lists of them:
+    box, the box's nodes of the grid (None where the support misses b's
+    planes and their neighbours); zeros, the rest of b's planes; pad, the
+    shape of the box padded by one node on every axis; gather, (to, from)
+    pairs that copy a torus grid's values into that pad; and fill, the
+    pairs within the pad that wrap its whole axes round as `stencil.wrap`
+    does."""
+    N, *dims = chi.shape
+    for lo in range(0, N, _RHS_PLANES):
+        b = slice(lo, min(lo + _RHS_PLANES, N))
+        near = np.any(chi[[i % N for i in range(lo - 1, b.stop + 1)]], axis=0)
+        if not near.any():
+            yield None, [(b,)], None, None, None
+            continue
+        box, src, dst, zeros = [b], [], [], []
+        for a, n in enumerate(dims):
+            on = np.flatnonzero(near.any(axis=tuple(x for x in range(len(dims)) if x != a)))
+            first, last = int(on[0]), int(on[-1])
+            lead = tuple(box)
+            if first < 2 or last > n - 3:
+                box.append(slice(None))
+                src.append(slice(None))
+                dst.append(slice(1, -1))
+            else:
+                box.append(slice(first - 1, last + 2))
+                src.append(slice(first - 2, last + 3))
+                dst.append(slice(None))
+                zeros += [lead + (slice(0, first - 1),), lead + (slice(last + 2, n),)]
+        pad = (b.stop - lo + 2,) + tuple(
+            n + 2 if s.start is None else s.stop - s.start for n, s in zip(dims, src))
+        gather, p, i = [], 0, lo - 1  # axis 0 round the torus, in runs of planes
+        while i <= b.stop:
+            run = min(b.stop + 1 - i, N - i % N)
+            gather.append(((slice(p, p + run), *dst), (slice(i % N, i % N + run), *src)))
+            p, i = p + run, i + run
+        fill = []
+        for a, s in enumerate(src, 1):
+            if s.start is None:
+                lead = (slice(None),) * a
+                fill += [(lead + (0,), lead + (-2,)), (lead + (-1,), lead + (1,))]
+        yield tuple(box), zeros, pad, gather, fill
+
+
+@functools.cache
+def _pad_operands(nd):
+    """The operands of each difference over the 1-interior of a pad, a grid
+    padded by one node on each of its nd axes, as slice tuples that serve
+    every pad shape: d1s[a] for d_a, in the order `stencil.first` takes
+    them, and d2s[a, c] = (formula, operands) for d_a d_c, with
+    `stencil.second` or `stencil.mixed`."""
+
+    def at(*moves):
+        steps = [0] * nd
+        for a, s in moves:
+            steps[a] += s
+        return tuple([slice(1 + s, s - 1 or None) for s in steps])
+
+    d1s = [(at((a, 1)), at((a, -1))) for a in range(nd)]
+    d2s = {}
+    for a, c in np.ndindex(nd, nd):
+        if a == c:
+            d2s[a, c] = (stencil.second, (at((a, 1)), at(), at((a, -1))))
+        else:  # pp, pm, mp, mm
+            d2s[a, c] = (stencil.mixed, tuple([at((a, sa), (c, sc))
+                                               for sa in (1, -1) for sc in (1, -1)]))
+    return d1s, d2s
+
+
 def _rhs_operator(P: PerturbedProblem, out=None):
     """w -> RHS(w) of the cutoff equation, in `out` (by default a grid of
     the operator's own), which the next call overwrites.  Over the blocks of
-    `_wrapped_blocks` of chi and of w, Delta chi, each d_a chi, chi mu_ij and
-    chi tau_j, each difference of w and the source are formed into two
-    block-sized buffers and added into a third in the term-by-term
-    formula's order, so every bit stays; that block is then written into
-    the output's planes, which need not be contiguous."""
+    `_rhs_plan`, Delta chi and each d_a chi are formed from chi padded on
+    the block's box, then each difference of w from w padded in the same
+    buffer; with chi mu_ij, chi tau_j and the source they are added into
+    the box in the term-by-term formula's order, so every bit on chi's
+    support stays.  The box is then written into the output's planes, which
+    need not be contiguous, and the rest of the block's planes gets exact
+    zeros (+0.0, where the formula's sum of zero products may be -0.0).
+    Each d_a w serves its d_a chi term and its tau_a term, but the last
+    axis's, whose box the mu terms take as scratch: a call holds one pad and
+    d + 2 boxes, no more than `solve-w21 --grid 20`'s peak RSS allows (a
+    box for d_{d-1} w too raised it by 0.1 MB)."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
@@ -191,27 +275,61 @@ def _rhs_operator(P: PerturbedProblem, out=None):
     mu = [(i, j, np.broadcast_to(c, chi.shape)) for (i, j), c in P.mu.items() if np.any(c)]
     tau = [(j, np.broadcast_to(c, chi.shape)) for j, c in P.tau.items() if np.any(c)]
     out = np.empty_like(chi) if out is None else out
-    block = (min(_RHS_PLANES, chi.shape[0]),) + chi.shape[1:]
-    total, dchi, diff = np.empty(block), np.empty(block), np.empty(block)
+    plan = list(_rhs_plan(chi))
+    d1s, d2s = _pad_operands(d)
+    pad_size = max((math.prod(pad) for box, _, pad, *_ in plan if box), default=0)
+    box_size = max((chi[box].size for box, *_ in plan if box), default=0)
+
+    def padded(v, vp, gather, fill):
+        for to, frm in gather:
+            vp[to] = v[frm]
+        for to, frm in fill:
+            vp[to] = vp[frm]
+        return vp
+
+    def diff(vp, form, ops, into):
+        # numpy buffers each strided operand of a ufunc, so d_a and d_a d_c
+        # (a != c) first copy their first operand into `into`: then no ufunc
+        # reads two pad views (`stencil.second` overwrites `into` at once)
+        operands = [vp[s] for s in ops]
+        if form is not stencil.second:
+            np.copyto(into, operands[0])
+            operands[0] = into
+        return form(*operands, h, out=into)
 
     def rhs(w):
-        for (b, cp), (_, wb) in zip(_wrapped_blocks(chi), _wrapped_blocks(w)):
-            k = b.stop - b.start
-            dc, df = dchi[:k], diff[:k]  # dc holds each chi coefficient too
-            acc = stencil.laplacian(cp, h, out=total[:k])
-            acc *= w[b]
+        # this call's buffers: one pad, for chi and then for w, and d + 2 boxes
+        pad_buf, boxes = np.empty(pad_size), np.empty((d + 2, box_size))
+        for box, zeros, pad, gather, fill in plan:
+            for z in zeros:
+                out[z] = 0.0
+            if box is None:
+                continue
+            shape = chi[box].shape
+            acc, df, *dv = (x[: math.prod(shape)].reshape(shape) for x in boxes)
+            vp = padded(chi, pad_buf[: math.prod(pad)].reshape(pad), gather, fill)
+            acc[...] = 0.0  # Delta chi, added as `stencil.laplacian` adds it
             for a in range(d):
-                dw = stencil.d1(wb, a, h, out=df)
-                acc += np.multiply(stencil.d1(cp, a, h, out=dc), dw, out=df)
+                acc += diff(vp, *d2s[a, a], df)
+            acc *= w[box]
+            for a in range(d):
+                diff(vp, stencil.first, d1s[a], dv[a])
+            padded(w, vp, gather, fill)  # chi's pad is done with
+            for a in range(d):
+                dw = diff(vp, stencil.first, d1s[a], df)
+                acc += np.multiply(dv[a], dw, out=dv[a])
+                dv[a], df = dw, dv[a]  # d_a w stays for the tau_a term
+            dc = dv.pop()  # the last d_a w gives its box to the mu terms' scratch
             for i, j, mu_ij in mu:
-                np.multiply(chi[b], mu_ij[b], out=dc)
-                acc -= np.multiply(dc, stencil.d2(wb, i, j, h, out=df), out=df)
+                np.multiply(chi[box], mu_ij[box], out=dc)
+                acc -= np.multiply(dc, diff(vp, *d2s[i, j], df), out=df)
             for j, tau_j in tau:
-                np.multiply(chi[b], tau_j[b], out=dc)
-                acc -= np.multiply(dc, stencil.d1(wb, j, h, out=df), out=df)
-            np.multiply(chi[b], sq[b], out=dc)
-            acc += np.multiply(dc, P.f.values[b], out=dc)
-            out[b] = acc
+                np.multiply(chi[box], tau_j[box], out=dc)
+                dw = dv[j] if j < len(dv) else diff(vp, stencil.first, d1s[j], df)
+                acc -= np.multiply(dc, dw, out=dc)
+            np.multiply(chi[box], sq[box], out=dc)
+            acc += np.multiply(dc, P.f.values[box], out=dc)
+            out[box] = acc
         return out
 
     return rhs
@@ -231,9 +349,9 @@ def _w11(v, h, grid=None):
     strided view, such as a complex grid's imaginary part)."""
     grid = np.empty_like(v) if grid is None else grid
     total = np.abs(v, out=grid).sum()
-    for a in range(v.ndim):
+    for p, m in _pad_operands(v.ndim)[0]:
         for b, vb in _wrapped_blocks(v):
-            stencil.d1(vb, a, h, out=grid[b])
+            stencil.first(vb[p], vb[m], h, out=grid[b])
         total += np.abs(grid, out=grid).sum()
     return float(total * h**v.ndim)
 

@@ -1033,6 +1033,30 @@ def test_profile_and_slice_gradients_match_the_einsum_forms_bitwise():
                     assert _same_bits(sl.grad(x2), _einsum_slice_grad(sl, x2))
 
 
+def test_slice_gradients_match_the_einsum_forms_on_the_quadrature_shapes():
+    # the shapes the quadratures pass: `_disk_energy`'s 700 x 24 log-polar
+    # grid and `_median_energy_radius`'s batch of 16 annuli of 24 x 16, with
+    # the flat, small and 0-d inputs beside them
+    center = np.array([0.01, -0.02])
+    rads = np.exp(np.linspace(np.log(1e-4), np.log(0.2), 17))
+    disk = bubbletree._log_polar(center, 1e-6, 0.2, 700, 24)[2]
+    annuli = np.stack([bubbletree._log_polar(center, lo, hi, 24, 16)[2]
+                       for lo, hi in zip(rads[:-1], rads[1:])])
+    pts = _parity_points()
+    shapes = [disk, annuli, pts[:, 2:], pts[:20, 2:].reshape(4, 5, 2), np.zeros(2)]
+    assert [x.shape for x in shapes[:2]] == [(700, 24, 2), (16, 24, 16, 2)]
+    for seq in _parity_sequences():
+        for ell in (3, 8):
+            for sl in (seq.slice_map(ell, (0.1, -0.05)), seq.base_slice_map()):
+                for x2 in shapes:
+                    got = sl.grad(x2)
+                    assert _same_bits(got, _einsum_slice_grad(sl, x2))
+                    assert got.flags.c_contiguous
+            for b in seq.bubbles:
+                y = (disk - b.center) / b.scale(ell)
+                assert _same_bits(b.profile.grad(y), _einsum_profile_grad(b.profile, y))
+
+
 def test_median_energy_radius_matches_the_annulus_scan_bitwise():
     seqs = _parity_sequences()
     lo, hi = 1e-4, 0.2

@@ -76,7 +76,7 @@ def _rhs_reference(w, P):
     h = P.f.h
     d = P.f.d
     chi = P.chi
-    sq = P.sqrt_g if P.sqrt_g is not None else 1.0
+    sq = P.sqrt_g
     out = stencil.laplacian(stencil.wrap(chi), h) * w
     for a in range(d):
         out += stencil.d1(stencil.wrap(chi), a, h) * stencil.d1(stencil.wrap(w), a, h)
@@ -125,6 +125,53 @@ def test_rhs_operator_matches_reference_bitwise(make):
     for _ in range(3):
         w = rng.normal(size=P.f.values.shape)
         assert np.array_equal(rhs(w), _rhs_reference(w, P))
+
+
+def _box_problem(cutoff):
+    """default_problem's coefficients and source at 20^4, with the cutoff
+    `cutoff` and a non-constant sqrt(det g)."""
+    P = default_problem(N=20, seed=3)
+    shape, h = P.f.values.shape, P.f.h
+    L = 20 * h
+    if cutoff == "small":
+        chi = radial_cutoff(shape, h, 0.1 * L, 0.3 * L)
+    elif cutoff == "wrapped":
+        chi = radial_cutoff(shape, h, 0.1 * L, 0.25 * L, center=np.zeros(4))
+    else:
+        chi = P.chi
+    sqrt_g = 1.0 + 0.1 * np.random.default_rng(5).random(shape)
+    return PerturbedProblem(chi, P.mu, P.tau, P.f, sqrt_g)
+
+
+@pytest.mark.parametrize("planes", [1, 2, 5])
+@pytest.mark.parametrize("cutoff", ["small", "wrapped", "default"])
+def test_rhs_operator_matches_reference_where_the_support_box_bites(cutoff, planes,
+                                                                     monkeypatch):
+    # the right-hand side is formed on chi's support box of each block and
+    # is an exact zero off it: a small cutoff leaves whole blocks empty and
+    # boxes strictly inside the planes, one centred on node 0 wraps the
+    # torus edge, and the default one mixes whole and partial axes
+    monkeypatch.setattr(poisson, "_RHS_PLANES", planes)
+    P = _box_problem(cutoff)
+    plan = list(poisson._rhs_plan(P.chi))
+    boxes = [box for box, *_ in plan if box is not None]
+    whole = [box for box in boxes if all(s == slice(None) for s in box[1:])]
+    if cutoff == "small":
+        assert not whole and (planes == 5 or len(boxes) < len(plan))
+    elif cutoff == "wrapped":  # round the torus edge on every axis
+        assert whole == boxes and len(boxes) < len(plan)
+        assert boxes[0][0].start == 0 and boxes[-1][0].stop == 20
+    else:
+        assert 0 < len(whole) < len(boxes)
+    rhs = _rhs_operator(P)
+    rng = np.random.default_rng(planes)
+    for _ in range(2):  # a second call reuses nothing but the plan
+        w = rng.normal(size=P.f.values.shape)
+        got, want = rhs(w), _rhs_reference(w, P)
+        assert np.array_equal(got, want)
+        nonzero = want != 0
+        assert np.array_equal(got != 0, nonzero)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def test_fixed_point_zero_source_one_iteration():
@@ -395,7 +442,7 @@ def _parent_rhs_operator(P: PerturbedProblem):
     h = P.f.h
     d = P.f.d
     chi = P.chi
-    sq = P.sqrt_g if P.sqrt_g is not None else 1.0
+    sq = P.sqrt_g
     lap_chi = stencil.laplacian(stencil.wrap(chi), h)
     d1_chi = [stencil.d1(stencil.wrap(chi), a, h) for a in range(d)]
     chi_mu = {}
