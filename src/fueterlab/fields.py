@@ -386,7 +386,7 @@ def _flat_windows(u: GridField, scratch, kernel):
 
 def _flat_grad_sq(block, comps, h, out, part, buf):
     """|du|^2_F over the flat range of `block`, into out's range, axis by axis."""
-    grad = block.at(out, {})
+    grad = block.at(out)
     grad[...] = 0.0
     for a in range(len(block.shape)):
         grad += stencil._sum_of_squares(

@@ -152,122 +152,79 @@ def _entry(label, value, grid):
     return _finite(arr, label)
 
 
-# axis-0 planes per block of `_rhs_plan` and `_wrapped_blocks`.
-# fixed_point_solve of default_problem(seed=3) on 2 cores, median of 3
-# solves in each of 3 processes: at 20^4 0.35-0.37 s with 2 planes,
-# 0.35-0.40 s with 1 and 0.30-0.35 s with 4; at 32^4 2.27-2.35 s with 2,
-# 2.32-2.43 s with 1 and 2.26-2.33 s with 4.  Its traced peak beyond P at
-# 20^4 is 3.97 grids with 2 planes, 3.59 with 1 and 4.68 with 4, and
-# `solve-w21 --grid 20`, run through `cli.main` with the value set, peaks at
-# 56.2 MB RSS with 2, 55.8 with 1 and 57.1 with 4
+# axis-0 planes per block of `_blocks`.  fixed_point_solve of
+# default_problem(seed=3) on 2 cores, median of 3 solves in each of 3
+# processes, with 2 / 1 / 4 planes: 0.35-0.41 / 0.50-0.59 / 0.39-0.45 s at
+# 20^4, 2.63-3.12 / 2.40-2.94 / 2.71-2.84 s at 32^4; traced peak beyond P at
+# 20^4 3.97 / 3.58 / 4.67 grids; `solve-w21 --grid 20` through `cli.main`
+# with the value set peaks at 57.0 / 56.6 / 57.8 MB RSS
 _RHS_PLANES = 2
 
 
-def _wrapped_blocks(v):
-    """(b, vb) for each block b of _RHS_PLANES axis-0 planes of the torus
-    grid v: vb, in one buffer, holds planes b.start - 1 ... b.stop of v
-    (round the torus), each padded by `stencil.wrap`, so the box differences
-    of vb are v's torus differences on the planes of b."""
+def _blocks(N):
+    """The blocks of `_RHS_PLANES` axis-0 planes of a grid of N planes."""
+    return [slice(lo, min(lo + _RHS_PLANES, N)) for lo in range(0, N, _RHS_PLANES)]
+
+
+def _plane_buffer(shape):
+    """Room for `_wrapped` to wrap any block of a grid of `shape`."""
+    return np.empty((min(_RHS_PLANES, shape[0]) + 2,) + tuple(n + 2 for n in shape[1:]))
+
+
+def _wrapped(v, b, buf):
+    """Planes b.start - 1 ... b.stop of the torus grid v, round the torus and
+    each padded by `stencil.wrap`, in `buf` from `_plane_buffer`: the box
+    differences of the result are v's torus differences on b's planes."""
     N = v.shape[0]
-    buf = np.empty((min(_RHS_PLANES, N) + 2,) + tuple(n + 2 for n in v.shape[1:]))
-    for lo in range(0, N, _RHS_PLANES):
-        b = slice(lo, min(lo + _RHS_PLANES, N))
-        vb = buf[: b.stop - lo + 2]
-        for p, i in enumerate(range(lo - 1, b.stop + 1)):
-            stencil.wrap(v[i % N], vb[p])
-        yield b, vb
+    vb = buf[: b.stop - b.start + 2]
+    for p, i in enumerate(range(b.start - 1, b.stop + 1)):
+        stencil.wrap(v[i % N], vb[p])
+    return vb
 
 
 def _rhs_plan(chi):
-    """For each block b of `_RHS_PLANES` axis-0 planes, the slices of the
-    right-hand side's work on it.  Every term carries chi, Delta chi or a
-    d_a chi, so off chi's support on planes b.start - 1 ... b.stop, widened
-    by one node, each term is a product with 0.  That box takes, on each
-    in-plane axis, a slice of the axis, or the whole axis where the box
-    widened by one more node would wrap round the torus.
+    """Per block b of `_blocks`, the slices of the right-hand side's work on
+    it.  Every term carries chi, Delta chi or a d_a chi, so it vanishes off
+    the box: chi's support on planes b.start - 1 ... b.stop, widened by one
+    node, and on each in-plane axis a slice of it, or the whole axis where
+    the box widened by one more node would wrap round the torus.
 
-    Yields (box, zeros, pad, gather, fill), slice tuples or lists of them:
-    box, the box's nodes of the grid (None where the support misses b's
-    planes and their neighbours); zeros, the rest of b's planes; pad, the
-    shape of the box padded by one node on every axis; gather, (to, from)
-    pairs that copy a torus grid's values into that pad; and fill, the
-    pairs within the pad that wrap its whole axes round as `stencil.wrap`
-    does."""
+    Yields (box, halo, zeros): the box's nodes of the grid (None where the
+    support misses b's planes and their neighbours); the box widened by one
+    node, as slices of b's `_wrapped` planes; and the rest of b's planes."""
     N, *dims = chi.shape
-    for lo in range(0, N, _RHS_PLANES):
-        b = slice(lo, min(lo + _RHS_PLANES, N))
-        near = np.any(chi[[i % N for i in range(lo - 1, b.stop + 1)]], axis=0)
+    for b in _blocks(N):
+        near = np.any(chi[[i % N for i in range(b.start - 1, b.stop + 1)]], axis=0)
         if not near.any():
-            yield None, [(b,)], None, None, None
+            yield None, None, [(b,)]
             continue
-        box, src, dst, zeros = [b], [], [], []
+        box, halo, zeros = [b], [slice(None)], []
         for a, n in enumerate(dims):
             on = np.flatnonzero(near.any(axis=tuple(x for x in range(len(dims)) if x != a)))
             first, last = int(on[0]), int(on[-1])
-            lead = tuple(box)
             if first < 2 or last > n - 3:
                 box.append(slice(None))
-                src.append(slice(None))
-                dst.append(slice(1, -1))
+                halo.append(slice(None))
             else:
+                zeros += [tuple(box) + (slice(0, first - 1),), tuple(box) + (slice(last + 2, n),)]
                 box.append(slice(first - 1, last + 2))
-                src.append(slice(first - 2, last + 3))
-                dst.append(slice(None))
-                zeros += [lead + (slice(0, first - 1),), lead + (slice(last + 2, n),)]
-        pad = (b.stop - lo + 2,) + tuple(
-            n + 2 if s.start is None else s.stop - s.start for n, s in zip(dims, src))
-        gather, p, i = [], 0, lo - 1  # axis 0 round the torus, in runs of planes
-        while i <= b.stop:
-            run = min(b.stop + 1 - i, N - i % N)
-            gather.append(((slice(p, p + run), *dst), (slice(i % N, i % N + run), *src)))
-            p, i = p + run, i + run
-        fill = []
-        for a, s in enumerate(src, 1):
-            if s.start is None:
-                lead = (slice(None),) * a
-                fill += [(lead + (0,), lead + (-2,)), (lead + (-1,), lead + (1,))]
-        yield tuple(box), zeros, pad, gather, fill
-
-
-@functools.cache
-def _pad_operands(nd):
-    """The operands of each difference over the 1-interior of a pad, a grid
-    padded by one node on each of its nd axes, as slice tuples that serve
-    every pad shape: d1s[a] for d_a, in the order `stencil.first` takes
-    them, and d2s[a, c] = (formula, operands) for d_a d_c, with
-    `stencil.second` or `stencil.mixed`."""
-
-    def at(*moves):
-        steps = [0] * nd
-        for a, s in moves:
-            steps[a] += s
-        return tuple([slice(1 + s, s - 1 or None) for s in steps])
-
-    d1s = [(at((a, 1)), at((a, -1))) for a in range(nd)]
-    d2s = {}
-    for a, c in np.ndindex(nd, nd):
-        if a == c:
-            d2s[a, c] = (stencil.second, (at((a, 1)), at(), at((a, -1))))
-        else:  # pp, pm, mp, mm
-            d2s[a, c] = (stencil.mixed, tuple([at((a, sa), (c, sc))
-                                               for sa in (1, -1) for sc in (1, -1)]))
-    return d1s, d2s
+                halo.append(slice(first - 1, last + 4))
+        yield tuple(box), tuple(halo), zeros
 
 
 def _rhs_operator(P: PerturbedProblem, out=None):
-    """w -> RHS(w) of the cutoff equation, in `out` (by default a grid of
-    the operator's own), which the next call overwrites.  Over the blocks of
-    `_rhs_plan`, Delta chi and each d_a chi are formed from chi padded on
-    the block's box, then each difference of w from w padded in the same
-    buffer; with chi mu_ij, chi tau_j and the source they are added into
-    the box in the term-by-term formula's order, so every bit on chi's
-    support stays.  The box is then written into the output's planes, which
-    need not be contiguous, and the rest of the block's planes gets exact
-    zeros (+0.0, where the formula's sum of zero products may be -0.0).
-    Each d_a w serves its d_a chi term and its tau_a term, but the last
-    axis's, whose box the mu terms take as scratch: a call holds one pad and
-    d + 2 boxes, no more than `solve-w21 --grid 20`'s peak RSS allows (a
-    box for d_{d-1} w too raised it by 0.1 MB)."""
+    """w -> RHS(w) of the cutoff equation, in `out`, which need not be
+    contiguous (by default a grid of the operator's own) and which the next
+    call overwrites.  On each block of `_rhs_plan`, Delta chi and each d_a chi
+    are differenced on the halo of chi's wrapped planes, then each
+    difference of w on w's, in the same buffer; with chi mu_ij, chi tau_j and
+    the source they are added into the box in the term-by-term formula's
+    order, so every bit on chi's support stays.  The rest of the block's
+    planes gets exact zeros (+0.0, where that sum of zero products may be
+    -0.0).  Each d_a w serves its d_a chi and tau_a terms but the last
+    axis's, whose box the mu terms take as scratch: a call holds one block
+    of wrapped planes and d + 2 boxes (a box for d_{d-1} w too raised
+    `solve-w21 --grid 20`'s peak RSS by 0.1 MB)."""
     h = P.f.h
     d = P.f.d
     chi = P.chi
@@ -276,56 +233,49 @@ def _rhs_operator(P: PerturbedProblem, out=None):
     tau = [(j, np.broadcast_to(c, chi.shape)) for j, c in P.tau.items() if np.any(c)]
     out = np.empty_like(chi) if out is None else out
     plan = list(_rhs_plan(chi))
-    d1s, d2s = _pad_operands(d)
-    pad_size = max((math.prod(pad) for box, _, pad, *_ in plan if box), default=0)
+    ops = stencil.box_operands(d)
     box_size = max((chi[box].size for box, *_ in plan if box), default=0)
 
-    def padded(v, vp, gather, fill):
-        for to, frm in gather:
-            vp[to] = v[frm]
-        for to, frm in fill:
-            vp[to] = vp[frm]
-        return vp
-
-    def diff(vp, form, ops, into):
+    def diff(vp, key, into):
         # numpy buffers each strided operand of a ufunc, so d_a and d_a d_c
         # (a != c) first copy their first operand into `into`: then no ufunc
-        # reads two pad views (`stencil.second` overwrites `into` at once)
-        operands = [vp[s] for s in ops]
+        # reads two halo views (`stencil.second` overwrites `into` at once)
+        form, operands = stencil.formula(key), [vp[s] for s in ops[key]]
         if form is not stencil.second:
             np.copyto(into, operands[0])
             operands[0] = into
         return form(*operands, h, out=into)
 
     def rhs(w):
-        # this call's buffers: one pad, for chi and then for w, and d + 2 boxes
-        pad_buf, boxes = np.empty(pad_size), np.empty((d + 2, box_size))
-        for box, zeros, pad, gather, fill in plan:
+        # this call's buffers: one block of wrapped planes, for chi and then
+        # for w, and d + 2 boxes
+        wrapped, boxes = _plane_buffer(chi.shape), np.empty((d + 2, box_size))
+        for box, halo, zeros in plan:
             for z in zeros:
                 out[z] = 0.0
             if box is None:
                 continue
             shape = chi[box].shape
             acc, df, *dv = (x[: math.prod(shape)].reshape(shape) for x in boxes)
-            vp = padded(chi, pad_buf[: math.prod(pad)].reshape(pad), gather, fill)
+            vp = _wrapped(chi, box[0], wrapped)[halo]
             acc[...] = 0.0  # Delta chi, added as `stencil.laplacian` adds it
             for a in range(d):
-                acc += diff(vp, *d2s[a, a], df)
+                acc += diff(vp, (a, a), df)
             acc *= w[box]
             for a in range(d):
-                diff(vp, stencil.first, d1s[a], dv[a])
-            padded(w, vp, gather, fill)  # chi's pad is done with
+                diff(vp, (a,), dv[a])
+            vp = _wrapped(w, box[0], wrapped)[halo]  # chi's planes are done with
             for a in range(d):
-                dw = diff(vp, stencil.first, d1s[a], df)
+                dw = diff(vp, (a,), df)
                 acc += np.multiply(dv[a], dw, out=dv[a])
                 dv[a], df = dw, dv[a]  # d_a w stays for the tau_a term
             dc = dv.pop()  # the last d_a w gives its box to the mu terms' scratch
             for i, j, mu_ij in mu:
                 np.multiply(chi[box], mu_ij[box], out=dc)
-                acc -= np.multiply(dc, diff(vp, *d2s[i, j], df), out=df)
+                acc -= np.multiply(dc, diff(vp, (i, j), df), out=df)
             for j, tau_j in tau:
                 np.multiply(chi[box], tau_j[box], out=dc)
-                dw = dv[j] if j < len(dv) else diff(vp, stencil.first, d1s[j], df)
+                dw = dv[j] if j < len(dv) else diff(vp, (j,), df)
                 acc -= np.multiply(dc, dw, out=dc)
             np.multiply(chi[box], sq[box], out=dc)
             acc += np.multiply(dc, P.f.values[box], out=dc)
@@ -349,9 +299,10 @@ def _w11(v, h, grid=None):
     strided view, such as a complex grid's imaginary part)."""
     grid = np.empty_like(v) if grid is None else grid
     total = np.abs(v, out=grid).sum()
-    for p, m in _pad_operands(v.ndim)[0]:
-        for b, vb in _wrapped_blocks(v):
-            stencil.first(vb[p], vb[m], h, out=grid[b])
+    buf = _plane_buffer(v.shape)
+    for a in range(v.ndim):
+        for b in _blocks(len(v)):
+            stencil.d1(_wrapped(v, b, buf), a, h, out=grid[b])
         total += np.abs(grid, out=grid).sum()
     return float(total * h**v.ndim)
 
@@ -401,8 +352,9 @@ def fixed_point_solve(P: PerturbedProblem, tol=1e-10, max_iter=100):
             # W^{1,1} convergence norm; keep sweeping until it clears 10 tol
             r = rhs(v)
             r -= r.mean()
-            for b, vb in _wrapped_blocks(v):
-                stencil.laplacian(vb, h, out=grid[b])
+            buf = _plane_buffer(shape)
+            for b in _blocks(shape[0]):
+                stencil.laplacian(_wrapped(v, b, buf), h, out=grid[b])
             res_abs = np.subtract(grid, r, out=grid)
             np.abs(res_abs, out=res_abs)
             residual = float(res_abs.sum() * h**v.ndim)
@@ -453,7 +405,7 @@ def w21_norm(u: GridField) -> float:
     def window(i0, block, comps, bufs):
         part, buf, grad_sq, hess_sq = bufs
         grad = _flat_grad_sq(block, comps, h, grad_sq, part, buf)
-        hess = block.at(hess_sq, {})
+        hess = block.at(hess_sq)
         hess[...] = 0.0
         for a in range(d):
             for b in range(d):
@@ -473,8 +425,8 @@ def w21_norm(u: GridField) -> float:
 
 def _copy_range(block, v, out):
     """v over the flat range of `block`, copied into out's range."""
-    dst = block.at(out, {})
-    dst[...] = block.at(v, {})
+    dst = block.at(out)
+    dst[...] = block.at(v)
     return dst
 
 

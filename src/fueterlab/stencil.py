@@ -9,21 +9,24 @@ callers that gather their own neighbours share them.  Each takes `out=`, an
 array the result is written into (its operations run in the same order, so
 the values are the same to the bit); without it the result is a new array.
 
-The grid functions `d1`, `d2` and `laplacian` act on boxes: arrays whose
-first `ndim` axes are the grid (any further axes are components).  They
-take neighbours by slices and return only the nodes one step inside every
-edge, where each stencil is defined.  A torus is the box that `wrap` pads
-by one periodic layer, so its caller wraps it once and the box differences
-of the result are every node of the torus.  `d1`, `d2`, `laplacian` and
-`wrap` take `out=` as the formulas do.
+`neighbours(nd)` is the one neighbour table: the steps x + sum_a s_a h e_a
+of each difference's operands, keyed (a,) for d_a and (a, b) for d_a d_b;
+`formula(key)` names its formula when called, and a key with an axis off
+the grid raises ValueError.  The grid functions `d1`, `d2` and `laplacian`
+act on boxes: arrays whose first `ndim` axes are the grid (any further axes
+are components).  They read the steps as slices (`box_operands`) and return
+only the nodes one step inside every edge, where each stencil is defined.
+A torus is the box that `wrap` pads by one periodic layer, so its caller
+wraps it once and the box differences of the result are every node of the
+torus.  `d1`, `d2`, `laplacian` and `wrap` take `out=` as the formulas do.
 
 `FlatBlock` is the same box differences on a C-contiguous block raveled to
-one axis.  There the neighbour x + sum_a s_a h e_a of every node of the
-block's 1-interior sits at the fixed flat offset sum_a s_a stride_a, so each
-operand is one contiguous slice `v[lo + off : lo + off + length]`, with
-`lo = sum_a stride_a` and `length = size - 2 lo`.  That range also holds the
-nodes where an offset wraps past the end of a row; their values are
-meaningless, and `FlatBlock.interior` drops them.
+one axis.  There each step sits at the fixed flat offset sum_a s_a stride_a
+from every node of the block's 1-interior, so each operand is one
+contiguous slice `v[lo + off : lo + off + length]`, with `lo = sum_a
+stride_a` and `length = size - 2 lo`.  That range also holds the nodes
+where an offset wraps past the end of a row; their values are meaningless,
+and `FlatBlock.interior` drops them.
 
 `_sum_of_squares` is the one sum of squares over field components; it adds in
 the order of numpy's `np.sum(x**2, axis=-1)`, so the norms keep that form's bits.
@@ -31,11 +34,13 @@ the order of numpy's `np.sum(x**2, axis=-1)`, so the norms keep that form's bits
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-__all__ = ["first", "second", "mixed", "wrap", "d1", "d2", "laplacian", "FlatBlock"]
+__all__ = ["first", "second", "mixed", "formula", "neighbours", "box_operands", "wrap", "d1", "d2",
+           "laplacian", "FlatBlock"]
 
 
 def first(p, m, h, out=None):
@@ -55,21 +60,6 @@ def mixed(pp, pm, mp, mm, h, out=None):
     return np.divide(np.add(diff, mm, out=out), 4.0 * h**2, out=out)
 
 
-_MIXED_STEPS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _first_along(at, a, h, out=None):
-    """first difference along axis a, neighbours read through at(steps)."""
-    return first(at({a: 1}), at({a: -1}), h, out=out)
-
-
-def _second_along(at, a, b, h, out=None):
-    """second (a == b) or mixed difference, neighbours read through at(steps)."""
-    if a == b:
-        return second(at({a: 1}), at({}), at({a: -1}), h, out=out)
-    return mixed(*(at({a: sa, b: sb}) for sa, sb in _MIXED_STEPS), h, out=out)
-
-
 def wrap(v, out=None, ndim=None):
     """v padded by one periodic layer on its first ndim (grid) axes, as
     np.pad(mode="wrap") pads it: the box differences of the result are the
@@ -87,28 +77,65 @@ def wrap(v, out=None, ndim=None):
     return out
 
 
-def _at(v, ndim, steps):
-    """v at x + sum_a steps[a] h e_a over the box's 1-interior, on the first
-    ndim (grid) axes, or on every axis when ndim is None."""
+@functools.cache
+def neighbours(nd):
+    """Each difference's operand steps on an nd-axis grid, tuples of nd node
+    offsets in the order its formula takes them: key (a,) for d_a, (a, b)
+    for d_a d_b."""
+
+    def step(a=0, sa=0, b=0, sb=0):
+        return tuple(sa * (x == a) + sb * (x == b) for x in range(nd))
+
+    table = {(a,): (step(a, 1), step(a, -1)) for a in range(nd)}
+    for a, b in np.ndindex(nd, nd):  # second: p, c, m; mixed: pp, pm, mp, mm
+        table[a, b] = ((step(a, 1), step(), step(a, -1)) if a == b else
+                       tuple(step(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1)))
+    return table
+
+
+@functools.cache
+def box_operands(nd):
+    """`neighbours(nd)` as slice tuples over the 1-interior of any box with nd
+    grid axes."""
+    return {key: tuple(tuple(slice(1 + s, s - 1 or None) for s in st) for st in steps)
+            for key, steps in neighbours(nd).items()}
+
+
+def formula(key):
+    """The formula of difference `key`, looked up when called."""
+    if len(key) == 1:
+        return first
+    return second if key[0] == key[1] else mixed
+
+
+def _operands(table, key, nd):
+    """table[key], the operands of difference `key` on an nd-axis grid."""
+    if key not in table:
+        axis = next(a for a in key if a not in range(nd))
+        raise ValueError(f"axis {axis} is not an axis of a grid with ndim {nd}")
+    return table[key]
+
+
+def _difference(v, key, h, ndim, out):
+    """Difference `key` of the box v over its 1-interior."""
     nd = v.ndim if ndim is None else ndim
-    return v[tuple(slice(1 + steps.get(a, 0), v.shape[a] - 1 + steps.get(a, 0))
-                   for a in range(nd))]
+    return formula(key)(*(v[s] for s in _operands(box_operands(nd), key, nd)), h, out=out)
 
 
 def d1(v, a, h, ndim=None, out=None):
     """First central difference along grid axis a."""
-    return _first_along(lambda steps: _at(v, ndim, steps), a, h, out)
+    return _difference(v, (a,), h, ndim, out)
 
 
 def d2(v, a, b, h, ndim=None, out=None):
     """Second central difference along grid axes a and b (mixed when a != b)."""
-    return _second_along(lambda steps: _at(v, ndim, steps), a, b, h, out)
+    return _difference(v, (a, b), h, ndim, out)
 
 
 def laplacian(v, h, ndim=None, out=None):
     """Sum of the second differences along every grid axis."""
     nd = v.ndim if ndim is None else ndim
-    out = np.empty(_at(v, nd, {}).shape) if out is None else out
+    out = np.empty(v[(slice(1, -1),) * nd].shape) if out is None else out
     out[...] = 0.0
     buf = np.empty_like(out)
     for a in range(nd):
@@ -120,7 +147,7 @@ class FlatBlock:
     """Box differences on a C-contiguous block of `shape`, raveled.
 
     Every flat array here, operand or buffer, is at least `size` long and
-    holds the flat range at `[lo : lo + length]`: `at(buf, {})`.  `d1`/`d2`
+    holds the flat range at `[lo : lo + length]`: `at(buf)`.  `d1`/`d2`
     write the differences of `v` there in `out` and return that view;
     `interior(buf)` reads the 1-interior nodes back in the block's shape.
     """
@@ -134,16 +161,20 @@ class FlatBlock:
         self.lo = sum(self.strides)
         self.length = self.size - 2 * self.lo
 
-    def at(self, v, steps):
+    def at(self, v, steps=()):
         """v at x + sum_a steps[a] h e_a over the flat range."""
-        start = self.lo + sum(s * self.strides[a] for a, s in steps.items())
+        start = self.lo + sum(s * k for s, k in zip(steps, self.strides))
         return v[start : start + self.length]
 
+    def _difference(self, v, key, h, out):
+        steps = _operands(neighbours(len(self.shape)), key, len(self.shape))
+        return formula(key)(*(self.at(v, s) for s in steps), h, out=self.at(out))
+
     def d1(self, v, a, h, out):
-        return _first_along(lambda steps: self.at(v, steps), a, h, self.at(out, {}))
+        return self._difference(v, (a,), h, out)
 
     def d2(self, v, a, b, h, out):
-        return _second_along(lambda steps: self.at(v, steps), a, b, h, self.at(out, {}))
+        return self._difference(v, (a, b), h, out)
 
     def interior(self, buf):
         return buf[: self.size].reshape(self.shape)[(slice(1, -1),) * len(self.shape)]

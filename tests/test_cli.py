@@ -836,6 +836,21 @@ def test_report_matches_the_golden_bytes_on_one_openblas_thread(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# the solver's bits on more grids and seeds, as one digest a line: a
+# deliberate change regenerates a line with `python -m fueterlab.cli ARGS |
+# sha256sum`, ARGS the line's own
+SOLVE_DIGESTS = {args: digest for digest, args in (
+    line.split("  ", 1) for line in (GOLDEN / "solve-w21.sha256").read_text().splitlines())}
+
+
+@pytest.mark.parametrize("args", list(SOLVE_DIGESTS),
+                         ids=lambda args: "-".join(args.split()[2::2]))
+def test_solve_w21_report_matches_the_golden_digest(args, tmp_path):
+    out = tmp_path / "report"
+    assert main(args.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SOLVE_DIGESTS[args]
+
+
 # ---------------------------------------------------------------------------
 # every exported name resolves, so a deletion cannot leave an export behind
 

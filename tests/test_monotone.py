@@ -731,7 +731,8 @@ def _parent_ball_slabs(u: GridField, center, reach):
             # du on the whole core window by box slices, then the ball nodes' rows
             stencil.first(bp[core], bm[core], h, out=du_core[0])
             for a in range(d - 1):
-                p, m = (stencil._at(b0, d - 1, {a: s}) for s in (1, -1))
+                p, m = (b0[core[:a] + (slice(1 + s, b0.shape[a] - 1 + s),) + core[a + 1:]]
+                        for s in (1, -1))
                 stencil.first(p, m, h, out=du_core[1 + a])
             du = np.empty((len(sel), tdim, d))
             for a in range(d):

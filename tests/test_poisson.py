@@ -392,7 +392,10 @@ def test_problem_set_up_matches_the_meshgrid_forms_bitwise(shape):
             assert np.array_equal(got, _mesh_radial_cutoff(shape, h, 0.2 * L, 0.45 * L, center))
 
 
-def test_w11_matches_the_torus_differences_bitwise():
+@pytest.mark.parametrize("planes", [1, 2, 3, 5, 40])
+def test_w11_matches_the_torus_differences_bitwise(planes, monkeypatch):
+    # blocks of 5 planes leave a short last block of these 6, and 40 make one
+    monkeypatch.setattr(poisson, "_RHS_PLANES", planes)
     v = np.random.default_rng(2).normal(size=(6, 5, 7, 4))
     h = 0.21
     want = np.abs(v).sum()

@@ -120,6 +120,60 @@ def test_flat_block_rejects_an_axis_without_interior_nodes():
         stencil.FlatBlock((4, 2, 5))
 
 
+@pytest.mark.parametrize("axes, bad", [((2,), 2), ((-1,), -1), ((0, 5), 5), ((2, 2), 2)])
+def test_an_axis_outside_the_grid_is_refused_on_every_path(axes, bad):
+    # such a difference came out as zeros on a box, also on a component
+    # axis, and as a bare IndexError on a flat block
+    rng = np.random.default_rng(1)
+    v, comps = rng.normal(size=(5, 6)), rng.normal(size=(5, 6, 3))
+    h = 0.3
+    block = stencil.FlatBlock(v.shape)
+    box, flat = (stencil.d1, block.d1) if len(axes) == 1 else (stencil.d2, block.d2)
+    message = re.escape(f"axis {bad} is not an axis of a grid with ndim 2")
+    for call in (lambda: box(v, *axes, h), lambda: box(comps, *axes, h, 2),
+                 lambda: flat(v.ravel(), *axes, h, np.empty(block.size))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("name", ["first", "second", "mixed"])
+def test_a_patched_formula_reaches_every_difference(name, monkeypatch):
+    # the neighbour table holds steps, not formulas, so every difference
+    # calls the formula the module holds when it runs
+    calls = []
+    real = getattr(stencil, name)
+
+    def sentinel(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stencil, name, sentinel)
+    rng = np.random.default_rng(2)
+    v, h = rng.normal(size=(4, 5, 6)), 0.3
+    block, buf = stencil.FlatBlock(v.shape), np.empty(v.size)
+    b = 1 if name == "second" else 2
+    P = poisson.default_problem(N=6, seed=3)
+    w = rng.normal(size=P.f.values.shape)
+    paths = {
+        "d1": lambda: stencil.d1(v, 1, h),
+        "d2": lambda: stencil.d2(v, 1, b, h),
+        "laplacian": lambda: stencil.laplacian(v, h),
+        "FlatBlock.d1": lambda: block.d1(v.ravel(), 1, h, buf),
+        "FlatBlock.d2": lambda: block.d2(v.ravel(), 1, b, h, buf),
+        "rhs": lambda: poisson._rhs_operator(P)(w),
+        "_w11": lambda: poisson._w11(w, P.f.h),
+    }
+    callers = set()
+    for path, run in paths.items():
+        calls.clear()
+        run()
+        if calls:
+            callers.add(path)
+    assert callers == {"first": {"d1", "FlatBlock.d1", "rhs", "_w11"},
+                       "second": {"d2", "laplacian", "FlatBlock.d2", "rhs"},
+                       "mixed": {"d2", "FlatBlock.d2", "rhs"}}[name]
+
+
 def test_formulas_write_into_out_with_the_same_values():
     rng = np.random.default_rng(5)
     vals = rng.normal(size=(4, 3, 5))
@@ -159,13 +213,13 @@ def test_wrap_and_laplacian_match_the_pad_forms_bitwise(ndim, comps, seed):
 def test_no_second_stencil_in_the_package():
     # periodic neighbours come from one wrap padding, never from full rolled
     # copies, so every central difference runs through the stencil module;
-    # its box-slicing helpers stay private to it
+    # its operand lookup and box differences stay private to it
     offenders = [
         f"{path.name}:{k}"
         for path in sorted(SRC.glob("*.py"))
         for k, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(r"np\.roll\(", line)
-        or (path.name != "stencil.py" and re.search(r"stencil\._(at|box)\(", line))
+        or (path.name != "stencil.py" and re.search(r"stencil\._(operands|difference)\(", line))
     ]
     assert offenders == []
 
@@ -297,6 +351,10 @@ def test_grid_differences_take_no_periodic_flag():
                       "d2": ["v", "a", "b", "h", "ndim", "out"],
                       "laplacian": ["v", "h", "ndim", "out"]}
     assert not hasattr(stencil, "_box")
+    # one neighbour table and one torus padder: the former second ones are gone
+    assert not any(hasattr(stencil, n) for n in ("_at", "_first_along", "_second_along",
+                                                 "_MIXED_STEPS"))
+    assert not any(hasattr(poisson, n) for n in ("_pad_operands", "_wrapped_blocks"))
 
 
 def test_each_torus_caller_wraps_each_grid_once(monkeypatch):
