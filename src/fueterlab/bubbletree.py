@@ -152,19 +152,14 @@ class BubbleProfile:
         |y| ~ 1e77 the denominator overflows, and the density is 0, its limit."""
         return self.amplitude**2 * 8.0 / (1.0 + np.asarray(rad) ** 2) ** 2
 
-    def energy_within(self, R):
-        """Reference-grid cumulative energy on B_R."""
-        t = np.linspace(np.log(1e-8), np.log(max(R, 1e-7)), 4001)
+    def total_energy(self):
+        """Energy on R^2: fine-grid quadrature in log radius out to R plus the
+        analytic tail of the reference profile."""
+        R = 1e4
+        t = np.linspace(np.log(1e-8), np.log(R), 4001)
         r = np.exp(t)
         integrand = self.energy_density(r) * 2.0 * np.pi * r * r  # dt measure
-        return float(np.trapezoid(integrand, t))
-
-    def total_energy(self):
-        """Energy on R^2: fine-grid quadrature out to R plus the analytic tail
-        of the reference profile."""
-        R = 1e4
-        tail = self.amplitude**2 * 8.0 * np.pi / (1.0 + R * R)
-        return self.energy_within(R) + tail
+        return float(np.trapezoid(integrand, t)) + self.amplitude**2 * 8.0 * np.pi / (1.0 + R * R)
 
 
 def make_profile(amplitude, structure: SphereStructure, n=1, seed=0) -> BubbleProfile:
@@ -801,13 +796,12 @@ def _paraboloid_step(f, step):
     ((i - 1) step, (j - 1) step) to the vertex of the quadratic model
     f = a + b.x + x^T C x / 2 that the stencil differences define; None when
     the model's Hessian is singular."""
-    grad = np.array([stencil.first(f[2, 1], f[0, 1], step),
-                     stencil.first(f[1, 2], f[1, 0], step)])
-    hxx = stencil.second(f[2, 1], f[1, 1], f[0, 1], step)
-    hyy = stencil.second(f[1, 2], f[1, 1], f[1, 0], step)
-    hxy = stencil.mixed(f[2, 2], f[2, 0], f[0, 2], f[0, 0], step)
-    try:
-        return -np.linalg.solve(np.array([[hxx, hxy], [hxy, hyy]]), grad)
+    table = stencil.neighbours(2)
+    d = {key: stencil.formula(key)(*(f[1 + i, 1 + j] for i, j in table[key]), step)
+         for key in ((0,), (1,), (0, 0), (0, 1), (1, 1))}
+    try:  # the one mixed difference (0, 1) on both sides of the diagonal
+        return -np.linalg.solve(np.array([[d[0, 0], d[0, 1]], [d[0, 1], d[1, 1]]]),
+                                np.array([d[(0,)], d[(1,)]]))
     except np.linalg.LinAlgError:
         return None
 
@@ -833,10 +827,9 @@ def _paraboloid_descent(f, c, step, rounds, shrink, reach):
 
 
 def _probe_jet(sl: _SliceMap, center, h):
-    cols = []
-    for e in (np.array([h, 0.0]), np.array([0.0, h])):
-        cols.append(stencil.first(sl.value(center + e), sl.value(center - e), h))
-    return np.stack(cols, axis=1)
+    return np.stack([stencil.first(*(sl.value(center + np.multiply(s, h))
+                                     for s in stencil.neighbours(2)[(a,)]), h)
+                     for a in range(2)], axis=1)
 
 
 def _center_structure(sl: _SliceMap, center, probe_scale):
@@ -1082,11 +1075,9 @@ def quantize(seq: ConcentratingSequence, ells, config: QuantizeConfig | None = N
     choice = slice_select(seq, ell, r_out=config.r_out)
     x1 = choice.x1
     crossings = []
-    x2c = None
-    for e in ells:
-        d_e, c_e = concentration_scale(seq, e, x1, eps0=config.eps0)
+    for e in ells:  # x2c is left at the last member's centre
+        d_e, x2c = concentration_scale(seq, e, x1, eps0=config.eps0)
         crossings.append(d_e)
-        x2c = c_e
     theta = defect_density(seq, x2c, ells[-2:] if len(ells) > 1 else ells,
                            radii=config.theta_radii)
     first = rescale_and_extract(seq, ells, x1, x2c, crossings,

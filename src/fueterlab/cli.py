@@ -19,12 +19,11 @@ from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, stencil
 from .fields import (
     GridField,
     _fld1_header,
     _fld1_planes,
-    differential,
     energy_identity_defects,
     standard_triholomorphic_field,
     triholomorphic_kernel,
@@ -79,6 +78,8 @@ class RunConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.m not in (1, 2):
             raise ValueError("config field m must be 1 or 2")
+        if self.seed < 0:
+            raise ValueError(f"config field seed must be at least 0, got {self.seed}")
         if self.ell < 2:
             raise ValueError("config field ell must be at least 2 (members ell - 1 and ell)")
 
@@ -160,7 +161,8 @@ def cmd_identity_check(args) -> int:
             raise bad_jet
         Sd = StructureTriple.standard(u.m)
         St = StructureTriple.standard(u.n)
-        defects_u = energy_identity_defects(np.stack(field_jets), Sd, St)
+        field_jets = np.concatenate(field_jets)
+        defects_u = energy_identity_defects(field_jets, Sd, St)
         max_defect = max(max_defect, float(np.max(np.abs(defects_u))))
         tested += len(field_jets)
     kernel_dim = None
@@ -185,30 +187,28 @@ def cmd_identity_check(args) -> int:
 def _field_jets(f, u):
     """(jets, error): the central-difference jets of the FLD1 field u, whose
     payload the open file f holds next, at the nodes with every index in
-    range(2, N - 2, step), in row-major order.
+    range(2, N - 2, step), one array per axis-0 row, in row-major order.
 
     The payload is read one axis-0 plane at a time, and every plane is
     checked; only the last three planes are held, which are the planes
     i - 1, i and i + 1 that the jets of row i read once plane i + 1 is in.
-    A jet that overflows stops the jets, and its ValueError is returned as
-    `error` once the whole payload has been read, so that a bad plane after
-    it is still reported as a bad file."""
+    A jet that overflows stops the jets: a ValueError naming the row-major
+    first such node is returned as `error` once the whole payload has been
+    read, so that a bad plane after it is still reported as a bad file."""
     N = u.shape[0]
     rows = range(2, N - 2, max(1, (N - 4) // 3))
-    held, jets, error = {}, [], None
-
-    def read(node):
-        return held[node[0]][node[1:]]
-
+    nodes = list(itertools.product(rows, repeat=u.dim - 1))
+    strides = [N ** (u.dim - 2 - a) for a in range(u.dim - 1)]
+    at = np.array([np.dot(node, strides) for node in nodes], dtype=int)
+    held, jets, error = [], [], None
     for i, plane in _fld1_planes(f, u):
-        held[i] = plane
+        held = held[-2:] + [plane.reshape(-1, u.target_dim)]
         if i - 1 in rows and error is None:
-            try:
-                jets += [differential(u, (i - 1,) + rest, read)
-                         for rest in itertools.product(rows, repeat=u.dim - 1)]
-            except ValueError as e:
-                error = e
-        held.pop(i - 2, None)  # no later row reads it
+            jets.append(stencil.jets(held, at, strides, u.h))
+            bad = ~np.isfinite(jets[-1]).all(axis=(1, 2))
+            if bad.any():
+                error = ValueError(f"jet entries at node {(i - 1,) + nodes[np.argmax(bad)]} "
+                                   "must be finite (the differences overflow)")
     return jets, error
 
 
@@ -408,7 +408,8 @@ def build_parser():
     def common(q, name):
         q.add_argument("--config", help="JSON file overriding RunConfig fields")
         q.add_argument("--out", help="write the report here instead of stdout")
-        flags = dict(seed=dict(type=int), grid=dict(type=functools.partial(_grid, name)),
+        flags = dict(seed=dict(type=functools.partial(_int_at_least, 0)),
+                     grid=dict(type=functools.partial(_grid, name)),
                      m=dict(type=int, choices=(1, 2)), magnitude=dict(type=_finite_float),
                      ell=dict(type=functools.partial(_int_at_least, 2)))
         for field in READS[name]:  # a command defines the flags of the fields it reads

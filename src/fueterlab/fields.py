@@ -197,20 +197,16 @@ class GridField:
                 f"shape={self.shape}, h={self.h:.5g}, {kind})")
 
 
-def _neighbor(u, node, axis, step, read=None):
-    """u at node + step h e_axis, read by read(node), u.block by default."""
-    return (read or u.block)(tuple(i + step * (a == axis) for a, i in enumerate(node)))
-
-
-def differential(u: GridField, node, read=None) -> np.ndarray:
+def differential(u: GridField, node) -> np.ndarray:
     """Central-difference jet at a node, the (4n, 4m) array whose column a is
-    (u(+h e_a) - u(-h e_a)) / 2h, its values read by read(node), u.block by
-    default.  The field values are finite, but their differences can
-    overflow; such a jet raises ValueError."""
+    (u(+h e_a) - u(-h e_a)) / 2h, its operands `stencil.neighbours` steps
+    from the node, read by u.block.  The field values are finite, but their
+    differences can overflow; such a jet raises ValueError."""
     node = tuple(int(i) for i in node)
     if not u.is_interior(node):
         raise ValueError(f"node {node} too close to the box boundary for the stencil")
-    du = np.stack([stencil.first(*(_neighbor(u, node, a, s, read) for s in (1, -1)), u.h)
+    du = np.stack([stencil.first(*(u.block(tuple(i + k for i, k in zip(node, s)))
+                                   for s in stencil.neighbours(u.dim)[(a,)]), u.h)
                    for a in range(u.dim)], axis=1)
     if not np.isfinite(du).all():
         raise ValueError(f"jet entries at node {node} must be finite (the differences overflow)")

@@ -62,7 +62,7 @@ def _ball_slabs(u: GridField, center, reach):
     ext = tuple(slice(lo[a] - 1, hi[a] + 1) for a in range(1, d))
     # the core nodes over the remaining axes, raveled: their points (the
     # axis-0 coordinate is set per slab), squared distances and flat indices
-    # in the extended window, whose axis-a neighbours sit `step[a]` away
+    # in the extended window, whose axis a + 1 has flat stride `step[a]`
     step = [math.prod(s.stop - s.start for s in ext[a + 1:]) for a in range(d - 1)]
     grids = np.meshgrid(*(range(lo[a], hi[a]) for a in range(1, d)), indexing="ij")
     pts_core = np.empty((grids[0].size, d))
@@ -80,12 +80,7 @@ def _ball_slabs(u: GridField, center, reach):
     for i, planes in _planes(u, starts, 1, hi[0], ext):
         rho_sq = (coords[i] - center[0]) ** 2 + sq_rest
         sel = np.nonzero(rho_sq <= reach**2)[0]
-        at = flat[sel]
-        bm, b0, bp = (b.reshape(-1, u.target_dim) for b in planes)
-        du = np.empty((len(sel), u.target_dim, d))
-        stencil.first(bp[at], bm[at], h, out=du[:, :, 0])
-        for a, s in enumerate(step, 1):
-            stencil.first(b0[at + s], b0[at - s], h, out=du[:, :, a])
+        du = stencil.jets([b.reshape(-1, u.target_dim) for b in planes], flat[sel], step, h)
         pts_core[:, 0] = coords[i]
         yield pts_core[sel], rho_sq[sel], du
 

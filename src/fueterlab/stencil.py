@@ -20,6 +20,10 @@ A torus is the box that `wrap` pads by one periodic layer, so its caller
 wraps it once and the box differences of the result are every node of the
 torus.  `d1`, `d2`, `laplacian` and `wrap` take `out=` as the formulas do.
 
+`jets` gathers the first-difference jets at nodes of the middle one of three
+raveled axis-0 planes: across the planes along axis 0, at each step's flat
+offset within the plane along the others.
+
 `FlatBlock` is the same box differences on a C-contiguous block raveled to
 one axis.  There each step sits at the fixed flat offset sum_a s_a stride_a
 from every node of the block's 1-interior, so each operand is one
@@ -40,7 +44,7 @@ import math
 import numpy as np
 
 __all__ = ["first", "second", "mixed", "formula", "neighbours", "box_operands", "wrap", "d1", "d2",
-           "laplacian", "FlatBlock"]
+           "laplacian", "jets", "FlatBlock"]
 
 
 def first(p, m, h, out=None):
@@ -141,6 +145,19 @@ def laplacian(v, h, ndim=None, out=None):
     for a in range(nd):
         out += d2(v, a, a, h, nd, buf)
     return out
+
+
+def jets(planes, at, strides, h):
+    """The (len(at), c, nd) first-difference jets at the flat nodes `at` of
+    planes[1], from three raveled (nodes, c) planes whose axis a >= 1 has
+    flat stride strides[a - 1]."""
+    nd = len(strides) + 1
+    du = np.empty((len(at), planes[1].shape[-1], nd))
+    for a in range(nd):
+        ops = (planes[1 + s[0]][at + sum(k * t for k, t in zip(s[1:], strides))]
+               for s in neighbours(nd)[(a,)])
+        first(*ops, h, out=du[:, :, a])
+    return du
 
 
 class FlatBlock:

@@ -296,27 +296,31 @@ def _both_identity_checks(path, capsys, tol=None):
     return runs
 
 
-def _field_values(nodes, n):
+def _field_values(nodes, n, m=1):
     """A degree-4 triholomorphic field into one quaternion, random values
-    into two."""
-    if n == 1:
+    into two or on 4m = 8 axes."""
+    if n == 1 and m == 1:
         poly = fields.standard_triholomorphic_field(seed=3, degree=4)
         return GridField.from_function(poly, 1, 1, nodes, L=0.5, materialize=True).values
-    return np.random.default_rng(nodes).normal(size=(nodes,) * 4 + (4 * n,))
+    return np.random.default_rng(nodes).normal(size=(nodes,) * 4 * m + (4 * n,))
 
 
-# `domain` is "box", the one domain, on every case
+# `domain` is "box", the one domain, on every case; `nodes` is per axis on 4
+# axes, or the whole shape
 @pytest.mark.parametrize("domain, nodes, n", [
     ("box", 13, 1),    # rows 2, 5, 8: planes 0, 10, 11, 12 unread
     ("box", 7, 1),     # rows 2, 3, 4: consecutive rows share planes
     ("box", 8, 2),     # rows 2 .. 5, and two target quaternions
     ("box", 11, 1),    # rows 2, 4, 6, 8
+    # m = 2: in-plane strides over 7 axes, one jet at (2, ..., 2) (12.5 MB)
+    pytest.param("box", (5,) * 8, 1, id="box-5^8-1"),
 ])
 def test_identity_check_field_report_matches_the_parent_bytes(domain, nodes, n, tmp_path,
                                                               capsys):
     path = tmp_path / "u.fld1"
-    save_fld1(GridField(1, n, domain, 0.5, (nodes,) * 4,
-                        values=_field_values(nodes, n)), path)
+    shape = (nodes,) * 4 if isinstance(nodes, int) else nodes
+    m = len(shape) // 4
+    save_fld1(GridField(m, n, domain, 0.5, shape, values=_field_values(shape[0], n, m)), path)
     new, old = _both_identity_checks(path, capsys)
     assert new == old
     assert new[0] in (0, 1) and new[1] and new[2] == ""
@@ -342,10 +346,16 @@ def _set(values, node, value):
     # NaN in a plane after it is reported first, as the whole load was
     ("overflow", "error: jet entries at node (5, 2, 2, 2) must be finite"),
     ("overflow nan 12", "bad field file: field values must be finite"),
+    # the jets at (5, 5, 2, 2) and (5, 2, 8, 2) of row 5 overflow, along
+    # axes 1 and 3: the row-major first is named
+    ("overflow twice", "error: jet entries at node (5, 2, 8, 2) must be finite"),
 ])
 def test_a_bad_field_exits_2_as_the_parent_did(defect, reason, tmp_path, capsys):
     values = _field_values(13, 1)
-    if defect.startswith("overflow"):
+    if defect == "overflow twice":
+        values = _set(_set(values, (5, 6, 2, 2, 0), 1e308), (5, 4, 2, 2, 0), -1e308)
+        values = _set(_set(values, (5, 2, 8, 3, 0), 1e308), (5, 2, 8, 1, 0), -1e308)
+    elif defect.startswith("overflow"):
         values = _set(_set(values, (6, 2, 2, 2, 0), 1e308), (4, 2, 2, 2, 0), -1e308)
     if "nan" in defect:
         plane = int(defect.split()[-1])
@@ -406,6 +416,7 @@ def test_config_that_is_not_an_object_exits_2(text, kind, tmp_path, capsys):
     ('{"grid": NaN}', "grid must be a finite int, got nan"),
     ('{"grid": 16.0}', "grid must be a finite int, got 16.0"),
     ('{"seed": true}', "seed must be a finite int, got True"),
+    ('{"seed": -1}', "seed must be at least 0, got -1"),
     ('{"eps0": "0.1"}', "eps0 must be a finite float, got '0.1'"),
     ('{"eps0": 0}', "eps0 must be positive"),
     ('{"eps1": -0.1}', "eps1 must be positive"),
@@ -649,7 +660,14 @@ _UNREAD_FLAGS = [
     (["extract-bubbles", "--ell", "-3"], "--ell"),
     (["extract-bubbles", "--ell", "0"], "--ell"),
     (["extract-bubbles", "--ell", "1"], "--ell"),
-] + _UNREAD_FLAGS)
+] + _UNREAD_FLAGS + [
+    # a negative seed exited 2 with numpy's "expected non-negative integer" alone
+    (["norms", "--seed", "-1", "--fields", "1", "--grid", "8"], "--seed"),
+    (["solve-w21", "--seed", "-3"], "--seed"),
+    (["identity-check", "--seed", "-2"], "--seed"),
+    (["monotonicity", "--seed", "-1"], "--seed"),
+    (["extract-bubbles", "--seed", "-1"], "--seed"),
+])
 def test_bad_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

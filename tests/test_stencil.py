@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fueterlab import norms, poisson, stencil
+from fueterlab import bubbletree, cli, fields, monotone, norms, poisson, stencil
 from fueterlab.fields import GridField, dirichlet_energy
 from fueterlab.poisson import w21_norm
 from fueterlab.stencil import _sum_of_squares
@@ -172,6 +172,40 @@ def test_a_patched_formula_reaches_every_difference(name, monkeypatch):
     assert callers == {"first": {"d1", "FlatBlock.d1", "rhs", "_w11"},
                        "second": {"d2", "laplacian", "FlatBlock.d2", "rhs"},
                        "mixed": {"d2", "FlatBlock.d2", "rhs"}}[name]
+
+
+def test_every_jet_path_reads_the_neighbour_table(monkeypatch, tmp_path):
+    # every jet takes its operand steps from the one table, the gathered
+    # ones (ball pass, FLD1 field jets) and the point ones alike
+    calls = []
+    real = stencil.neighbours
+
+    def recording(nd):
+        calls.append(nd)
+        return real(nd)
+
+    monkeypatch.setattr(stencil, "neighbours", recording)
+    poly = fields.standard_triholomorphic_field(seed=3, degree=2)
+    u = GridField.from_function(poly, 1, 1, 9, L=0.5)
+    path, out = tmp_path / "u.fld1", tmp_path / "report.json"
+    fields.save_fld1(GridField.from_function(poly, 1, 1, 7, L=0.5, materialize=True), path)
+    sl = cli.bundled_sequence("one").slice_map(4)
+    f = np.add.outer(np.arange(3.0) ** 2, np.arange(3.0) ** 2)
+    paths = {
+        "_ball_slabs": lambda: list(monotone._ball_slabs(u, np.zeros(4), 0.2)),
+        "differential": lambda: fields.differential(u, (4,) * 4),
+        "identity-check --field": lambda: cli.main(
+            ["identity-check", "--jets", "2", "--field", str(path), "--out", str(out)]),
+        "_paraboloid_step": lambda: bubbletree._paraboloid_step(f, 0.1),
+        "_probe_jet": lambda: bubbletree._probe_jet(sl, np.zeros(2), 1e-3),
+    }
+    readers = {}
+    for name, run in paths.items():
+        calls.clear()
+        run()
+        readers[name] = set(calls)
+    assert readers == {"_ball_slabs": {4}, "differential": {4}, "identity-check --field": {4},
+                       "_paraboloid_step": {2}, "_probe_jet": {2}}
 
 
 def test_formulas_write_into_out_with_the_same_values():
